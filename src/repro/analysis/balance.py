@@ -23,9 +23,16 @@ multipliers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
+
+if TYPE_CHECKING:
+    from scipy import stats
+
+# scipy.stats takes about as long to import as a 512-node Fig-7 run takes
+# to match and simulate, and only the closed-form models below use it, so
+# each one imports it on first call.
 
 
 def _validate(num_chunks: int, replication: int, num_nodes: int) -> None:
@@ -41,6 +48,8 @@ def stored_chunks_distribution(
     num_chunks: int, replication: int, num_nodes: int
 ) -> stats.rv_discrete:
     """Y ~ Binomial(n, r/m): chunks stored on one node."""
+    from scipy import stats
+
     _validate(num_chunks, replication, num_nodes)
     return stats.binom(num_chunks, replication / num_nodes)
 
@@ -49,6 +58,8 @@ def served_chunks_distribution(
     num_chunks: int, replication: int, num_nodes: int
 ) -> stats.rv_discrete:
     """Z ~ Binomial(n, 1/m): chunks served by one node (closed form)."""
+    from scipy import stats
+
     _validate(num_chunks, replication, num_nodes)
     return stats.binom(num_chunks, 1.0 / num_nodes)
 
@@ -67,6 +78,8 @@ def cdf_served_chunks_total_probability(
 
     ``P(Z<=k) = Σ_{a=0}^{n} [Σ_{i=0}^{k} C(a,i)(1/r)^i (1-1/r)^{a-i}] P(Y=a)``
     """
+    from scipy import stats
+
     _validate(num_chunks, replication, num_nodes)
     if k < 0:
         return 0.0

@@ -12,9 +12,16 @@ All functions are vectorised over ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import stats
+
+if TYPE_CHECKING:
+    from scipy import stats
+
+# scipy.stats takes about as long to import as a 512-node Fig-7 run takes
+# to match and simulate, so only local_chunks_distribution (which every CDF
+# below goes through) imports it, on first call.
 
 #: The cluster sizes plotted in Figure 3.
 FIGURE3_CLUSTER_SIZES = (64, 128, 256, 512)
@@ -42,6 +49,8 @@ def local_chunks_distribution(
     num_chunks: int, replication: int, num_nodes: int
 ) -> stats.rv_discrete:
     """The Binomial(n, r/m) law of the number of locally-readable chunks."""
+    from scipy import stats
+
     _validate(num_chunks, replication, num_nodes)
     return stats.binom(num_chunks, replication / num_nodes)
 

@@ -48,6 +48,20 @@ from .perf import SchedPerf
 VECTOR_MIN_VERTICES = 512
 
 
+def _sorted_unique(vs: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D int64 array, as ``np.unique``.
+
+    ``np.unique`` checks for masked input through ``numpy.ma`` and so
+    imports it (about 12 ms) on its first call, inside the first large
+    solve; a sort and a neighbour mask give the same array without it.
+    """
+    out = np.sort(vs)
+    keep = np.empty(out.size, np.bool_)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 class _EdgeView:
     """Read-only view of one directed edge (for ``adj`` compatibility)."""
 
@@ -371,7 +385,7 @@ class FlowNetwork:
             vs = vs[lvl[vs] < 0]
             if vs.size == 0:
                 break
-            fresh = np.unique(vs)
+            fresh = _sorted_unique(vs)
             lvl[fresh] = depth
             frontier = fresh
         level[:] = lvl.tolist()

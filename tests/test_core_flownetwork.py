@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.flownetwork import FlowNetwork
+from repro.core.flownetwork import FlowNetwork, _sorted_unique
 
 
 def _to_networkx(net: FlowNetwork) -> nx.DiGraph:
@@ -174,6 +174,27 @@ class TestAgainstNetworkx:
 
 class TestVectorizedBFS:
     """The numpy frontier BFS replays the scalar FIFO BFS exactly."""
+
+    @pytest.mark.parametrize(
+        "frontier",
+        [[], [5], [3, 3, 3, 3], [0, 0], [9, 2, 9, 0, 2, 7]],
+        ids=["empty", "single", "all-duplicate", "zero-duplicate", "mixed"],
+    )
+    def test_frontier_dedup_equals_np_unique(self, frontier):
+        vs = np.array(frontier, np.int64)
+        got = _sorted_unique(vs)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(vs))
+        assert vs.tolist() == frontier  # the input is left as it was
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_frontier_dedup_equals_np_unique_random(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        for size in (0, 1, 2, 17, 600):
+            vs = rng.integers(0, max(size // 3, 1), size=size, dtype=np.int64)
+            got = _sorted_unique(vs)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.unique(vs))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_levels_match_scalar_on_virgin_graph(self, seed):

@@ -1,16 +1,10 @@
-"""Ablation: multiple processes per node — and multiprocess solves.
+"""Ablation: multiple processes per node.
 
 Marmot has "128 nodes / 256 cores": the natural deployment runs 2 ranks
 per node.  Co-ranked processes share their node's disk, NIC and replica
 set, so the matching hands the node's chunks to either of its ranks while
 quotas stay per-process.  Opass's win survives: reads remain local and
 per-node serving stays at the ideal share (now consumed by two readers).
-
-A second ablation exercises the simulator's own multiprocessing: the
-same run on a :class:`repro.parallel.ComponentSolvePool`-backed engine
-must replay byte-identically (the pool workers run the exact in-process
-kernels over shared memory) while the dispatch counters show the solves
-really crossed the process boundary.
 """
 
 from repro.core import (
@@ -23,13 +17,7 @@ from repro.core import (
 )
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.metrics import ServeMonitor, jains_fairness
-from repro.parallel import ComponentSolvePool
-from repro.simulate import (
-    ParallelReadRun,
-    Simulation,
-    StaticSource,
-    cluster_resources,
-)
+from repro.simulate import ParallelReadRun, StaticSource
 from repro.viz import format_table
 from repro.workloads import single_data_workload
 
@@ -89,55 +77,3 @@ def test_ablation_two_ranks_per_node(benchmark):
     assert opass_run.io_stats()["max"] < base_run.io_stats()["max"]
     assert jains_fairness(opass_served) > jains_fairness(base_served)
 
-
-def _run_baseline(seed: int, sim: Simulation | None):
-    fs = DistributedFileSystem(ClusterSpec.homogeneous(NODES), seed=seed)
-    data = single_data_workload(NODES * RANKS_PER_NODE, 10)
-    fs.put_dataset(data)
-    placement = ProcessPlacement.k_per_node(NODES, RANKS_PER_NODE)
-    tasks = tasks_from_dataset(data)
-    assignment = rank_interval_assignment(len(tasks), placement.num_processes)
-    if sim is not None:
-        sim.add_resources(cluster_resources(fs.spec))
-    run = ParallelReadRun(
-        fs, placement, tasks, StaticSource(assignment), seed=seed, sim=sim
-    )
-    return run.run(), run
-
-
-def test_ablation_pooled_solves_identical(benchmark):
-    """Shared-memory pooled solves replay the serial run byte-for-byte."""
-
-    def compare():
-        serial_result, serial_run = _run_baseline(0, None)
-        with ComponentSolvePool(min_flows=0) as pool:
-            pooled_sim = Simulation(allocator="component", parallel=pool)
-            pooled_result, pooled_run = _run_baseline(0, pooled_sim)
-        return serial_result, serial_run, pooled_result, pooled_run
-
-    serial_result, serial_run, pooled_result, pooled_run = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
-
-    snap = pooled_run.sim.perf.snapshot()
-    print("\n=== ablation: pooled component solves (16 nodes / 32 processes) ===")
-    print(format_table(
-        ["engine", "makespan (s)", "events", "parallel solves",
-         "pool dispatch (s)"],
-        [
-            ("serial", serial_result.makespan,
-             serial_run.sim.events_processed, 0, "-"),
-            ("pooled", pooled_result.makespan,
-             pooled_run.sim.events_processed, snap["parallel_solves"],
-             f"{snap['pool_dispatch_wall']:.3f}"),
-        ],
-    ))
-
-    assert pooled_result.makespan == serial_result.makespan
-    assert pooled_run.sim.events_processed == serial_run.sim.events_processed
-    assert [
-        (r.seq, r.chunk, r.server_node, r.end_time) for r in pooled_result.records
-    ] == [
-        (r.seq, r.chunk, r.server_node, r.end_time) for r in serial_result.records
-    ]
-    assert snap["parallel_solves"] > 0

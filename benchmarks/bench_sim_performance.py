@@ -33,17 +33,12 @@ Without ``--check`` the measured rows are merged into the file.
 CI runs the gated form on every push (see .github/workflows/ci.yml,
 job ``bench-regression``).
 
-``--parallel on`` runs the same workload with component solves routed
-through a force-dispatched ``ComponentSolvePool`` (pooled rows are never
-merged into the committed serial baseline), and ``--trace-out`` dumps
-the full event trace per scale so CI's ``bench-parallel`` legs can
-assert the pooled and serial runs are byte-identical.
-
 ``--fastforward off`` disables the engine's fused cascade fast-forward
-loop and runs the general per-event dispatcher instead; CI's
-``bench-fastforward-identity`` job runs both forms with ``--trace-out``
-and diffs the traces byte-for-byte (the fast-forward identity
-contract).  'off' rows are never merged into the committed baseline.
+loop and runs the general per-event dispatcher instead; ``--trace-out``
+dumps the full event trace per scale, and CI's
+``bench-fastforward-identity`` job runs both forms with it and diffs the
+traces byte-for-byte (the fast-forward identity contract).  'off' rows
+are never merged into the committed baseline.
 """
 
 import argparse
@@ -87,7 +82,7 @@ SOLVE_FRACTION_SLACK = 0.05
 
 #: ``--check`` gates the engine-overhead fraction the same way: the
 #: ``event_loop_wall_s`` residual (run wall minus the instrumented
-#: solve/settle/scan/pool phases) divided by ``wall_s``.  This is the
+#: solve/settle/scan phases) divided by ``wall_s``.  This is the
 #: per-event Python bookkeeping PR 9's array engine exists to shrink;
 #: the gate keeps it from quietly regrowing behind a passing events/s
 #: ratio.  Committed rows predating the counter skip the gate.
@@ -113,8 +108,7 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 
 def _run_once(
-    m: int, seed: int, pool=None, want_trace: bool = False,
-    fastforward: bool = True,
+    m: int, seed: int, want_trace: bool = False, fastforward: bool = True
 ):
     fs = DistributedFileSystem(ClusterSpec.homogeneous(m), seed=seed)
     data = single_data_workload(m, 10)
@@ -122,10 +116,8 @@ def _run_once(
     placement = ProcessPlacement.one_per_node(m)
     tasks = tasks_from_dataset(data)
     sim = None
-    if pool is not None or not fastforward:
-        sim = Simulation(
-            allocator="component", parallel=pool, fastforward=fastforward
-        )
+    if not fastforward:
+        sim = Simulation(allocator="component", fastforward=False)
         sim.add_resources(cluster_resources(fs.spec))
     run = ParallelReadRun(
         fs, placement, tasks,
@@ -177,20 +169,19 @@ def _run_once(
         "solve_wall_s": snap["solve_wall"],
         "settle_wall_s": snap["settle_wall"],
         "scan_wall_s": snap["scan_wall"],
-        "pool_dispatch_wall_s": snap["pool_dispatch_wall"],
         "run_wall_s": snap["run_wall"],
         "event_loop_wall_s": snap["event_loop_wall"],
     }
 
 
 def run_scaling(
-    seed: int = 0, repeats: int = REPEATS, scales=SCALES, pool=None,
+    seed: int = 0, repeats: int = REPEATS, scales=SCALES,
     want_trace: bool = False, fastforward: bool = True,
 ):
     rows = []
     for m in scales:
         best = min(
-            (_run_once(m, seed, pool=pool, want_trace=want_trace,
+            (_run_once(m, seed, want_trace=want_trace,
                        fastforward=fastforward)
              for _ in range(repeats)),
             key=lambda r: r["wall_s"],
@@ -359,12 +350,6 @@ def main(argv=None):
              "(kept out of CI's quick gate)",
     )
     parser.add_argument(
-        "--parallel", choices=("off", "on"), default="off",
-        help="'on' routes component solves through a ComponentSolvePool "
-             "with forced dispatch (min_flows=0); traces must match the "
-             "serial run byte-for-byte (default: %(default)s)",
-    )
-    parser.add_argument(
         "--trace-out", type=Path, default=None,
         help="write the full event trace (records + makespan per scale) "
              "to this JSON file for cross-leg identity checks",
@@ -381,20 +366,11 @@ def main(argv=None):
     scales = tuple(int(s) for s in args.scales.split(","))
     if args.extended:
         scales = scales + tuple(s for s in EXTENDED_SCALES if s not in scales)
-    pool = None
-    if args.parallel == "on":
-        from repro.parallel import ComponentSolvePool
-
-        pool = ComponentSolvePool(min_flows=0)
-    try:
-        rows = run_scaling(
-            seed=0, repeats=args.repeats, scales=scales, pool=pool,
-            want_trace=args.trace_out is not None,
-            fastforward=args.fastforward == "on",
-        )
-    finally:
-        if pool is not None:
-            pool.close()
+    rows = run_scaling(
+        seed=0, repeats=args.repeats, scales=scales,
+        want_trace=args.trace_out is not None,
+        fastforward=args.fastforward == "on",
+    )
     if args.trace_out is not None:
         traces = {str(r["nodes"]): r.pop("trace") for r in rows}
         args.trace_out.write_text(
@@ -404,15 +380,12 @@ def main(argv=None):
     print_rows(rows)
     for r in rows:
         assert_row_health(r)
-        if pool is not None:
-            # Forced dispatch: every scale must actually exercise the pool.
-            assert r["parallel_solves"] > 0, r
         if args.fastforward == "off":
             # The general dispatcher ran: no cascade runs may be counted.
             assert r["fastforward_cascades"] == 0, r
-    if (args.parallel == "on" or args.fastforward == "off") and not args.check:
-        # Pooled / fast-forward-off rows never merge into the committed
-        # fast-forward serial baseline.
+    if args.fastforward == "off" and not args.check:
+        # Fast-forward-off rows never merge into the committed
+        # fast-forward baseline.
         if args.out is not None:
             args.out.write_text(json.dumps({"scales": rows}, indent=1) + "\n")
             print(f"wrote {args.out}")

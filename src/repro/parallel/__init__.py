@@ -7,13 +7,11 @@ from .master_worker import (
     irregular_compute_model,
     run_master_worker,
 )
-from .pool import ComponentSolvePool
 from .spmd import SpmdOutcome, run_opass_single, run_rank_interval, run_static
 
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "ComponentSolvePool",
     "DataLocalityQuery",
     "LocalitySplit",
     "MasterWorkerOutcome",

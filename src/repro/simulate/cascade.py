@@ -34,10 +34,7 @@ fixtures, which run with the memo on).
 Keys depend on the capacity table handed in at lookup time; the
 allocator's table is append-only (``register`` rejects duplicates), so a
 cached entry can never be invalidated by a capacity change.  The memo is
-per-allocator (per-process) state: with the shared-memory solve pool the
-parent consults it *before* batching, so memo hits are never dispatched
-and the workers stay stateless — pooled and serial runs consult the very
-same memo and stay byte-identical.
+per-allocator state.
 
 Purity contract: lookups read ``Flow.path``/``rate_cap`` and the
 capacity table and mutate only this memo's own dict (registered in

@@ -79,7 +79,7 @@ class ComponentAllocator:
     consume (:attr:`last_changed`, :attr:`component_count`, ...).
     """
 
-    def __init__(self, *, kernel: str = "auto", pool: object | None = None) -> None:
+    def __init__(self, *, kernel: str = "auto") -> None:
         """
         Parameters
         ----------
@@ -91,20 +91,10 @@ class ComponentAllocator:
             numpy at and above it; ``"reference"`` hands every component
             to :func:`~repro.simulate.flows.allocate_rates` instead
             (differential CI).
-        pool:
-            Optional shared-memory solve pool (duck-typed:
-            ``min_flows``, ``solve_batch(lowered)`` and
-            ``last_dispatch_wall`` — see
-            :class:`repro.parallel.pool.ComponentSolvePool`).  When the
-            dirty multi-flow components carry at least ``pool.min_flows``
-            flows in total they are lowered once and solved by the pool's
-            workers; below the threshold (or with no pool) the same
-            kernels run in-process, byte-identically.
         """
         if kernel not in ("auto", "reference"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self._kernel = kernel
-        self._pool = pool
         #: canonical-shape memo over solved multi-flow components (see
         #: :mod:`repro.simulate.cascade`); sound because ``register``
         #: never updates an existing capacity entry.
@@ -151,8 +141,6 @@ class ComponentAllocator:
         self.last_component_size_max = 0
         self.last_flows_resolved = 0
         self.last_vectorized_solves = 0
-        self.last_parallel_solves = 0
-        self.last_pool_wall = 0.0
         self.last_memo_hits = 0
 
     # -- resource registration ------------------------------------------------
@@ -392,9 +380,8 @@ class ComponentAllocator:
 
         Each dirty (and, if shrunk, freshly re-partitioned) component is
         solved in isolation — by the flat kernels of
-        :mod:`repro.simulate.vectorized` (``kernel="auto"``, optionally
-        batched to the shared-memory pool) or by the reference
-        :func:`allocate_rates` (``kernel="reference"``); either way the
+        :mod:`repro.simulate.vectorized` (``kernel="auto"``) or by the
+        reference :func:`allocate_rates` (``kernel="reference"``); either way the
         rates are bit-for-bit the reference's.  Clean components keep
         their cached rates untouched.  With ``out`` (the engine's
         slot-indexed rate array) only the re-solved flows' slots are
@@ -408,8 +395,6 @@ class ComponentAllocator:
         self.last_component_size_max = 0
         self.last_flows_resolved = 0
         self.last_vectorized_solves = 0
-        self.last_parallel_solves = 0
-        self.last_pool_wall = 0.0
         self.last_memo_hits = 0
         changed: list[int] = []
         if self._dirty:
@@ -494,7 +479,7 @@ class ComponentAllocator:
     def _solve_kernels(
         self, changed: list[int], out: "np.ndarray | None"
     ) -> None:
-        """Flat-kernel solve loop, optionally batching to the pool.
+        """Flat-kernel solve loop.
 
         Every multi-flow component goes through the canonical-shape
         memo first (:mod:`repro.simulate.cascade`): a hit replays the
@@ -502,9 +487,6 @@ class ComponentAllocator:
         keeps measuring the represented water-filling work); a miss
         runs the usual kernel dispatch and stores the result.
         """
-        if self._pool is not None:
-            self._solve_pooled(changed, out)
-            return
         order = self._order
         id_of = self._id_of
         rate_of = self._rate_of
@@ -560,118 +542,6 @@ class ComponentAllocator:
                 # Counted by represented kernel, hit or miss, so the
                 # counter stays comparable across memo hit rates.
                 vectorized += 1
-            iterations += iters
-            if out is None:
-                for f, rate in zip(members, rates):
-                    rate_of[f] = rate
-                    changed.append(id_of[f])
-            else:
-                for f, rate in zip(members, rates):
-                    rate_of[f] = rate
-                    fid = id_of[f]
-                    out[fid] = rate
-                    changed.append(fid)
-        self.last_iterations += iterations
-        self.last_component_solves += solves
-        self.last_component_size_max = size_max
-        self.last_flows_resolved += resolved
-        self.last_vectorized_solves += vectorized
-        self.last_memo_hits += memo_hits
-
-    def _solve_pooled(
-        self, changed: list[int], out: "np.ndarray | None"
-    ) -> None:
-        """Kernel solve with multi-flow components batched to the pool.
-
-        Falls back to the in-process kernels when the dirty set carries
-        fewer than the pool's measured ``min_flows`` — the dispatch
-        round-trip would cost more than it saves.  Either way the rates
-        are byte-identical: the workers run the same kernels on the same
-        lowered arrays.  The canonical-shape memo is consulted *before*
-        batching — hits are never dispatched, misses are solved by the
-        workers and stored on return — so the memo stays parent-only
-        state, the workers stay stateless, and pooled runs consult the
-        exact same cache a serial run would (memo coherence by
-        construction).
-        """
-        order = self._order
-        id_of = self._id_of
-        rate_of = self._rate_of
-        res_caps = self._res_caps
-        comp_flows = self._comp_flows
-        memo = self._memo
-        pool = self._pool
-        comps: list[list[Flow]] = []
-        keys: list[object | None] = []
-        cached: list[tuple[list[float], int] | None] = []
-        memo_hits = 0
-        total_miss = 0
-        for gid in self._dirty_groups():
-            group = comp_flows[gid]
-            if len(group) == 1:
-                comps.append(list(group))
-                keys.append(None)
-                cached.append(None)
-                continue
-            members = sorted(group, key=order.__getitem__)
-            if len(members) == 2:
-                key = pair_key(members[0], members[1], res_caps)
-            else:
-                key = component_key(members, res_caps)
-            hit = memo.lookup(key)
-            if hit is not None:
-                memo_hits += 1
-            else:
-                total_miss += len(members)
-            comps.append(members)
-            keys.append(key)
-            cached.append(hit)
-        results = None
-        if total_miss >= pool.min_flows:
-            lowered = [
-                lower_component(m, res_caps)
-                for m, hit in zip(comps, cached)
-                if len(m) > 1 and hit is None
-            ]
-            if lowered:
-                results = iter(pool.solve_batch(lowered))
-                self.last_parallel_solves = len(lowered)
-                self.last_pool_wall = pool.last_dispatch_wall
-        solves = 0
-        size_max = self.last_component_size_max
-        resolved = 0
-        iterations = 0
-        vectorized = 0
-        for members, key, hit in zip(comps, keys, cached):
-            k = len(members)
-            solves += 1
-            resolved += k
-            if k > size_max:
-                size_max = k
-            if k == 1:
-                f = members[0]
-                rate = self._solve_single_cached(f)
-                iterations += 1
-                rate_of[f] = rate
-                fid = id_of[f]
-                if out is not None:
-                    out[fid] = rate
-                changed.append(fid)
-                continue
-            if k >= VECTOR_MIN_FLOWS:
-                vectorized += 1
-            if hit is not None:
-                rates, iters = hit
-            else:
-                if results is not None:
-                    rates, iters = next(results)
-                elif k < VECTOR_MIN_FLOWS:
-                    rates, iters = solve_small(members, res_caps)
-                else:
-                    rates, iters = _solve_numpy(
-                        lower_component(members, res_caps)
-                    )
-                memo.store(key, rates, iters)
             iterations += iters
             if out is None:
                 for f, rate in zip(members, rates):

@@ -124,7 +124,6 @@ class Simulation:
         self,
         *,
         allocator: str | None = None,
-        parallel: object | None = None,
         fastforward: bool | None = None,
     ) -> None:
         """
@@ -139,15 +138,6 @@ class Simulation:
             per-epoch completion cache; ``"reference"`` re-solves with
             the pure :func:`allocate_rates` on every dirty refresh —
             slowest, kept for differential testing.
-        parallel:
-            Optional shared-memory component-solve pool (component mode
-            only), e.g. :class:`repro.parallel.pool.ComponentSolvePool`.
-            The pool is handed in as an object — this module sits below
-            :mod:`repro.parallel` in the layering DAG, so the engine
-            never constructs one itself.  Solves stay byte-identical
-            with the pool on or off (same kernels either side of the
-            process boundary); below the pool's measured work threshold
-            components are solved in-process as usual.
         fastforward:
             When true (the module default, see
             :data:`DEFAULT_FASTFORWARD`), ``run()`` with no ``until`` bound
@@ -167,8 +157,6 @@ class Simulation:
             fastforward = DEFAULT_FASTFORWARD
         if allocator not in ("component", "incremental", "reference"):
             raise ValueError(f"unknown allocator {allocator!r}")
-        if parallel is not None and allocator != "component":
-            raise ValueError("parallel= requires allocator='component'")
         #: which rate-solve strategy this simulation runs (read-only).
         self.allocator = allocator
         #: whether unbounded ``run()`` uses the fused fast-forward loop
@@ -182,7 +170,7 @@ class Simulation:
         self._calloc: ComponentAllocator | None = None
         self._alloc: ComponentAllocator | IncrementalAllocator | None = None
         if allocator == "component":
-            self._calloc = ComponentAllocator(pool=parallel)
+            self._calloc = ComponentAllocator()
             self._alloc = self._calloc
         elif allocator == "incremental":
             self._alloc = IncrementalAllocator()
@@ -408,9 +396,6 @@ class Simulation:
             perf.component_flows_resolved += calloc.last_flows_resolved
             perf.vectorized_solves += calloc.last_vectorized_solves
             perf.memo_hits += calloc.last_memo_hits
-            if calloc.last_parallel_solves:
-                perf.parallel_solves += calloc.last_parallel_solves
-                perf.pool_dispatch_wall += calloc.last_pool_wall
             if calloc.last_component_size_max > perf.component_size_max:
                 perf.component_size_max = calloc.last_component_size_max
             n_comp = calloc.component_count
@@ -1032,9 +1017,6 @@ class Simulation:
                         flows_resolved += calloc.last_flows_resolved
                         vec_solves += calloc.last_vectorized_solves
                         memo_acc += calloc.last_memo_hits
-                        if calloc.last_parallel_solves:
-                            perf.parallel_solves += calloc.last_parallel_solves
-                            perf.pool_dispatch_wall += calloc.last_pool_wall
                         if calloc.last_component_size_max > size_max:
                             size_max = calloc.last_component_size_max
                         n_comp = calloc.component_count

@@ -56,8 +56,6 @@ class SimPerf:
     #: component solves that ran the numpy water-filling kernel
     #: (components of ≥ VECTOR_MIN_FLOWS flows; see repro.simulate.vectorized)
     vectorized_solves: int = 0
-    #: component solves dispatched to the shared-memory worker pool
-    parallel_solves: int = 0
     #: multi-flow component solves answered by the canonical-shape memo
     #: (see repro.simulate.cascade) instead of re-entering a kernel
     memo_hits: int = 0
@@ -86,8 +84,6 @@ class SimPerf:
     solve_wall: float = 0.0
     settle_wall: float = 0.0
     scan_wall: float = 0.0
-    #: wall seconds spent inside pool dispatch (subset of solve_wall)
-    pool_dispatch_wall: float = 0.0
     #: wall seconds inside Simulation.run end to end; the derived
     #: ``event_loop_wall`` residual (run minus the instrumented phases)
     #: is the per-event Python bookkeeping this engine exists to shrink
@@ -118,7 +114,8 @@ class SimPerf:
             ),
             "component_flows_resolved": self.component_flows_resolved,
             "vectorized_solves": self.vectorized_solves,
-            "parallel_solves": self.parallel_solves,
+            # no solve path dispatches in parallel; perfbench reads the key
+            "parallel_solves": 0,
             "memo_hits": self.memo_hits,
             "fastforward_cascades": self.fastforward_cascades,
             "cascade_events": self.cascade_events,
@@ -133,7 +130,6 @@ class SimPerf:
             "solve_wall": self.solve_wall,
             "settle_wall": self.settle_wall,
             "scan_wall": self.scan_wall,
-            "pool_dispatch_wall": self.pool_dispatch_wall,
             "run_wall": self.run_wall,
             "event_loop_wall": self.event_loop_wall,
         }
@@ -151,15 +147,9 @@ class SimPerf:
     @property
     def event_loop_wall(self) -> float:
         """Residual engine overhead: run wall minus the instrumented
-        solve/settle/scan/pool phases (pool dispatch is already inside
-        ``solve_wall``; subtracting it again keeps the residual a strict
-        lower bound on loop bookkeeping).  Clamped at zero — phase
-        clocks on loaded runners can jitter past the enclosing run."""
+        solve/settle/scan phases.  Clamped at zero — phase clocks on
+        loaded runners can jitter past the enclosing run."""
         residual = (
-            self.run_wall
-            - self.solve_wall
-            - self.settle_wall
-            - self.scan_wall
-            - self.pool_dispatch_wall
+            self.run_wall - self.solve_wall - self.settle_wall - self.scan_wall
         )
         return residual if residual > 0.0 else 0.0

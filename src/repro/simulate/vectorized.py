@@ -32,12 +32,6 @@ same level; per-resource unfrozen counts are decremented once per frozen
 flow), so rates are bit-for-bit equal to the reference's — pinned by the
 differential fuzz suite in ``tests/test_properties_vectorized.py``.
 
-The lowered form is five plain arrays, so it can cross a process
-boundary through ``multiprocessing.shared_memory`` without pickling
-``Flow`` objects — :mod:`repro.parallel.pool` workers call
-:func:`solve_arrays` on reconstructed views and obtain byte-identical
-rates (same kernels, same dispatch cutoff).
-
 Purity contract: kernels read ``Flow.path``/``rate_cap`` and the
 capacity table and write only locals (registered in
 ``repro.tools.config.DEFAULT_PURE_MODULES``; enforced by OPS103).
@@ -58,7 +52,6 @@ __all__ = [
     "Lowered",
     "lower_component",
     "res_entry",
-    "solve_arrays",
     "solve_component",
     "solve_lowered",
     "solve_single",
@@ -598,33 +591,3 @@ def solve_lowered(low: Lowered) -> tuple[list[float], int]:
         return _solve_numpy(low)
     return _solve_scalar(low)
 
-
-def solve_arrays(
-    lens: np.ndarray,
-    fr_flat: np.ndarray,
-    eff: np.ndarray,
-    caps: np.ndarray,
-) -> tuple[list[float], int]:
-    """Solve one component shipped as flat arrays (the pool wire format).
-
-    ``lens[i]`` is flow *i*'s path length, ``fr_flat`` the concatenated
-    local resource ids, ``eff`` the per-resource effective capacities and
-    ``caps`` the per-flow rate caps (``inf`` = uncapped).  Reconstructs
-    the lowered form and runs the same kernel dispatch as the in-process
-    path, so pooled and serial solves are byte-identical.
-    """
-    nres = len(eff)
-    fr: list[list[int]] = []
-    rusers: list[list[int]] = [[] for _ in range(nres)]
-    kcnt = [0] * nres
-    pos = 0
-    flat = fr_flat.tolist()
-    for fi, ln in enumerate(lens.tolist()):
-        ids = flat[pos : pos + ln]
-        pos += ln
-        fr.append(ids)
-        for rid in ids:
-            kcnt[rid] += 1
-            rusers[rid].append(fi)
-    low = Lowered(len(fr), nres, fr, rusers, eff.tolist(), kcnt, caps.tolist())
-    return solve_lowered(low)

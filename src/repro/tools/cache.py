@@ -8,7 +8,7 @@ misses cleanly instead of serving stale results:
   ``sha256(source)`` + the config fingerprint.  Parsing a module is
   cheap; *summarizing* it (the per-function dataflow walk) is the
   expensive part, and that is what a bundle hit skips.
-* **check results** — the raw OPS101–OPS103 + OPS201–OPS204 violations
+* **check results** — the raw OPS101–OPS103 + OPS203–OPS204 violations
   for one module, keyed by the module key **plus a closure signature**:
   the hash of every (module, content-hash) pair in its transitive
   import closure.  Editing a leaf module therefore invalidates exactly
@@ -22,13 +22,9 @@ deleted (or half-deleted) at any time without affecting results.
 Known approximations: dynamic-dispatch fallback resolution consults
 *every* class in the project, not just the import closure, so renaming a
 same-named method in an unrelated module does not invalidate cached
-check results.  Likewise, OPS202's worker-reachability is rooted at the
-``worker-entrypoints`` registry, which may live outside a checked
-module's import closure — an edit that only changes *whether* a module
-is worker-reachable (without touching the module or its imports) can
-serve a stale OPS202 result.  Config edits (including the entrypoint
-registry) are covered by the fingerprint; ``--no-cache`` (or removing
-``.opass-cache/``) forces a guaranteed-fresh pass.
+check results.  Config edits are covered by the fingerprint;
+``--no-cache`` (or removing ``.opass-cache/``) forces a guaranteed-fresh
+pass.
 """
 
 from __future__ import annotations

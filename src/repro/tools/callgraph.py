@@ -41,7 +41,9 @@ from .astutils import annotation_roots, dotted, iter_arguments
 #: v3: LocalSummary gained the cost lattice (``allocs``/``call_axes``);
 #: the OPS300 cost-contract pass contributes to cached check results,
 #: and check keys gained the check-config + per-module contract digests.
-ANALYZER_VERSION = 3
+#: v4: LocalSummary dropped ``global_writes`` along with its only reader,
+#: the fork-worker safety rule.
+ANALYZER_VERSION = 4
 
 
 @dataclass

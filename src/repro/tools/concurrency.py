@@ -1,23 +1,10 @@
-"""Concurrency and float-identity rules OPS201–OPS204 (`opass-verify`).
+"""Float-identity and async-blocking rules OPS203–OPS204 (`opass-verify`).
 
-PR 6 moved the hot solve path onto shared-memory fork workers
-(:mod:`repro.parallel.pool`) and numpy kernels whose contract is
-bit-for-bit identity with the reference solvers.  This pass rides the
-same fixed-point summaries as OPS101–OPS103 and machine-checks the two
-failure modes those rules are blind to — fork boundaries and float
-semantics:
+The numpy water-filling kernels promise bit-for-bit identity with the
+reference solvers.  This pass rides the same fixed-point summaries as
+OPS101–OPS103 and machine-checks the float semantics those rules are
+blind to, plus blocking calls reachable from async code:
 
-* **OPS201 — fork safety.**  Any function registered as a worker
-  entrypoint (``worker-entrypoints`` in ``[tool.opass-lint]``) must not
-  *transitively* reach fork-unsafe state: open file handles, sockets,
-  locks/threads, live RNG machinery, or functions that rebind module
-  globals.  Violations name the capture chain like OPS103 does.
-* **OPS202 — shared-memory write discipline.**  Worker-reachable code
-  may write only into declared per-dispatch slice views (results of a
-  ``shared-view-factories`` callable, ``numpy.frombuffer`` by default).
-  Writes into parameters (parent-process objects), module-level state,
-  or a view whose ``(buffer, offset)`` expression collides with another
-  declared view are flagged.
 * **OPS203 — float-identity preservation.**  Inside registered kernel
   modules (``kernel-modules``, same prefix machinery as
   ``pure_modules``): a dtype lattice forbids implicit float32/float16/
@@ -33,11 +20,11 @@ semantics:
   an ``async def`` (directly or through sync project callees) stall the
   event loop; this seeds the ROADMAP online-scheduling service work.
 
-Reachability (OPS201/OPS202/OPS204) follows only *confidently resolved*
-call edges — plain dotted calls and method calls with a typed receiver.
-The dynamic-dispatch fallback (every class method sharing a bare method
+Reachability (OPS204) follows only *confidently resolved* call edges —
+plain dotted calls and method calls with a typed receiver.  The
+dynamic-dispatch fallback (every class method sharing a bare method
 name) is deliberately excluded: following it would make ``conn.recv()``
-reach every ``recv`` in the project and drown the rules in false
+reach every ``recv`` in the project and drown the rule in false
 positives.  Every violation is attributed to a concrete line in the
 module under check, so the per-line suppression pragmas and the
 per-module check cache work unchanged.
@@ -51,44 +38,12 @@ from .callgraph import CallRef, FunctionDecl, ModuleDecl, ResolvedCall
 from .config import LintConfig
 from .interproc import _package_of
 from .model import Violation, marker_lines
-from .summaries import TAINT_RNG, ProjectSummaries, external_taint
+from .summaries import ProjectSummaries
 
 #: rule id → one-line description (merged into ``--list-rules``).
 CONCURRENCY_RULES: dict[str, str] = {
-    "OPS201": "fork worker transitively reaches fork-unsafe state",
-    "OPS202": "worker write escapes the declared shared-memory slice views",
     "OPS203": "float-identity drift in a bit-identical kernel module",
     "OPS204": "blocking call reachable from async code",
-}
-
-#: External callables whose *result or side effect* is fork-unsafe state:
-#: handles, sockets, locks and threads do not survive (or must not cross)
-#: an ``os.fork`` boundary.
-_FORK_UNSAFE_CALLS: dict[str, str] = {
-    "open": "opens a file handle",
-    "io.open": "opens a file handle",
-    "os.open": "opens a file descriptor",
-    "os.fdopen": "opens a file handle",
-    "os.pipe": "opens a pipe",
-    "tempfile.NamedTemporaryFile": "opens a file handle",
-    "tempfile.TemporaryFile": "opens a file handle",
-    "socket.socket": "opens a socket",
-    "socket.create_connection": "opens a socket",
-    "threading.Lock": "allocates a lock",
-    "threading.RLock": "allocates a lock",
-    "threading.Condition": "allocates a condition variable",
-    "threading.Semaphore": "allocates a semaphore",
-    "threading.BoundedSemaphore": "allocates a semaphore",
-    "threading.Event": "allocates an event",
-    "threading.Barrier": "allocates a barrier",
-    "threading.Thread": "starts thread machinery",
-    "multiprocessing.Lock": "allocates a lock",
-    "multiprocessing.RLock": "allocates a lock",
-    "subprocess.Popen": "spawns a subprocess",
-    "subprocess.run": "spawns a subprocess",
-    "subprocess.call": "spawns a subprocess",
-    "subprocess.check_call": "spawns a subprocess",
-    "subprocess.check_output": "spawns a subprocess",
 }
 
 #: External callables that block the calling thread (OPS204).
@@ -167,259 +122,6 @@ def _confident_targets(ref: CallRef, rc: ResolvedCall) -> list[FunctionDecl]:
     if ref.kind == "method" and ref.recv_type is None:
         return []
     return rc.targets
-
-
-def worker_reachable(
-    summaries: ProjectSummaries, config: LintConfig
-) -> dict[str, tuple[str, ...]]:
-    """Function key → call chain (entrypoint .. key) for worker-reachable code."""
-    out: dict[str, tuple[str, ...]] = {}
-    for entry in config.worker_entrypoints:
-        if entry not in summaries.locals:
-            continue
-        stack: list[tuple[str, tuple[str, ...]]] = [(entry, (entry,))]
-        while stack:
-            key, chain = stack.pop()
-            if key in out:
-                continue
-            out[key] = chain
-            local = summaries.locals[key]
-            for ref, rc in zip(local.calls, summaries.resolved.get(key, [])):
-                for target in _confident_targets(ref, rc):
-                    if target.key in summaries.locals and target.key not in out:
-                        stack.append((target.key, chain + (target.key,)))
-    return out
-
-
-def _fork_unsafe_reasons(key: str, summaries: ProjectSummaries) -> list[str]:
-    """Direct (non-transitive) fork-unsafe facts about one function."""
-    local = summaries.locals.get(key)
-    if local is None:
-        return []
-    reasons: list[str] = []
-    if local.global_writes:
-        names = ", ".join(local.global_writes)
-        reasons.append(f"rebinds module global(s) {names}")
-    for ref, rc in zip(local.calls, summaries.resolved.get(key, [])):
-        if rc.external is None:
-            continue
-        label = _FORK_UNSAFE_CALLS.get(rc.external)
-        if label is not None:
-            reasons.append(f"{label} ({rc.external})")
-        elif TAINT_RNG in external_taint(rc.external, ref.nargs):
-            reasons.append(f"constructs live RNG machinery ({rc.external})")
-    return reasons
-
-
-def _check_fork_safety(
-    decl: ModuleDecl,
-    summaries: ProjectSummaries,
-    config: LintConfig,
-    violation,
-) -> None:
-    """OPS201: entrypoints in this module must not reach fork-unsafe state."""
-    entrypoints = set(config.worker_entrypoints)
-    for fn in decl.functions.values():
-        if fn.key not in entrypoints:
-            continue
-        # BFS with parent chains, rooted at this entrypoint only
-        chains: dict[str, tuple[str, ...]] = {fn.key: ()}
-        stack: list[str] = [fn.key]
-        order: list[str] = []
-        while stack:
-            key = stack.pop()
-            order.append(key)
-            local = summaries.locals.get(key)
-            if local is None:
-                continue
-            for ref, rc in zip(local.calls, summaries.resolved.get(key, [])):
-                for target in _confident_targets(ref, rc):
-                    if target.key in summaries.locals and target.key not in chains:
-                        chains[target.key] = chains[key] + (target.key,)
-                        stack.append(target.key)
-        for key in sorted(order):
-            for reason in _fork_unsafe_reasons(key, summaries):
-                chain = chains[key]
-                where = "" if not chain else f" in {key} (via {' -> '.join(chain)})"
-                violation(
-                    "OPS201",
-                    fn.node,
-                    f"fork worker '{fn.local_qualname}' reaches fork-unsafe "
-                    f"state: {reason}{where}",
-                )
-
-
-def _module_global_names(tree: ast.Module) -> set[str]:
-    """Names bound by module-level assignments (import-time state)."""
-    out: set[str] = set()
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for t in targets:
-            if isinstance(t, (ast.Tuple, ast.List)):
-                targets.extend(t.elts)
-            elif isinstance(t, ast.Name):
-                out.add(t.id)
-    return out
-
-
-def _write_targets(node: ast.stmt) -> list[ast.expr]:
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        targets = [node.target]
-    elif isinstance(node, ast.Delete):
-        targets = list(node.targets)
-    else:
-        return []
-    out: list[ast.expr] = []
-    while targets:
-        t = targets.pop()
-        if isinstance(t, (ast.Tuple, ast.List)):
-            targets.extend(t.elts)
-        elif isinstance(t, ast.Starred):
-            targets.append(t.value)
-        else:
-            out.append(t)
-    return out
-
-
-def _root_name(expr: ast.expr) -> str | None:
-    while isinstance(expr, (ast.Attribute, ast.Subscript, ast.Starred)):
-        expr = expr.value
-    return expr.id if isinstance(expr, ast.Name) else None
-
-
-def _check_worker_writes(
-    decl: ModuleDecl,
-    fn: FunctionDecl,
-    chain: tuple[str, ...],
-    config: LintConfig,
-    module_globals: set[str],
-    violation,
-) -> None:
-    """OPS202 for one worker-reachable function body."""
-    factories = set(config.shared_view_factories)
-
-    def is_factory(call: ast.Call) -> bool:
-        if not isinstance(call.func, (ast.Name, ast.Attribute)):
-            return False
-        from .astutils import dotted
-
-        name = dotted(call.func)
-        return name is not None and decl.expand(name) in factories
-
-    # declared slice views and everything assigned locally
-    params = set(fn.params)
-    if fn.node.name == "__init__" and fn.params:
-        # a constructor initializes a freshly allocated object; its
-        # ``self`` cannot pre-date the dispatch, so writes to it are local
-        params.discard(fn.params[0])
-    assigned: set[str] = set()
-    global_decls: set[str] = set()
-    view_names: dict[str, int] = {}
-    creations: list[dict] = []  # {key, node, written}
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Global):
-            global_decls.update(node.names)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for t in ast.walk(node.target):
-                if isinstance(t, ast.Name):
-                    assigned.add(t.id)
-        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            for t in ast.walk(node.optional_vars):
-                if isinstance(t, ast.Name):
-                    assigned.add(t.id)
-        elif isinstance(node, ast.NamedExpr) and isinstance(node.target, ast.Name):
-            assigned.add(node.target.id)
-        elif isinstance(node, ast.Call) and is_factory(node):
-            # overlap key: (buffer expression, offset expression)
-            buf = node.args[0] if node.args else None
-            offset: ast.expr | None = None
-            if len(node.args) > 3:
-                offset = node.args[3]
-            for kw in node.keywords:
-                if kw.arg == "offset":
-                    offset = kw.value
-            key = (
-                ast.dump(buf, annotate_fields=False) if buf is not None else "?",
-                ast.dump(offset, annotate_fields=False) if offset is not None else "0",
-            )
-            creations.append({"key": key, "node": node, "written": False})
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            value = node.value
-            for t in _write_targets(node):
-                if isinstance(t, ast.Name):
-                    assigned.add(t.id)
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(value, ast.Call)
-                and is_factory(value)
-            ):
-                # creations for this call gets appended by the walk; map by id
-                view_names[node.targets[0].id] = id(value)
-
-    by_call_id = {id(c["node"]): c for c in creations}
-    where = (
-        "" if len(chain) <= 1 else f" (worker-reachable via {' -> '.join(chain)})"
-    )
-
-    for node in ast.walk(fn.node):
-        for t in _write_targets(node) if isinstance(node, ast.stmt) else []:
-            if not isinstance(t, (ast.Attribute, ast.Subscript)):
-                continue
-            if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Call):
-                if is_factory(t.value):
-                    creation = by_call_id.get(id(t.value))
-                    if creation is not None:
-                        creation["written"] = True
-                    continue
-            root = _root_name(t)
-            if root is None:
-                continue
-            if root in view_names:
-                creation = by_call_id.get(view_names[root])
-                if creation is not None:
-                    creation["written"] = True
-                continue
-            if root in global_decls or root in module_globals:
-                violation(
-                    "OPS202",
-                    t,
-                    f"worker code writes module-level state '{root}' instead "
-                    f"of a declared shared-memory slice view{where}",
-                )
-            elif root in params and root not in assigned:
-                violation(
-                    "OPS202",
-                    t,
-                    f"worker code writes into parameter '{root}' — a "
-                    f"parent-process object, not a declared np.frombuffer "
-                    f"slice view{where}",
-                )
-
-    # overlapping declared views: two creations over the same
-    # (buffer, offset) expression where at least one is written
-    groups: dict[tuple[str, str], list[dict]] = {}
-    for c in creations:
-        groups.setdefault(c["key"], []).append(c)
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        for c in group:
-            if c["written"]:
-                violation(
-                    "OPS202",
-                    c["node"],
-                    "written slice view overlaps another declared view over "
-                    "the same (buffer, offset) expression; worker writes "
-                    f"must target disjoint slices{where}",
-                )
 
 
 def _int_names(fn: FunctionDecl):
@@ -661,7 +363,7 @@ def check_module_concurrency(
     *,
     source: str | None = None,
 ) -> list[Violation]:
-    """Run OPS201–OPS204 over one module using project-wide summaries.
+    """Run OPS203–OPS204 over one module using project-wide summaries.
 
     ``source`` (when available) is scanned for ``reassoc-ok`` waivers;
     without it OPS203's reduction ban has no waiver mechanism, so pass it
@@ -688,19 +390,6 @@ def check_module_concurrency(
     reassoc_lines: set[int] = set()
     if source is not None:
         reassoc_lines = marker_lines(source, "reassoc-ok")
-
-    if config.in_scope("OPS201", package):
-        _check_fork_safety(decl, summaries, config, violation)
-
-    if config.in_scope("OPS202", package):
-        reachable = worker_reachable(summaries, config)
-        module_globals = _module_global_names(decl.tree)
-        for fn in decl.functions.values():
-            chain = reachable.get(fn.key)
-            if chain is not None:
-                _check_worker_writes(
-                    decl, fn, chain, config, module_globals, violation
-                )
 
     kernel = any(
         decl.module == k or decl.module.startswith(k + ".")

@@ -66,8 +66,6 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...] | None] = {
     "OPS102": ("simulate", "dfs"),
     "OPS103": None,
     # concurrency / float-identity rules (repro.tools.concurrency)
-    "OPS201": None,
-    "OPS202": None,
     "OPS203": None,
     "OPS204": None,
 }
@@ -102,21 +100,13 @@ DEFAULT_PROTECTED_TYPES: tuple[str, ...] = (
 #: reaching a call result here is an OPS101 violation.
 DEFAULT_DECISION_PACKAGES: tuple[str, ...] = ("core", "dfs")
 
-#: Modules where wall-clock reads are legitimate (perf instrumentation;
-#: the pool times dispatch round-trips, never simulation quantities).
+#: Modules where wall-clock reads are legitimate (perf instrumentation).
 #: Single source of truth for OPS002 — the pyproject ``[tool.opass-lint]``
 #: table intentionally does NOT mirror this list.
 DEFAULT_WALLCLOCK_ALLOW: tuple[str, ...] = (
     "repro.core.perf",
     "repro.simulate.perf",
-    "repro.parallel.pool",
 )
-
-#: Functions dispatched inside forked worker processes.  OPS201 walks the
-#: call graph from each entrypoint and flags any transitively reachable
-#: fork-unsafe state; OPS202 restricts writes in the reachable set to
-#: declared shared-view slices.
-DEFAULT_WORKER_ENTRYPOINTS: tuple[str, ...] = ("repro.parallel.pool._worker_main",)
 
 #: Module prefixes whose kernels must stay bit-for-bit identical to the
 #: reference solvers.  OPS203 enforces the float64/int64 dtype lattice and
@@ -125,10 +115,6 @@ DEFAULT_KERNEL_MODULES: tuple[str, ...] = (
     "repro.simulate.vectorized",
     "repro.core.flownetwork",
 )
-
-#: Callables whose result is a declared per-dispatch shared-memory slice
-#: view; OPS202 allows worker writes only through these.
-DEFAULT_SHARED_VIEW_FACTORIES: tuple[str, ...] = ("numpy.frombuffer",)
 
 #: Declared cost budgets (OPS301/OPS302), as O-notation strings mapped to
 #: the analyzer's cost lattice: 0 ≡ O(1), 1 ≡ O(deg) (one flow's replica
@@ -156,8 +142,6 @@ DEFAULT_SMALL_AXES: tuple[str, ...] = (
     "flows",
     "caps",
     "handles",
-    "descs",
-    "batch",
 )
 
 #: Cost contracts on the hot-path functions PRs 4–6 made incremental
@@ -184,8 +168,6 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     # locality-graph per-task adjacency reads
     "repro.core.bipartite.LocalityGraph.ranks_of_task": "O(deg)",
     "repro.core.bipartite.LocalityGraph.edge_weight": "O(deg)",
-    # pool dispatch is linear in the batch it ships
-    "repro.parallel.pool.ComponentSolvePool.solve_batch": "O(n)",
     # FlowTable per-event slot operations stay O(deg); only the
     # solve-boundary kernels may touch the whole slot range
     "repro.simulate.flowtable.FlowTable.acquire": "O(deg)",
@@ -294,12 +276,8 @@ class LintConfig:
     protected_types: tuple[str, ...] = DEFAULT_PROTECTED_TYPES
     #: packages whose call results must stay entropy-free (OPS101).
     decision_packages: tuple[str, ...] = DEFAULT_DECISION_PACKAGES
-    #: fork-worker dispatch entrypoints (OPS201/OPS202 roots).
-    worker_entrypoints: tuple[str, ...] = DEFAULT_WORKER_ENTRYPOINTS
     #: module prefixes holding bit-identical kernels (OPS203).
     kernel_modules: tuple[str, ...] = DEFAULT_KERNEL_MODULES
-    #: callables producing declared shared-memory slice views (OPS202).
-    shared_view_factories: tuple[str, ...] = DEFAULT_SHARED_VIEW_FACTORIES
     #: function key → declared budget (OPS301–OPS303 fire only here).
     cost_contracts: dict[str, str] = field(
         default_factory=lambda: dict(DEFAULT_COST_CONTRACTS)
@@ -358,9 +336,7 @@ class LintConfig:
                 "pure_modules": self.pure_modules,
                 "protected_types": self.protected_types,
                 "decision_packages": self.decision_packages,
-                "worker_entrypoints": self.worker_entrypoints,
                 "kernel_modules": self.kernel_modules,
-                "shared_view_factories": self.shared_view_factories,
                 "small_axes": self.small_axes,
             }
         )
@@ -394,9 +370,7 @@ _KEYS = {
     "pure-modules": "pure_modules",
     "protected-types": "protected_types",
     "decision-packages": "decision_packages",
-    "worker-entrypoints": "worker_entrypoints",
     "kernel-modules": "kernel_modules",
-    "shared-view-factories": "shared_view_factories",
     "cost-contracts": "cost_contracts",
     "small-axes": "small_axes",
     "contract-echo": "contract_echo",

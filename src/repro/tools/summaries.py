@@ -345,9 +345,6 @@ class LocalSummary:
     mutated_params: set[int] = field(default_factory=set)
     #: return unit inferred from the body's own names/arithmetic.
     return_unit_local: str | None = None
-    #: module globals this function rebinds (``global X`` + assignment);
-    #: fork workers must not reach such functions (OPS201).
-    global_writes: list[str] = field(default_factory=list)
     #: scaling allocation sites (OPS301 + the cost fixed point).
     allocs: list[AllocSite] = field(default_factory=list)
     #: per-call-site enclosing loop axes, aligned with ``calls``.
@@ -360,7 +357,6 @@ class LocalSummary:
             "return_params": sorted(self.return_params),
             "mutated_params": sorted(self.mutated_params),
             "return_unit_local": self.return_unit_local,
-            "global_writes": list(self.global_writes),
             "allocs": [site.to_dict() for site in self.allocs],
             "call_axes": [list(axes) for axes in self.call_axes],
         }
@@ -377,7 +373,6 @@ class LocalSummary:
             return_params=set(data.get("return_params", [])),
             mutated_params=set(data.get("mutated_params", [])),
             return_unit_local=data.get("return_unit_local"),
-            global_writes=list(data.get("global_writes", [])),
             allocs=[AllocSite.from_dict(d) for d in data.get("allocs", [])],
             call_axes=call_axes,
         )
@@ -738,27 +733,6 @@ def summarize_function(
                 recv = recv.value
             if isinstance(recv, ast.Name) and recv.id in env:
                 summary.mutated_params.update(env[recv.id][0])
-
-    # globals rebound in this body: declared ``global`` AND assigned
-    declared_global: set[str] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    if declared_global:
-        written: set[str] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = node.targets
-            else:
-                continue
-            for t in _flatten_targets(targets):
-                if isinstance(t, ast.Name) and t.id in declared_global:
-                    written.add(t.id)
-        summary.global_writes = sorted(written)
 
     # return flow + best-effort local return unit
     return_units: set[str] = set()

@@ -2,7 +2,7 @@
 
 ``python -m repro.tools.verify [paths...]`` runs the OPS101–OPS103
 rules (determinism taint, unit checking, scheduler purity), the
-OPS201–OPS204 concurrency/float-identity rules
+OPS203–OPS204 float-identity/async-blocking rules
 (:mod:`repro.tools.concurrency`) and the OPS301–OPS304 cost-contract
 rules (:mod:`repro.tools.costmodel`) over a whole tree at once, because
 unlike :mod:`repro.tools.checks` these rules need *project-wide*
@@ -364,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.tools.verify",
         description=(
             "opass-verify: interprocedural determinism-taint, unit, "
-            "scheduler-purity (OPS101-OPS103), concurrency/"
-            "float-identity (OPS201-OPS204) and cost-contract "
+            "scheduler-purity (OPS101-OPS103), float-identity/"
+            "async-blocking (OPS203-OPS204) and cost-contract "
             "(OPS301-OPS304) analysis"
         ),
     )

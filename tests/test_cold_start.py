@@ -1,9 +1,10 @@
 """Cold start: ``import repro`` and the simulation paths never load scipy.
 
 scipy.stats takes about as long to import as a 512-node Fig-7 run takes to
-match and simulate, and only the §III closed-form models use it.  The
-checks run in a fresh interpreter, because any earlier test in the same
-pytest run may already have loaded scipy into this one.
+match and simulate, and only the §III closed-form models use it.  No run
+loads ``multiprocessing`` either: every solve is in-process.  The checks
+run in a fresh interpreter, because any earlier test in the same pytest
+run may already have loaded these modules into this one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ CHILD = r"""
 import json
 import sys
 
-HEAVY = ("scipy", "numpy.ma")
+HEAVY = ("scipy", "numpy.ma", "multiprocessing")
 loaded = {}
 
 def mark(stage):

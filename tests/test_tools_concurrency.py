@@ -1,9 +1,9 @@
-"""Tests for the OPS200 concurrency/float-identity pass (`opass-verify`).
+"""Tests for the OPS200 float-identity/async-blocking pass (`opass-verify`).
 
 Fixture snippets live in ``tests/data/lint/`` as violating/clean pairs,
-same convention as OPS101–OPS103.  The OPS201/OPS202/OPS204 bad fixtures
-put the defect two call levels below the site that flags, so only the
-interprocedural reachability walk can catch them.
+same convention as OPS101–OPS103.  The OPS204 bad fixture puts the
+defect two call levels below the site that flags, so only the
+interprocedural reachability walk can catch it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.tools.api import ALL_RULES
 from repro.tools.cache import AnalysisCache, CacheStats
-from repro.tools.concurrency import CONCURRENCY_RULES, worker_reachable
+from repro.tools.concurrency import CONCURRENCY_RULES
 from repro.tools.config import (
     DEFAULT_WALLCLOCK_ALLOW,
     LintConfig,
@@ -25,7 +25,6 @@ from repro.tools.config import (
 )
 from repro.tools.model import parse_reassoc_pragmas
 from repro.tools.sarif import to_sarif
-from repro.tools.summaries import LocalSummary, summarize_module
 from repro.tools.verify import (
     EXIT_OK,
     EXIT_VIOLATIONS,
@@ -38,7 +37,7 @@ from repro.tools.verify import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "data" / "lint"
 
-CONCURRENCY_RULE_IDS = ("OPS201", "OPS202", "OPS203", "OPS204")
+CONCURRENCY_RULE_IDS = ("OPS203", "OPS204")
 
 
 def verify_fixture(name: str):
@@ -57,10 +56,6 @@ class TestFixturePairs:
     @pytest.mark.parametrize(
         "name, rule",
         [
-            ("ops201_bad", "OPS201"),
-            ("ops201_rng_bad", "OPS201"),
-            ("ops202_bad", "OPS202"),
-            ("ops202_overlap_bad", "OPS202"),
             ("ops203_bad", "OPS203"),
             ("ops204_bad", "OPS204"),
         ],
@@ -84,33 +79,6 @@ class TestFixturePairs:
 
 class TestInterproceduralDepth:
     """The defect sits ≥2 call levels from the flagged site."""
-
-    def test_ops201_names_the_capture_chain(self):
-        report = verify_fixture("ops201_bad")
-        # flagged at the entrypoint's def line, naming the chain through
-        # _handle down to _audit
-        assert {v.line for v in report.violations} == {12}, report.render()
-        msgs = [v.message for v in report.violations]
-        assert any("_handle" in m and "_audit" in m for m in msgs), msgs
-        assert any("opens a file handle" in m for m in msgs), msgs
-        assert any("rebinds module global(s) _JOBS" in m for m in msgs), msgs
-
-    def test_ops201_rng_machinery_two_levels_down(self):
-        report = verify_fixture("ops201_rng_bad")
-        msgs = [v.message for v in report.violations]
-        assert any("live RNG machinery" in m and "_draw" in m for m in msgs), msgs
-
-    def test_ops202_write_sites_two_levels_below_entrypoint(self):
-        report = verify_fixture("ops202_bad")
-        by_line = {v.line: v.message for v in report.violations}
-        assert 27 in by_line and "parameter 'job'" in by_line[27], by_line
-        assert 28 in by_line and "parameter 'shm'" in by_line[28], by_line
-        assert all("worker-reachable via" in m for m in by_line.values())
-
-    def test_ops202_overlapping_views_flag_the_written_one(self):
-        report = verify_fixture("ops202_overlap_bad")
-        assert len(report.violations) == 1, report.render()
-        assert "overlaps another declared view" in report.violations[0].message
 
     def test_ops204_chain_through_sync_callees(self):
         report = verify_fixture("ops204_bad")
@@ -163,24 +131,6 @@ class TestOPS203:
         assert lines == {2} and errors == []
 
 
-class TestOPS202:
-    def test_constructor_self_writes_are_exempt(self):
-        source = (
-            "# opass-lint: module=repro.parallel.pool\n"
-            "class Box:\n"
-            "    def __init__(self, v):\n"
-            "        self.v = v\n"
-            "def _worker_main(conn):\n"
-            "    return Box(conn.recv())\n"
-        )
-        report = verify_source(source, path="<s>")
-        assert report.ok, report.render()
-
-    def test_local_scratch_writes_are_allowed(self):
-        report = verify_fixture("ops202_ok")
-        assert report.ok, report.render()
-
-
 class TestOPS204:
     def test_zero_arg_join_flags_but_str_join_does_not(self):
         source = (
@@ -194,46 +144,6 @@ class TestOPS204:
         assert "'.join()' may block" in report.violations[0].message
 
 
-class TestReachability:
-    def test_worker_reachable_follows_confident_edges_only(self):
-        source = (
-            "# opass-lint: module=repro.parallel.pool\n"
-            "def _worker_main(conn):\n"
-            "    helper(conn.recv())\n"
-            "def helper(x):\n"
-            "    return x\n"
-            "def unrelated():\n"
-            "    return 1\n"
-        )
-        from repro.tools.callgraph import Project, parse_module
-        from repro.tools.summaries import resolve_summaries
-
-        decl = parse_module(source, path="<s>")
-        project = Project()
-        project.add_module(decl)
-        local = {
-            f"{decl.module}.{n}": s
-            for n, s in summarize_module(decl).items()
-        }
-        summaries = resolve_summaries(project, local)
-        reach = worker_reachable(summaries, LintConfig())
-        assert "repro.parallel.pool._worker_main" in reach
-        assert "repro.parallel.pool.helper" in reach
-        assert "repro.parallel.pool.unrelated" not in reach
-        # chains start at the entrypoint
-        assert reach["repro.parallel.pool.helper"][0].endswith("_worker_main")
-
-    def test_global_writes_summary_roundtrips(self):
-        from repro.tools.callgraph import parse_module
-
-        decl = parse_module(
-            "_N = 0\ndef f():\n    global _N\n    _N = _N + 1\n", path="<s>"
-        )
-        summary = summarize_module(decl)["f"]
-        assert summary.global_writes == ["_N"]
-        assert LocalSummary.from_dict(summary.to_dict()).global_writes == ["_N"]
-
-
 # -- real tree ---------------------------------------------------------------
 
 
@@ -241,16 +151,6 @@ class TestRealTree:
     def test_src_is_clean_under_the_concurrency_pass(self):
         report = verify_paths([REPO_ROOT / "src"])
         assert report.ok, report.render()
-
-    def test_pool_slice_reuse_suppression_is_pinned(self):
-        # the one OPS202 suppression in the tree: _solve_descs writes
-        # rates over the dead caps slot.  If the suppression (or its
-        # reason) disappears, this test localizes the decision.
-        report = verify_paths([REPO_ROOT / "src" / "repro" / "parallel" / "pool.py"])
-        assert report.ok, report.render()
-        ops202 = [v for v in report.suppressed if v.rule == "OPS202"]
-        assert len(ops202) == 1, [v.render() for v in report.suppressed]
-        assert "dead caps slot" in (ops202[0].reason or "")
 
     def test_kernel_reassoc_waivers_present(self):
         for rel in (
@@ -280,16 +180,8 @@ class TestConfig:
         assert LintConfig().wallclock_allow == DEFAULT_WALLCLOCK_ALLOW
 
     def test_concurrency_registries_configurable(self):
-        cfg = config_from_table(
-            {
-                "worker-entrypoints": ["repro.apps.workers.run"],
-                "kernel-modules": ["repro.core.kernels"],
-                "shared-view-factories": ["numpy.frombuffer", "repro.shm.view"],
-            }
-        )
-        assert cfg.worker_entrypoints == ("repro.apps.workers.run",)
+        cfg = config_from_table({"kernel-modules": ["repro.core.kernels"]})
         assert cfg.kernel_modules == ("repro.core.kernels",)
-        assert "repro.shm.view" in cfg.shared_view_factories
 
     def test_registry_changes_alter_the_fingerprint(self):
         base = LintConfig()
@@ -297,8 +189,8 @@ class TestConfig:
         assert base.fingerprint() != other.fingerprint()
 
     def test_scoping_can_disable_a_concurrency_rule(self):
-        source = (FIXTURES / "ops201_bad.py").read_text(encoding="utf-8")
-        cfg = config_from_table({"scopes": {"OPS201": ["nonexistent"]}})
+        source = (FIXTURES / "ops204_bad.py").read_text(encoding="utf-8")
+        cfg = config_from_table({"scopes": {"OPS204": ["nonexistent"]}})
         report = verify_source(source, path="<s>", config=cfg)
         assert report.ok, report.render()
 
@@ -308,7 +200,7 @@ class TestConfig:
 
 class TestOutputsAndCache:
     def test_sarif_rule_table_covers_the_ops200_series(self):
-        report = verify_fixture("ops202_bad")
+        report = verify_fixture("ops203_bad")
         sarif = to_sarif(report)
         rules = {
             r["id"]: r
@@ -317,7 +209,7 @@ class TestOutputsAndCache:
         for rule in CONCURRENCY_RULE_IDS:
             assert rule in rules
         results = sarif["runs"][0]["results"]
-        assert {r["ruleId"] for r in results} == {"OPS202"}
+        assert {r["ruleId"] for r in results} == {"OPS203"}
 
     def test_list_rules_includes_concurrency(self, capsys):
         assert main(["--list-rules"]) == EXIT_OK
@@ -328,17 +220,11 @@ class TestOutputsAndCache:
     def test_concurrency_findings_cached_and_replayed(self, tmp_path):
         tree = tmp_path / "tree"
         tree.mkdir()
-        for name in ("ops201_bad", "ops202_bad"):
+        for name in ("ops203_bad", "ops204_bad"):
             (tree / f"{name}.py").write_text(
                 (FIXTURES / f"{name}.py").read_text(encoding="utf-8"),
                 encoding="utf-8",
             )
-        # distinct module names so the two files don't collide
-        text = (tree / "ops202_bad.py").read_text(encoding="utf-8")
-        (tree / "ops202_bad.py").write_text(
-            text.replace("module=repro.parallel.pool", "module=repro.parallel.alt"),
-            encoding="utf-8",
-        )
 
         cold_stats = CacheStats()
         cold = verify_paths(
@@ -353,17 +239,17 @@ class TestOutputsAndCache:
         assert [v.render() for v in warm.violations] == [
             v.render() for v in cold.violations
         ]
-        assert "OPS201" in rules_in(warm)
+        assert rules_in(warm) == {"OPS203", "OPS204"}
 
     def test_cli_exit_codes_cover_concurrency_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(
-            (FIXTURES / "ops201_bad.py").read_text(encoding="utf-8"),
+            (FIXTURES / "ops204_bad.py").read_text(encoding="utf-8"),
             encoding="utf-8",
         )
         assert main([str(bad), "--no-cache", "--format", "json"]) == EXIT_VIOLATIONS
         data = json.loads(capsys.readouterr().out)
-        assert {v["rule"] for v in data["violations"]} == {"OPS201"}
+        assert {v["rule"] for v in data["violations"]} == {"OPS204"}
 
 
 # -- --changed robustness ----------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for the OPS300 cost-contract pass (`opass-verify`).
 
 Fixture snippets live in ``tests/data/lint/`` as violating/clean pairs,
-same convention as OPS101–OPS103 and OPS201–OPS204.  The OPS302 bad
+same convention as OPS101–OPS103 and OPS203–OPS204.  The OPS302 bad
 fixture puts the expensive work two call levels below the contracted
 function, so only the interprocedural cost fixed point can price it.
 OPS304 has no source fixtures — it reads bench-counter JSON.

@@ -9,20 +9,21 @@ name-keyed caches of :class:`~repro.simulate.components.
 ComponentAllocator` can never see that (a 512-node sweep touches ~5000
 distinct endpoint pairs, so a name-keyed memo hits ~never).
 
-:class:`SolveMemo` closes the gap by hashing each dirty component into a
-**canonical form** that strips the names:
+:class:`SolveMemo` closes the gap by hashing each dirty component of 2
+to ``VECTOR_MIN_FLOWS - 1`` flows into a **canonical form** that strips
+the names (larger components skip the memo: their shapes never repeated
+on the measured workloads, see
+:meth:`~repro.simulate.components.ComponentAllocator._solve_kernels`):
 
 * resources are renumbered in first-appearance order over the members'
-  paths — exactly the numbering :func:`~repro.simulate.vectorized.
-  lower_component` derives, which is also the reference allocator's
-  ``users``-dict insertion order;
+  paths — the reference allocator's ``users``-dict insertion order;
 * the key is the renumbered incidence pattern per member plus the exact
   ``(capacity, penalty)`` float pair per canonical resource and the
   exact per-member rate caps.
 
-Two components with equal canonical keys lower to *identical* flat
-structures, and the water-filling kernels of :mod:`repro.simulate.
-vectorized` are pure functions of that structure — so the cached rate
+Two components with equal canonical keys pose the *same* water-filling
+problem up to resource names, and the kernels of :mod:`repro.simulate.
+vectorized` are pure functions of that problem — so the cached rate
 vector (and iteration count) is **bit-for-bit** the rates a fresh kernel
 run would produce.  No quantization, no tolerance: float capacities are
 compared exactly, so a near-miss in capacity is simply a different key.

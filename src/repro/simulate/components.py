@@ -21,13 +21,15 @@ start/finish/cancel only needs the rates of *its own component* re-solved.
   by a lazy BFS re-partition of shrunk components at the next
   :meth:`solve` — classic union-find with lazy splitting;
 * **per-component rates are cached**: :meth:`solve` re-runs water-filling
-  only for the dirty components (those whose flow membership changed), by
-  literally calling the reference
-  :func:`~repro.simulate.flows.allocate_rates` on the component's flows in
-  active-list order.  The arithmetic restricted to a component is
-  therefore *operation-for-operation identical* to running the reference
-  allocator on that component in isolation (pinned by the differential
-  property tests in ``tests/test_properties_components.py``);
+  only for the dirty components (those whose flow membership changed),
+  each by the size-tiered flat kernels of
+  :mod:`repro.simulate.vectorized` (or, with ``kernel="reference"``, by
+  the reference :func:`~repro.simulate.flows.allocate_rates` on the
+  component's flows in active-list order).  Either way the rates are
+  *bit-for-bit* those of the reference allocator run on that component in
+  isolation (pinned by the differential property tests in
+  ``tests/test_properties_components.py`` and
+  ``tests/test_properties_vectorized.py``);
 * **changed flows are reported**: :attr:`last_changed` names the slot ids
   whose rate was re-solved, which is what lets the engine's
   lazy-invalidation completion heap re-predict only those flows instead
@@ -57,9 +59,9 @@ from .flows import Flow, allocate_rates
 from .resources import Resource
 from .vectorized import (
     VECTOR_MIN_FLOWS,
-    _solve_numpy,
-    lower_component,
+    id_table,
     res_entry,
+    solve_large,
     solve_pair,
     solve_single,
     solve_small,
@@ -86,18 +88,21 @@ class ComponentAllocator:
         kernel:
             ``"auto"`` (default) dispatches each dirty component to the
             flat kernels in :mod:`repro.simulate.vectorized` — closed
-            form for singletons, flat scalar below
-            :data:`~repro.simulate.vectorized.VECTOR_MIN_FLOWS` flows,
-            numpy at and above it; ``"reference"`` hands every component
+            form for singletons, fused pair and small scalar kernels
+            below :data:`~repro.simulate.vectorized.VECTOR_MIN_FLOWS`
+            flows, numpy on integer resource ids at and above it;
+            ``"reference"`` hands every component
             to :func:`~repro.simulate.flows.allocate_rates` instead
             (differential CI).
         """
         if kernel not in ("auto", "reference"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self._kernel = kernel
-        #: canonical-shape memo over solved multi-flow components (see
-        #: :mod:`repro.simulate.cascade`); sound because ``register``
-        #: never updates an existing capacity entry.
+        #: canonical-shape memo over solved components of 2 to
+        #: ``VECTOR_MIN_FLOWS - 1`` flows (see :mod:`repro.simulate.cascade`);
+        #: sound because ``register`` never updates an existing capacity
+        #: entry.  Larger components never repeat a shape on the measured
+        #: workloads, so they skip the key and the memo.
         self._memo = SolveMemo()
         #: path tuple -> min capacity along the path (singleton closed
         #: form before the rate cap) — same append-only soundness.
@@ -107,6 +112,11 @@ class ComponentAllocator:
         self._resources: dict[str, Resource | float] = {}
         #: resource name -> (capacity, penalty) floats for the kernels.
         self._res_caps: dict[str, tuple[float, float]] = {}
+        #: the numpy kernel's id table over ``_res_caps`` (see
+        #: :func:`~repro.simulate.vectorized.id_table`), built by the first
+        #: large solve after a ``register``; runs that never form a large
+        #: component never build it.
+        self._ids: tuple[dict[str, int], np.ndarray, np.ndarray] | None = None
         #: active-flow count per resource (only resources with ≥ 1 flow).
         self._res_users: dict[str, int] = {}
         #: resource name -> component id (only active resources).
@@ -151,6 +161,7 @@ class ComponentAllocator:
             raise ValueError(f"duplicate resource {name!r}")
         self._resources[name] = resource
         self._res_caps[name] = res_entry(resource)
+        self._ids = None
 
     def has_resource(self, name: str) -> bool:
         return name in self._resources
@@ -332,45 +343,60 @@ class ComponentAllocator:
                 res_comp[r] = gid
             self._comp_res[gid] = g_res
             return [cid, gid]
-        res_flows: dict[str, list[Flow]] = {}
-        for f in members:
+        # BFS over member indices; each resource's flow list is consumed
+        # on first visit, so the walk is O(Σ|path|) and never hashes a
+        # Flow.  Groups come out in first-member order, each in pop order.
+        flows: list[Flow] = []
+        res_flows: dict[str, list[int]] = {}
+        for i, f in enumerate(members):
+            flows.append(f)
             for r in f.path:
-                res_flows.setdefault(r, []).append(f)
-        seen: dict[Flow, None] = {}
-        groups: list[dict[Flow, None]] = []
-        for f in members:
-            if f in seen:
+                at = res_flows.get(r)
+                if at is None:
+                    res_flows[r] = [i]
+                else:
+                    at.append(i)
+        seen = [False] * len(flows)
+        groups: list[list[int]] = []
+        for i in range(len(flows)):
+            if seen[i]:
                 continue
-            seen[f] = None
-            group: dict[Flow, None] = {}
-            stack = [f]
+            seen[i] = True
+            group: list[int] = []
+            stack = [i]
             while stack:
-                g = stack.pop()
-                group[g] = None
-                for r in g.path:
-                    for h in res_flows[r]:
-                        if h not in seen:
-                            seen[h] = None
+                j = stack.pop()
+                group.append(j)
+                for r in flows[j].path:
+                    at = res_flows.pop(r, None)
+                    if at is None:
+                        continue
+                    for h in at:
+                        if not seen[h]:
+                            seen[h] = True
                             stack.append(h)
+            if len(group) == len(flows):
+                return [cid]
             groups.append(group)
-        if len(groups) == 1:
-            return [cid]
         out: list[int] = []
         comp_of = self._comp_of
         res_comp = self._res_comp
-        for i, group in enumerate(groups):
-            if i == 0:
+        for n, group in enumerate(groups):
+            if n == 0:
                 gid = cid
             else:
                 gid = self._next_comp
                 self._next_comp += 1
+            g_flows: dict[Flow, None] = {}
             g_res: dict[str, None] = {}
-            for f in group:
+            for j in group:
+                f = flows[j]
+                g_flows[f] = None
                 comp_of[f] = gid
                 for r in f.path:
                     g_res[r] = None
                     res_comp[r] = gid
-            self._comp_flows[gid] = group
+            self._comp_flows[gid] = g_flows
             self._comp_res[gid] = g_res
             out.append(gid)
         return out
@@ -481,11 +507,15 @@ class ComponentAllocator:
     ) -> None:
         """Flat-kernel solve loop.
 
-        Every multi-flow component goes through the canonical-shape
-        memo first (:mod:`repro.simulate.cascade`): a hit replays the
-        cached rates (and the iteration count, so ``solve_iterations``
-        keeps measuring the represented water-filling work); a miss
-        runs the usual kernel dispatch and stores the result.
+        Components of 2 to ``VECTOR_MIN_FLOWS - 1`` flows go through the
+        canonical-shape memo first (:mod:`repro.simulate.cascade`): a hit
+        replays the cached rates (and the iteration count, so
+        ``solve_iterations`` keeps measuring the represented water-filling
+        work); a miss runs the pair or small kernel and stores the
+        result.  Larger components go straight to the numpy kernel on the
+        persistent integer resource ids: on ``ingest-write``, the one
+        measured workload that forms them, every one of their lookups
+        missed, and their keys were the memo's bulk.
         """
         order = self._order
         id_of = self._id_of
@@ -516,32 +546,32 @@ class ComponentAllocator:
                     out[fid] = rate
                 changed.append(fid)
                 continue
-            if k == 2:
-                fa, fb = group
-                if order[fa] > order[fb]:
-                    fa, fb = fb, fa
-                members = (fa, fb)
-                key = pair_key(fa, fb, res_caps)
-            else:
-                members = sorted(group, key=order.__getitem__)
-                key = component_key(members, res_caps)
-            hit = memo.lookup(key)
-            if hit is not None:
-                rates, iters = hit
-                memo_hits += 1
-            elif k == 2:
-                rates, iters = solve_pair(members[0], members[1], res_caps)
-                memo.store(key, rates, iters)
-            elif k < VECTOR_MIN_FLOWS:
-                rates, iters = solve_small(members, res_caps)
-                memo.store(key, rates, iters)
-            else:
-                rates, iters = _solve_numpy(lower_component(members, res_caps))
-                memo.store(key, rates, iters)
             if k >= VECTOR_MIN_FLOWS:
-                # Counted by represented kernel, hit or miss, so the
-                # counter stays comparable across memo hit rates.
+                members = sorted(group, key=order.__getitem__)
+                if self._ids is None:
+                    self._ids = id_table(res_caps)
+                rates, iters = solve_large(members, *self._ids)
                 vectorized += 1
+            else:
+                if k == 2:
+                    fa, fb = group
+                    if order[fa] > order[fb]:
+                        fa, fb = fb, fa
+                    members = (fa, fb)
+                    key = pair_key(fa, fb, res_caps)
+                else:
+                    members = sorted(group, key=order.__getitem__)
+                    key = component_key(members, res_caps)
+                hit = memo.lookup(key)
+                if hit is not None:
+                    rates, iters = hit
+                    memo_hits += 1
+                else:
+                    if k == 2:
+                        rates, iters = solve_pair(fa, fb, res_caps)
+                    else:
+                        rates, iters = solve_small(members, res_caps)
+                    memo.store(key, rates, iters)
             iterations += iters
             if out is None:
                 for f, rate in zip(members, rates):

@@ -2,38 +2,39 @@
 
 :func:`~repro.simulate.flows.allocate_rates` is the semantic reference:
 progressive filling over a ``Flow``/``Resource`` object graph, one dict
-lookup and one attribute walk per touched resource per iteration.  This
-module lowers one connected component to flat arrays once and then runs
-the *same* decision sequence over integer indices:
+lookup and one attribute walk per touched resource per iteration.  The
+kernels here run the *same* decision sequence over flat data, tiered by
+component size (the dispatch :func:`solve_component` mirrors):
 
-* **lowering** (:func:`lower_component`): resources are renumbered in
-  first-appearance order over the members' paths (the reference's
-  ``users`` dict insertion order), producing a flow→resource incidence
-  list in CSR form (``fr_ptr``/``fr_res``), the reverse resource→flow
-  lists, per-resource effective capacities at the component's
-  concurrency, and per-flow rate caps (``inf`` = uncapped);
-* **kernel dispatch** (:func:`solve_lowered`): a closed-form path for
-  singleton components, a flat scalar kernel for small components, and a
-  numpy kernel (:data:`VECTOR_MIN_FLOWS` and up) that batches the
-  water-level search, saturation detection and freezing as whole-array
-  operations.
+* :func:`solve_single` — closed form for a singleton component;
+* :func:`solve_pair` — the two-flow component, fused per resource group;
+* :func:`solve_small` — scalar filling below :data:`VECTOR_MIN_FLOWS`
+  flows, lowered inline against a name-keyed capacity table;
+* :func:`solve_large` — the numpy kernel at and above the cutoff.  It
+  works on integer resource ids: the caller's :func:`id_table` maps each
+  name to a row of two float arrays (capacity, penalty), a ``bincount``
+  over the members' flat id list gives the touched rows in sorted order
+  with their concurrency, and the water-level search, drain, saturation
+  and freezing run as whole-array operations.
 
 Identity is the contract, not an aspiration.  Every float operation is
 the one the reference performs: effective capacity uses the same
 ``capacity / (1 + penalty·(k-1))`` expression, the water level is
 accumulated in the same order (``level += delta`` with ``delta`` the
 minimum over the same candidate set — float min is order-independent),
-saturation uses the same ``free ≤ 1e-9·capacity`` guard, caps freeze in
-the same stable ``rate_cap``-sorted order inside the same
-``level ≥ cap − 1e-12`` window, and the float-underflow fallback freezes
-the same survivors at the same level.  Freeze *order* within an
-iteration only permutes commutative updates (every frozen flow gets the
-same level; per-resource unfrozen counts are decremented once per frozen
-flow), so rates are bit-for-bit equal to the reference's — pinned by the
-differential fuzz suite in ``tests/test_properties_vectorized.py``.
+saturation uses the same ``free ≤ 1e-9·capacity`` guard, caps freeze
+inside the same ``level ≥ cap − 1e-12`` window, and the float-underflow
+fallback freezes the same survivors at the same level.  Freeze *order*
+within an iteration only permutes commutative updates (every frozen flow
+gets the same level; per-resource unfrozen counts are decremented once
+per frozen flow), and resource order never enters a decision, so the
+numpy kernel's sorted local ids give the rates and iteration counts of
+the reference's first-appearance numbering — bit-for-bit, pinned by the
+differential fuzz suite in ``tests/test_properties_vectorized.py``
+(which also runs the numpy kernel on shuffled id tables at every size).
 
 Purity contract: kernels read ``Flow.path``/``rate_cap`` and the
-capacity table and write only locals (registered in
+capacity tables and write only locals (registered in
 ``repro.tools.config.DEFAULT_PURE_MODULES``; enforced by OPS103).
 """
 
@@ -49,11 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "VECTOR_MIN_FLOWS",
-    "Lowered",
-    "lower_component",
+    "id_table",
     "res_entry",
     "solve_component",
-    "solve_lowered",
+    "solve_large",
+    "solve_pair",
     "solve_single",
     "solve_small",
 ]
@@ -76,72 +77,17 @@ def res_entry(resource: "object") -> tuple[float, float]:
     return (resource.capacity, resource.concurrency_penalty)
 
 
-class Lowered:
-    """One component lowered to flat index form (see module docstring)."""
+def id_table(
+    res_caps: dict[str, tuple[float, float]],
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Dense integer ids for a capacity table, for :func:`solve_large`.
 
-    __slots__ = ("nflows", "nres", "fr", "rusers", "eff", "kcnt", "caps")
-
-    def __init__(
-        self,
-        nflows: int,
-        nres: int,
-        fr: list[list[int]],
-        rusers: list[list[int]],
-        eff: list[float],
-        kcnt: list[int],
-        caps: list[float],
-    ) -> None:
-        self.nflows = nflows
-        self.nres = nres
-        #: flow index -> local resource ids along its path (path order).
-        self.fr = fr
-        #: local resource id -> flow indices crossing it (flow order).
-        self.rusers = rusers
-        #: effective capacity per local resource at component concurrency.
-        self.eff = eff
-        #: initial unfrozen-flow count per local resource.
-        self.kcnt = kcnt
-        #: per-flow rate cap (``math.inf`` = uncapped).
-        self.caps = caps
-
-
-def lower_component(
-    members: Sequence["Flow"], res_caps: dict[str, tuple[float, float]]
-) -> Lowered:
-    """Lower ``members`` (active-list order) against a capacity table.
-
-    ``res_caps`` maps resource names to ``(capacity, penalty)`` floats
-    (see :func:`res_entry`).  Resource numbering and concurrency are
-    derived from the members alone, exactly as the reference derives its
-    ``users`` table from the flow list it is handed.
+    Ids follow the table's order; returns the name -> id map and the
+    capacity and penalty columns indexed by id.
     """
-    res_idx: dict[str, int] = {}
-    raw: list[tuple[float, float]] = []
-    kcnt: list[int] = []
-    rusers: list[list[int]] = []
-    fr: list[list[int]] = []
-    caps: list[float] = []
-    for fi, f in enumerate(members):
-        ids = []
-        for r in f.path:
-            rid = res_idx.get(r)
-            if rid is None:
-                rid = len(raw)
-                res_idx[r] = rid
-                raw.append(res_caps[r])
-                kcnt.append(0)
-                rusers.append([])
-            ids.append(rid)
-            kcnt[rid] += 1
-            rusers[rid].append(fi)
-        fr.append(ids)
-        cap = f.rate_cap
-        caps.append(math.inf if cap is None else cap)
-    eff = [
-        cap if n <= 1 else cap / (1.0 + pen * (n - 1))
-        for (cap, pen), n in zip(raw, kcnt)
-    ]
-    return Lowered(len(members), len(raw), fr, rusers, eff, kcnt, caps)
+    res_id = {name: rid for rid, name in enumerate(res_caps)}
+    table = np.array(list(res_caps.values()), dtype=np.float64).reshape(-1, 2)
+    return res_id, table[:, 0], table[:, 1]
 
 
 def solve_single(
@@ -293,11 +239,11 @@ def solve_small(
     """Fused lowering + scalar filling for small multi-flow components.
 
     The measured workloads solve millions of 2–3 flow components, where
-    building the :class:`Lowered` index structures costs more than the
-    filling itself.  This kernel lowers inline (no reverse resource→flow
-    lists) and detects freezes by scanning the few member flows against
-    the saturated-resource list — the same freezes the reference performs,
-    in a different (commutative) order within the iteration.
+    building index arrays costs more than the filling itself.  This
+    kernel lowers inline and detects freezes by scanning the few member
+    flows against the saturated-resource list — the same freezes the
+    reference performs, in a different (commutative) order within the
+    iteration.
     """
     nflows = len(members)
     res_idx: dict[str, int] = {}
@@ -401,10 +347,11 @@ def solve_component(
 ) -> tuple[list[float], int]:
     """Rates (member order) + iterations via the full kernel dispatch.
 
-    The one entry point whose dispatch mirrors
-    :class:`~repro.simulate.components.ComponentAllocator`: closed form
-    for singletons, :func:`solve_small` below the cutoff, the numpy
-    kernel at and above it.
+    Mirrors :class:`~repro.simulate.components.ComponentAllocator`:
+    closed form for singletons, :func:`solve_pair` and
+    :func:`solve_small` below the cutoff, and at and above it
+    :func:`solve_large` over an :func:`id_table` of ``res_caps`` (the
+    allocator keeps its table across solves instead).
     """
     k = len(members)
     if k == 1:
@@ -413,7 +360,7 @@ def solve_component(
         return solve_pair(members[0], members[1], res_caps)
     if k < VECTOR_MIN_FLOWS:
         return solve_small(members, res_caps)
-    return _solve_numpy(lower_component(members, res_caps))
+    return solve_large(members, *id_table(res_caps))
 
 
 def _capped_order(caps: list[float]) -> list[int]:
@@ -423,171 +370,106 @@ def _capped_order(caps: list[float]) -> list[int]:
     return idx
 
 
-def _solve_scalar(low: Lowered) -> tuple[list[float], int]:
-    """Flat scalar kernel: the reference loop over integer indices."""
-    nflows = low.nflows
-    nres = low.nres
-    fr = low.fr
-    rusers = low.rusers
-    eff = low.eff
-    caps = low.caps
-    kcnt = list(low.kcnt)
-    free = list(eff)
-    thresh = [1e-9 * c for c in eff]
-    frozen = [False] * nflows
-    rates = [0.0] * nflows
-    capped = _capped_order(caps)
-    ncapped = len(capped)
-    ci = 0
-    level = 0.0
-    iterations = 0
-    remaining = nflows
-    while remaining:
-        iterations += 1
-        delta = math.inf
-        for rid in range(nres):
-            k = kcnt[rid]
-            if k:
-                room = free[rid] / k
-                if room < delta:
-                    delta = room
-        while ci < ncapped and frozen[capped[ci]]:
-            ci += 1
-        if ci < ncapped:
-            room = caps[capped[ci]] - level
-            if room < delta:
-                delta = room
-        if delta < 0.0:
-            delta = 0.0
-        level += delta
-        froze_any = False
-        saturated: list[int] = []
-        for rid in range(nres):
-            k = kcnt[rid]
-            if k:
-                free[rid] -= delta * k
-                if free[rid] <= thresh[rid]:
-                    saturated.append(rid)
-        for rid in saturated:
-            for fi in rusers[rid]:
-                if not frozen[fi]:
-                    frozen[fi] = True
-                    rates[fi] = level
-                    remaining -= 1
-                    for r2 in fr[fi]:
-                        kcnt[r2] -= 1
-                    froze_any = True
-        while ci < ncapped:
-            fi = capped[ci]
-            if frozen[fi]:
-                ci += 1
-                continue
-            if level >= caps[fi] - 1e-12:
-                frozen[fi] = True
-                rates[fi] = caps[fi]
-                remaining -= 1
-                for r2 in fr[fi]:
-                    kcnt[r2] -= 1
-                ci += 1
-                froze_any = True
-            else:
-                break
-        if not froze_any:
-            # Float underflow stalled the level; freeze the survivors.
-            for fi in range(nflows):
-                if not frozen[fi]:
-                    frozen[fi] = True
-                    rates[fi] = level
-            remaining = 0
-    return rates, iterations
-
-
-def _solve_numpy(low: Lowered) -> tuple[list[float], int]:
+def solve_large(
+    members: Sequence["Flow"],
+    res_id: dict[str, int],
+    cap_tbl: np.ndarray,
+    pen_tbl: np.ndarray,
+) -> tuple[list[float], int]:
     """Numpy kernel: the reference loop as whole-array operations.
 
-    Per iteration: one masked min for the water-level search, one fused
-    subtract for the capacity drain, one comparison for saturation
-    detection, and scatter/bincount passes for masked freezing.  Scalar
-    accumulators (``level``, ``delta``) stay Python floats so their
-    rounding matches the reference exactly.
+    ``res_id`` maps resource names to rows of ``cap_tbl``/``pen_tbl``
+    (capacity and concurrency penalty, see :func:`id_table`).  A
+    ``bincount`` over the members' flat id list yields the touched rows in
+    sorted order with their concurrency, and a lookup table renumbers the
+    flat list to local ids.  Per iteration: one divide and min for the
+    water-level search, one drain, one comparison for saturation, a
+    gather and scatter for the saturated flows, a ``searchsorted`` over
+    the cap-sorted thresholds once the level reaches the lowest live cap,
+    and one ``bincount`` for the concurrency drop.  A resource leaves the
+    search by dropping to zero flows: its room becomes ``free / 0 = inf``
+    (a saturated resource's ``free`` is set to ``inf`` first, since its
+    drained value may be ``<= 0``).  Scalar accumulators (``level``,
+    ``delta``) stay Python floats so their rounding matches the reference.
     """
-    nflows = low.nflows
-    nres = low.nres
-    eff = np.asarray(low.eff)
+    nflows = len(members)
+    ids = np.array([res_id[r] for f in members for r in f.path])
+    lens = [len(f.path) for f in members]
+    caps = [math.inf if f.rate_cap is None else f.rate_cap for f in members]
+    counts = np.bincount(ids)
+    rows = counts.nonzero()[0]
+    nres = len(rows)
+    local = np.empty(len(counts), np.intp)
+    local[rows] = np.arange(nres)
+    fr_flat = local[ids]
+    flow_idx = np.repeat(np.arange(nflows), lens)
+    kcnt = counts[rows]
+    cap = cap_tbl[rows]
+    eff = np.where(kcnt > 1, cap / (1.0 + pen_tbl[rows] * (kcnt - 1)), cap)
     thresh = 1e-9 * eff
     free = eff.copy()
-    kcnt = np.asarray(low.kcnt, dtype=np.int64)
-    caps = low.caps
-    lens = np.fromiter((len(ids) for ids in low.fr), np.int64, nflows)
-    fr_flat = np.fromiter(
-        (rid for ids in low.fr for rid in ids),
-        np.int64,
-        int(lens.sum()),  # opass: reassoc-ok -- int64 sum, addition is exact
-    )
-    flow_idx = np.repeat(np.arange(nflows, dtype=np.int64), lens)
-    fr_ptr = np.zeros(nflows + 1, np.int64)
-    np.cumsum(lens, out=fr_ptr[1:])
-    frozen = np.zeros(nflows, bool)
+    # Capped flows sorted by cap (stable): ``level >= cap - 1e-12`` holds
+    # for a prefix of this order, and ``ci`` walks to the first flow of
+    # it still unfrozen, whose cap bounds the next level step.
+    capv = np.array(caps)
+    ncapped = int(np.count_nonzero(capv != math.inf))
+    capped = np.argsort(capv, kind="stable")[:ncapped]
+    cap_sorted = capv[capped]
+    cap_thr = cap_sorted - 1e-12
+    capped_l = capped.tolist()
+    cap_l = cap_sorted.tolist()
+    thr_l = cap_thr.tolist()
+    ci = 0
+    unfrozen = np.ones(nflows, bool)
     newf = np.empty(nflows, bool)
     rates = np.zeros(nflows)
-    capped = _capped_order(caps)
-    ncapped = len(capped)
-    ci = 0
+    rooms = np.empty(nres)
+    drain = np.empty(nres)
+    sat = np.empty(nres, bool)
     level = 0.0
     iterations = 0
     remaining = nflows
-    while remaining:
-        iterations += 1
-        live = kcnt > 0
-        rooms = free[live] / kcnt[live]
-        delta = float(rooms.min())
-        while ci < ncapped and frozen[capped[ci]]:
-            ci += 1
-        if ci < ncapped:
-            room = caps[capped[ci]] - level
-            if room < delta:
-                delta = room
-        if delta < 0.0:
-            delta = 0.0
-        level += delta
-        free[live] -= delta * kcnt[live]
-        sat = live & (free <= thresh)
-        froze_any = False
-        if sat.any():
-            hit = sat[fr_flat]
-            newf[:] = False
-            newf[flow_idx[hit]] = True
-            newf &= ~frozen
-            nnew = int(newf.sum())  # opass: reassoc-ok -- bool sum, exact count
-            if nnew:
+    with np.errstate(divide="ignore"):
+        while True:
+            iterations += 1
+            np.divide(free, kcnt, out=rooms)
+            delta = float(rooms.min())
+            while ci < ncapped and not unfrozen[capped_l[ci]]:
+                ci += 1
+            if ci < ncapped:
+                room = cap_l[ci] - level
+                if room < delta:
+                    delta = room
+            if delta < 0.0:
+                delta = 0.0
+            level += delta
+            np.multiply(kcnt, delta, out=drain)
+            free -= drain
+            np.less_equal(free, thresh, out=sat)
+            newf.fill(False)
+            if np.count_nonzero(sat):
+                newf[flow_idx[sat[fr_flat]]] = True
+                newf &= unfrozen
+                free[sat] = math.inf
+            if ci < ncapped and level >= thr_l[ci]:
+                p = int(cap_thr.searchsorted(level, "right"))
+                cand = capped[ci:p]
+                cand = cand[unfrozen[cand]]
+                # Cap first: a flow that also saturated takes the level.
+                rates[cand] = capv[cand]
                 rates[newf] = level
-                frozen |= newf
-                remaining -= nnew
-                kcnt -= np.bincount(fr_flat[newf[flow_idx]], minlength=nres)
-                froze_any = True
-        while ci < ncapped:
-            fi = capped[ci]
-            if frozen[fi]:
-                ci += 1
-                continue
-            if level >= caps[fi] - 1e-12:
-                frozen[fi] = True
-                rates[fi] = caps[fi]
-                remaining -= 1
-                kcnt[fr_flat[fr_ptr[fi] : fr_ptr[fi + 1]]] -= 1
-                ci += 1
-                froze_any = True
+                newf[cand] = True
+                ci = p
             else:
+                rates[newf] = level
+            nnew = int(np.count_nonzero(newf))
+            if not nnew:
+                # Float underflow stalled the level; freeze the survivors.
+                rates[unfrozen] = level
                 break
-        if not froze_any:
-            rates[~frozen] = level
-            remaining = 0
+            remaining -= nnew
+            if not remaining:
+                break
+            unfrozen ^= newf
+            kcnt -= np.bincount(fr_flat[newf[flow_idx]], minlength=nres)
     return rates.tolist(), iterations
-
-
-def solve_lowered(low: Lowered) -> tuple[list[float], int]:
-    """Rates (member order) + iteration count for a lowered component."""
-    if low.nflows >= VECTOR_MIN_FLOWS:
-        return _solve_numpy(low)
-    return _solve_scalar(low)
-

@@ -156,9 +156,8 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     # dirty-set re-solve: linear in the dirty components plus their sort
     "repro.simulate.components.ComponentAllocator.solve": "O(n log n)",
     "repro.simulate.components.ComponentAllocator._dirty_groups": "O(n)",
-    # one lowered component end to end
-    "repro.simulate.vectorized.lower_component": "O(n)",
-    "repro.simulate.vectorized.solve_lowered": "O(n log n)",
+    # one numpy-tier component end to end (lowering, sorts, filling)
+    "repro.simulate.vectorized.solve_large": "O(n log n)",
     # CSR row lookups are slice reads, never rebuilds
     "repro.core.csr.LocalityCSR.task_row": "O(deg)",
     "repro.core.csr.LocalityCSR.proc_row": "O(deg)",

@@ -78,6 +78,46 @@ def run_entry(result) -> dict:
     }
 
 
+def ingest_64_wl():
+    """64 writers, 128 chunks, writer-local HDFS placement, seed 0.
+
+    Three-node write pipelines merge into components of 32 or more flows,
+    so the default engine runs its numpy water-filling tier here (the
+    8-writer ``ingest_8`` never gets that large).  Returns the ingest
+    (its ``sim.perf`` counts the numpy-tier solves) and its result.
+    """
+    from repro.core import ProcessPlacement
+    from repro.dfs import (
+        ClusterSpec,
+        DistributedFileSystem,
+        HdfsWriterLocalPlacement,
+        uniform_dataset,
+    )
+    from repro.simulate import DatasetIngest
+
+    fs = DistributedFileSystem(
+        ClusterSpec.homogeneous(64),
+        replication=3,
+        placement=HdfsWriterLocalPlacement(),
+        seed=0,
+    )
+    ing = DatasetIngest(
+        fs,
+        ProcessPlacement.one_per_node(64),
+        uniform_dataset("ingest", 128),
+        seed=0,
+    )
+    return ing, ing.run()
+
+
+def ingest_64_wl_entry(result) -> dict:
+    return {
+        "makespan": repr(result.makespan),
+        "writes": {k: repr(v) for k, v in result.write_stats().items()},
+        "records": [repr(r) for r in sorted(result.records, key=lambda r: r.seq)],
+    }
+
+
 def build(allocator: str) -> dict:
     """Run every pinned workload under ``allocator`` and collect fixtures."""
     import repro.simulate.engine as engine_mod
@@ -141,6 +181,8 @@ def _build() -> dict:
         "makespan": repr(res.makespan),
         "writes": {k: repr(v) for k, v in res.write_stats().items()},
     }
+
+    golden["ingest_64_wl"] = ingest_64_wl_entry(ingest_64_wl()[1])
 
     fs = DistributedFileSystem(ClusterSpec.homogeneous(8), replication=3, seed=5)
     data = single_data_workload(8, 6)

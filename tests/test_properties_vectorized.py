@@ -25,12 +25,14 @@ from repro.simulate.flows import Flow, allocate_rates
 from repro.simulate.resources import Resource
 from repro.simulate.vectorized import (
     VECTOR_MIN_FLOWS,
-    lower_component,
+    id_table,
     res_entry,
     solve_component,
-    solve_lowered,
+    solve_large,
     solve_single,
 )
+
+from .test_properties_components import bruteforce_partition
 
 
 def _res_caps(resources):
@@ -48,17 +50,24 @@ def _reference_rates(flows, resources):
     return [rates[f] for f in flows], stats["iterations"]
 
 
+def _shuffled_id_table(resources, seed):
+    """Resource ids in a shuffled order, as an allocator numbers resources
+    registered in that order."""
+    names = list(resources)
+    random.Random(seed).shuffle(names)
+    return id_table({n: res_entry(resources[n]) for n in names})
+
+
 def _assert_identical(flows, resources):
     got, got_iters = _kernel_rates(flows, resources)
     want, want_iters = _reference_rates(flows, resources)
     assert got == want
     assert got_iters == want_iters
     if len(flows) > 1:
-        # The generic flat kernels (scalar below the cutoff, numpy at and
-        # above it) must agree wherever the size-specialised dispatch runs.
-        low_rates, low_iters = solve_lowered(lower_component(flows, _res_caps(resources)))
-        assert low_rates == want
-        assert low_iters == want_iters
+        # The numpy kernel must agree at every size, not only where the
+        # dispatch sends it, and whatever order the resource ids take.
+        res_id, cap_tbl, pen_tbl = _shuffled_id_table(resources, len(flows))
+        assert solve_large(flows, res_id, cap_tbl, pen_tbl) == (want, want_iters)
 
 
 def _random_component(rng: random.Random, nflows: int):
@@ -244,6 +253,103 @@ def test_allocator_auto_vs_reference_kernel_churn(seed):
             assert auto.last_iterations == ref.last_iterations
             assert auto.last_component_solves == ref.last_component_solves
     assert auto.solve() == ref.solve()
+
+
+def _island_flow(rng, island, bridge=None):
+    path = rng.sample(island, rng.randint(1, 2))
+    if bridge is not None:
+        path.append(bridge)
+    # Most flows share one rate cap, so the cap-sorted prefix freezes
+    # many flows in the same iteration.
+    cap = 4.0 if rng.random() < 0.7 else rng.choice([None, 1.5, 60e6])
+    return Flow(size=1.0, path=tuple(path), rate_cap=cap)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_allocator_large_components_churn(seed):
+    """Numpy-tier components through churn: grown past the cutoff,
+    resources registered in shuffled order, a shared rate cap, and a
+    large component split three ways by removing its bridges."""
+    rng = random.Random(7000 + seed)
+    islands = [[f"i{k}r{j}" for j in range(5)] for k in range(3)]
+    bridges = ["b01", "b12"]
+    resources = {}
+    for name in [n for isl in islands for n in isl] + bridges:
+        resources[name] = Resource(
+            name=name,
+            capacity=rng.choice([20.0, 40.0, 125.0]),
+            concurrency_penalty=rng.choice([0.0, 0.02, 0.1]),
+        )
+    order = list(resources)
+    rng.shuffle(order)
+    auto = ComponentAllocator()
+    ref = ComponentAllocator(kernel="reference")
+    for name in order:
+        auto.register(name, resources[name])
+        ref.register(name, resources[name])
+
+    live: list[Flow] = []
+
+    def add(f):
+        live.append(f)
+        auto.add(f)
+        ref.add(f)
+
+    def remove(f):
+        live.remove(f)
+        auto.remove(f)
+        ref.remove(f)
+
+    def check():
+        assert auto.solve() == ref.solve()
+        assert auto.last_iterations == ref.last_iterations
+        assert auto.last_component_solves == ref.last_component_solves
+        assert {frozenset(c) for c in auto.components()} == bruteforce_partition(live)
+
+    for isl in islands:
+        # A spine keeps each island connected, whatever the random flows.
+        for a, b in zip(isl, isl[1:]):
+            add(Flow(size=1.0, path=(a, b), rate_cap=4.0))
+        for _ in range(VECTOR_MIN_FLOWS // 2):
+            add(_island_flow(rng, isl))
+    check()
+    assert len(auto.components()) == 3
+    links = [
+        _island_flow(rng, islands[0], "b01"),
+        _island_flow(rng, islands[1], "b01"),
+        _island_flow(rng, islands[1], "b12"),
+        _island_flow(rng, islands[2], "b12"),
+    ]
+    for f in links:
+        add(f)
+    check()
+    assert auto.last_vectorized_solves == 1
+    assert len(auto.components()) == 1
+
+    # A large solve alone never touches the memo.
+    memo_len = len(auto._memo)
+    add(_island_flow(rng, islands[0]))
+    check()
+    assert auto.last_vectorized_solves == auto.last_component_solves == 1
+    assert len(auto._memo) == memo_len
+
+    # Churn inside the merged component, solving as we go.
+    for _ in range(40):
+        if rng.random() < 0.4:
+            f = rng.choice([g for g in live if g not in links])
+            remove(f)
+        else:
+            add(_island_flow(rng, rng.choice(islands)))
+        if rng.random() < 0.5:
+            check()
+
+    # Dropping the bridges splits it into one component per island.
+    for f in links:
+        remove(f)
+    check()
+    parts = auto.components()
+    assert len(parts) >= 3
+    assert max(len(c) for c in parts) >= VECTOR_MIN_FLOWS // 2
 
 
 def test_allocator_counts_vectorized_solves():

@@ -146,6 +146,18 @@ def test_ingest_bitwise(pinned):
     assert {k: repr(v) for k, v in res.write_stats().items()} == g["writes"]
 
 
+def test_ingest_64_numpy_tier_bitwise():
+    """64 writers merge their pipelines into components of 32+ flows, so
+    the default engine solves them on its numpy tier; the pin covers that
+    tier inside a full engine run (the 8-writer ``ingest_8`` never gets
+    there)."""
+    from .data.make_golden_sim_seed import ingest_64_wl, ingest_64_wl_entry
+
+    ing, res = ingest_64_wl()
+    assert ing.sim.perf.vectorized_solves > 0
+    assert ingest_64_wl_entry(res) == GOLDEN_COMPONENT["ingest_64_wl"]
+
+
 def _faults_run():
     from repro.core import (
         ProcessPlacement,

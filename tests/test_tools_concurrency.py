@@ -153,13 +153,16 @@ class TestRealTree:
         assert report.ok, report.render()
 
     def test_kernel_reassoc_waivers_present(self):
-        for rel in (
-            ("src", "repro", "simulate", "vectorized.py"),
-            ("src", "repro", "core", "flownetwork.py"),
+        # The water-filling kernels count with np.count_nonzero and need
+        # no waiver; their pragmas, if any, must still parse.
+        for rel, required in (
+            (("src", "repro", "simulate", "vectorized.py"), False),
+            (("src", "repro", "core", "flownetwork.py"), True),
         ):
             source = Path(REPO_ROOT, *rel).read_text(encoding="utf-8")
             lines, errors = parse_reassoc_pragmas(source, str(Path(*rel)))
-            assert lines, f"expected reassoc-ok waivers in {rel}"
+            if required:
+                assert lines, f"expected reassoc-ok waivers in {rel}"
             assert errors == []
 
 

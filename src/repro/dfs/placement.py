@@ -111,6 +111,7 @@ class HdfsWriterLocalPlacement(PlacementPolicy):
     ) -> tuple[int, ...]:
         cand = set(candidates)
         chosen: list[int] = []
+        multi_rack = cluster.num_racks > 1
 
         def pick(pool: list[int]) -> int | None:
             pool = [p for p in pool if p in cand and p not in chosen]
@@ -126,15 +127,13 @@ class HdfsWriterLocalPlacement(PlacementPolicy):
                 chosen.append(first)
 
         while len(chosen) < min(replication, len(cand)):
-            if len(chosen) == 1 and cluster.num_racks > 1:
-                other_rack = [
-                    n for n in candidates if cluster.rack_of(n) != cluster.rack_of(chosen[0])
-                ]
+            if len(chosen) == 1 and multi_rack:
+                rack = cluster.rack_of(chosen[0])
+                other_rack = [n for n in candidates if cluster.rack_of(n) != rack]
                 nxt = pick(other_rack) or pick(candidates)
-            elif len(chosen) == 2 and cluster.num_racks > 1:
-                same_rack = [
-                    n for n in candidates if cluster.rack_of(n) == cluster.rack_of(chosen[1])
-                ]
+            elif len(chosen) == 2 and multi_rack:
+                rack = cluster.rack_of(chosen[1])
+                same_rack = [n for n in candidates if cluster.rack_of(n) == rack]
                 nxt = pick(same_rack) or pick(candidates)
             else:
                 nxt = pick(candidates)

@@ -30,10 +30,19 @@ start/finish/cancel only needs the rates of *its own component* re-solved.
   isolation (pinned by the differential property tests in
   ``tests/test_properties_components.py`` and
   ``tests/test_properties_vectorized.py``);
-* **changed flows are reported**: :attr:`last_changed` names the slot ids
-  whose rate was re-solved, which is what lets the engine's
-  lazy-invalidation completion heap re-predict only those flows instead
-  of scanning the whole slot range every epoch.
+* **changed flows are reported**: :attr:`last_changed` names slot ids
+  whose rate was re-solved — every member of a re-solved component below
+  ``VECTOR_MIN_FLOWS`` flows, and from a larger one only the new flows
+  and those whose rate changed (``solve(out=...)`` writes exactly the
+  reported slots).  That is what lets the engine's lazy-invalidation
+  completion heap re-predict only those flows instead of scanning the
+  whole slot range every epoch: an entry stays valid while its flow's
+  rate holds;
+* **large components keep a resource index**: a component that a full
+  re-partition found whole at ``VECTOR_MIN_FLOWS`` or more flows keeps a
+  resource -> flows index, maintained by ``add``/``remove``, so its next
+  re-partition proves it whole by a short search instead of rebuilding
+  one.
 
 End-to-end rates can differ from one *global* reference solve in the last
 ulp (the global water level interleaves freeze deltas across components,
@@ -60,6 +69,7 @@ from .resources import Resource
 from .vectorized import (
     VECTOR_MIN_FLOWS,
     id_table,
+    path_ids,
     res_entry,
     solve_large,
     solve_pair,
@@ -117,14 +127,29 @@ class ComponentAllocator:
         #: large solve after a ``register``; runs that never form a large
         #: component never build it.
         self._ids: tuple[dict[str, int], np.ndarray, np.ndarray] | None = None
+        #: slot id -> its flow's path as id-table ids, filled by large
+        #: solves and dropped by ``remove``, so an entry always belongs to
+        #: the slot's current flow.  A rebuilt table keeps every id
+        #: (``register`` only appends), so entries outlive rebuilds.
+        self._path_ids: dict[int, tuple[int, ...]] = {}
         #: active-flow count per resource (only resources with ≥ 1 flow).
         self._res_users: dict[str, int] = {}
         #: resource name -> component id (only active resources).
         self._res_comp: dict[str, int] = {}
-        #: component id -> member flows / resources (insertion-ordered
-        #: dicts — never bare sets, so iteration order is deterministic).
-        self._comp_flows: dict[int, dict[Flow, None]] = {}
+        #: component id -> member flow -> slot id, and component id ->
+        #: resources (insertion-ordered dicts — never bare sets, so
+        #: iteration order is deterministic).
+        self._comp_flows: dict[int, dict[Flow, int]] = {}
         self._comp_res: dict[int, dict[str, None]] = {}
+        #: resource -> slot id -> flow, kept only for components that a
+        #: full re-partition found whole at ``VECTOR_MIN_FLOWS`` or more
+        #: flows; ``add``/``remove`` maintain it so a re-partition can
+        #: prove such a component whole without rebuilding an index.
+        self._adj: dict[int, dict[str, dict[int, Flow]]] = {}
+        #: per component in ``_adj``: path resources of flows removed
+        #: since the last solve that still have users — every piece a
+        #: split could leave holds one of them (see :func:`_still_whole`).
+        self._probes: dict[int, dict[str, None]] = {}
         self._comp_of: dict[Flow, int] = {}
         #: components whose membership changed since the last solve.
         self._dirty: dict[int, None] = {}
@@ -141,8 +166,9 @@ class ComponentAllocator:
         #: order, which fixes the stable sort of rate-capped flows.
         self._order: dict[Flow, int] = {}
         self._next_order = 0
-        #: cached solved rate per flow (valid for clean components).
-        self._rate_of: dict[Flow, float] = {}
+        #: solved rate per slot id (valid for clean components; NaN from
+        #: ``add`` until the flow's first solve, so it reads as changed).
+        self._rate_at: list[float] = []
         #: results of the last :meth:`solve` (instrumentation + the
         #: engine's lazy-heap feed)
         self.last_iterations = 0
@@ -199,6 +225,10 @@ class ComponentAllocator:
             fid = self._next_fid
             self._next_fid += 1
         self._id_of[flow] = fid
+        rate_at = self._rate_at
+        if fid >= len(rate_at):
+            self._grow(fid)  # extends rate_at in place
+        rate_at[fid] = math.nan
         if not hit:
             cid = self._next_comp
             self._next_comp += 1
@@ -211,7 +241,7 @@ class ComponentAllocator:
             for other in cids:
                 if other != cid:
                     self._absorb(cid, other)
-        self._comp_flows[cid][flow] = None
+        self._comp_flows[cid][flow] = fid
         self._comp_of[flow] = cid
         comp_res = self._comp_res[cid]
         res_users = self._res_users
@@ -219,17 +249,27 @@ class ComponentAllocator:
             res_users[r] = res_users.get(r, 0) + 1
             res_comp[r] = cid
             comp_res[r] = None
+        if self._adj:
+            adj = self._adj.get(cid)
+            if adj is not None:
+                _index_flow(adj, flow, fid)
         self._dirty[cid] = None
         self._order[flow] = self._next_order
         self._next_order += 1
         return fid
 
+    def _grow(self, fid: int) -> None:
+        """Extend the slot-indexed rates to cover ``fid`` (amortized)."""
+        rate_at = self._rate_at
+        rate_at.extend([math.nan] * max(fid + 1 - len(rate_at), len(rate_at)))
+
     def _absorb(self, target: int, other: int) -> None:
         """Merge component ``other`` into ``target`` (union by size)."""
         target_flows = self._comp_flows[target]
+        other_flows = self._comp_flows.pop(other)
         comp_of = self._comp_of
-        for f in self._comp_flows.pop(other):
-            target_flows[f] = None
+        for f, fid in other_flows.items():
+            target_flows[f] = fid
             comp_of[f] = target
         target_res = self._comp_res[target]
         res_comp = self._res_comp
@@ -239,8 +279,27 @@ class ComponentAllocator:
         self._dirty.pop(other, None)
         # A shrunk component may already be disconnected internally; the
         # merged component inherits the pending re-partition.
-        if self._shrunk.pop(other, None) is not None:
+        shrunk = other in self._shrunk
+        if shrunk:
+            del self._shrunk[other]
             self._shrunk[target] = None
+        if self._adj:
+            self._probes.pop(other, None)
+            other_adj = self._adj.pop(other, None)
+            adj = self._adj.get(target)
+            if adj is not None:
+                if shrunk:
+                    # Its probes do not cover the absorbed component's
+                    # pieces: fall back to the full re-partition.
+                    del self._adj[target]
+                    self._probes.pop(target, None)
+                elif other_adj is not None:
+                    # Components never share a resource, so the two
+                    # indexes have disjoint keys.
+                    adj.update(other_adj)
+                else:
+                    for f, fid in other_flows.items():
+                        _index_flow(adj, f, fid)
 
     def remove(self, flow: Flow) -> None:
         """Stop tracking ``flow`` (finished or cancelled).
@@ -257,7 +316,8 @@ class ComponentAllocator:
         cid = self._comp_of.pop(flow)
         del self._comp_flows[cid][flow]
         del self._order[flow]
-        self._rate_of.pop(flow, None)
+        if self._path_ids:
+            self._path_ids.pop(fid, None)
         comp_res = self._comp_res[cid]
         res_users = self._res_users
         res_comp = self._res_comp
@@ -269,6 +329,18 @@ class ComponentAllocator:
                 del res_users[r]
                 del res_comp[r]
                 del comp_res[r]
+        if self._adj:
+            adj = self._adj.get(cid)
+            if adj is not None:
+                probes = self._probes.setdefault(cid, {})
+                for r in flow.path:
+                    users = adj[r]
+                    del users[fid]
+                    if users:
+                        probes[r] = None
+                    else:
+                        del adj[r]
+                        probes.pop(r, None)
         if self._comp_flows[cid]:
             self._dirty[cid] = None
             self._shrunk[cid] = None
@@ -277,6 +349,9 @@ class ComponentAllocator:
             del self._comp_res[cid]
             self._dirty.pop(cid, None)
             self._shrunk.pop(cid, None)
+            if self._adj:
+                self._adj.pop(cid, None)
+                self._probes.pop(cid, None)
 
     # -- introspection --------------------------------------------------------
 
@@ -313,18 +388,29 @@ class ComponentAllocator:
     def _repartition(self, cid: int) -> list[int]:
         """Split component ``cid`` into its true connected components.
 
-        BFS over the member flows via shared resources — O(Σ|path|) of the
-        component.  The first (largest-seed-agnostic, deterministic)
-        group keeps ``cid``; splinters get fresh ids.  Returns the ids.
+        A component with a kept resource index (:attr:`_adj`) that still
+        has ``VECTOR_MIN_FLOWS`` flows is first proved whole by
+        :func:`_still_whole`; otherwise, or if that search finds a split,
+        a BFS over the member flows via shared resources — O(Σ|path|) of
+        the component — partitions it.  The first (largest-seed-agnostic,
+        deterministic) group keeps ``cid``; splinters get fresh ids.
+        Returns the ids.
         """
         members = self._comp_flows[cid]
+        if self._adj:
+            adj = self._adj.get(cid)
+            if adj is not None:
+                probes = self._probes.pop(cid, {})
+                if len(members) >= VECTOR_MIN_FLOWS and _still_whole(adj, probes):
+                    return [cid]
+                del self._adj[cid]
         if len(members) <= 1:
             return [cid]
         if len(members) == 2:
             # The dominant shrink case after a remove: either the two
             # survivors still share a resource (no split) or they are two
             # singletons — decidable by one path intersection, no BFS.
-            f0, f1 = members
+            (f0, _), (f1, fid1) = members.items()
             path1 = f1.path
             for r in f0.path:
                 if r in path1:
@@ -332,7 +418,7 @@ class ComponentAllocator:
             gid = self._next_comp
             self._next_comp += 1
             del self._comp_flows[cid][f1]
-            self._comp_flows[gid] = {f1: None}
+            self._comp_flows[gid] = {f1: fid1}
             self._comp_of[f1] = gid
             g_res: dict[str, None] = {}
             comp_res = self._comp_res[cid]
@@ -347,9 +433,11 @@ class ComponentAllocator:
         # on first visit, so the walk is O(Σ|path|) and never hashes a
         # Flow.  Groups come out in first-member order, each in pop order.
         flows: list[Flow] = []
+        fids: list[int] = []
         res_flows: dict[str, list[int]] = {}
-        for i, f in enumerate(members):
+        for i, (f, fid) in enumerate(members.items()):
             flows.append(f)
+            fids.append(fid)
             for r in f.path:
                 at = res_flows.get(r)
                 if at is None:
@@ -376,6 +464,11 @@ class ComponentAllocator:
                             seen[h] = True
                             stack.append(h)
             if len(group) == len(flows):
+                if len(flows) >= VECTOR_MIN_FLOWS:
+                    index: dict[str, dict[int, Flow]] = {}
+                    for f, fid in members.items():
+                        _index_flow(index, f, fid)
+                    self._adj[cid] = index
                 return [cid]
             groups.append(group)
         out: list[int] = []
@@ -387,11 +480,11 @@ class ComponentAllocator:
             else:
                 gid = self._next_comp
                 self._next_comp += 1
-            g_flows: dict[Flow, None] = {}
+            g_flows: dict[Flow, int] = {}
             g_res: dict[str, None] = {}
             for j in group:
                 f = flows[j]
-                g_flows[f] = None
+                g_flows[f] = fids[j]
                 comp_of[f] = gid
                 for r in f.path:
                     g_res[r] = None
@@ -409,12 +502,16 @@ class ComponentAllocator:
         :mod:`repro.simulate.vectorized` (``kernel="auto"``) or by the
         reference :func:`allocate_rates` (``kernel="reference"``); either way the
         rates are bit-for-bit the reference's.  Clean components keep
-        their cached rates untouched.  With ``out`` (the engine's
-        slot-indexed rate array) only the re-solved flows' slots are
-        written and ``None`` is returned; :attr:`last_changed` then
-        lists exactly those slot ids.  Without ``out`` a Flow-keyed dict
-        of *all* tracked flows is returned (the reference-compatible API
-        the property tests consume).
+        their cached rates untouched.  :attr:`last_changed` lists the
+        reported slot ids: every member of a re-solved component below
+        ``VECTOR_MIN_FLOWS`` flows (and of every component under
+        ``kernel="reference"``), and of a larger one only the flows that
+        are new or whose rate changed.  With ``out`` (the engine's
+        slot-indexed rate array) exactly the reported slots are written
+        and ``None`` is returned; every other slot already holds its
+        flow's rate.  Without ``out`` a Flow-keyed dict of *all* tracked
+        flows is returned (the reference-compatible API the property
+        tests consume).
         """
         self.last_iterations = 0
         self.last_component_solves = 0
@@ -437,7 +534,8 @@ class ComponentAllocator:
         self.last_changed = changed
         if out is not None:
             return None
-        return {f: self._rate_of[f] for f in self._id_of}
+        rate_at = self._rate_at
+        return {f: rate_at[fid] for f, fid in self._id_of.items()}
 
     def _dirty_groups(self) -> list[int]:
         """Dirty component ids, with shrunk components re-partitioned."""
@@ -454,12 +552,12 @@ class ComponentAllocator:
     ) -> None:
         """The pre-kernel solve loop: reference allocator per component."""
         order = self._order
-        id_of = self._id_of
-        rate_of = self._rate_of
+        rate_at = self._rate_at
         resources = self._resources
         stats: dict[str, int] = {}
         for gid in self._dirty_groups():
-            members = sorted(self._comp_flows[gid], key=order.__getitem__)
+            group = self._comp_flows[gid]
+            members = sorted(group, key=order.__getitem__)
             rates = allocate_rates(members, resources, stats=stats)
             self.last_iterations += stats["iterations"]
             self.last_component_solves += 1
@@ -467,17 +565,13 @@ class ComponentAllocator:
             if k > self.last_component_size_max:
                 self.last_component_size_max = k
             self.last_flows_resolved += k
-            if out is None:
-                for f in members:
-                    rate_of[f] = rates[f]
-                    changed.append(id_of[f])
-            else:
-                for f in members:
-                    rate = rates[f]
-                    rate_of[f] = rate
-                    fid = id_of[f]
+            for f in members:
+                rate = rates[f]
+                fid = group[f]
+                rate_at[fid] = rate
+                if out is not None:
                     out[fid] = rate
-                    changed.append(fid)
+                changed.append(fid)
 
     def _solve_single_cached(self, f: Flow) -> float:
         """Singleton closed form through the path-keyed capacity memo.
@@ -512,14 +606,16 @@ class ComponentAllocator:
         replays the cached rates (and the iteration count, so
         ``solve_iterations`` keeps measuring the represented water-filling
         work); a miss runs the pair or small kernel and stores the
-        result.  Larger components go straight to the numpy kernel on the
-        persistent integer resource ids: on ``ingest-write``, the one
-        measured workload that forms them, every one of their lookups
-        missed, and their keys were the memo's bulk.
+        result.  These tiers write and report every member.  Larger
+        components go straight to the numpy kernel (on ``ingest-write``,
+        the one measured workload that forms them, every one of their memo
+        lookups missed, and their keys were the memo's bulk), in component
+        order, on the slot-cached integer resource ids; they write and
+        report only new flows and flows whose rate changed (83% of the
+        flows they re-solve there keep a bit-identical rate).
         """
         order = self._order
-        id_of = self._id_of
-        rate_of = self._rate_of
+        rate_at = self._rate_at
         res_caps = self._res_caps
         comp_flows = self._comp_flows
         memo = self._memo
@@ -537,50 +633,46 @@ class ComponentAllocator:
             if k > size_max:
                 size_max = k
             if k == 1:
-                f = next(iter(group))
+                ((f, fid),) = group.items()
                 rate = self._solve_single_cached(f)
                 iterations += 1
-                rate_of[f] = rate
-                fid = id_of[f]
+                rate_at[fid] = rate
                 if out is not None:
                     out[fid] = rate
                 changed.append(fid)
                 continue
             if k >= VECTOR_MIN_FLOWS:
-                members = sorted(group, key=order.__getitem__)
-                if self._ids is None:
-                    self._ids = id_table(res_caps)
-                rates, iters = solve_large(members, *self._ids)
+                iterations += self._solve_large(group, changed, out)
                 vectorized += 1
+                continue
+            if k == 2:
+                (fa, ia), (fb, ib) = group.items()
+                if order[fa] > order[fb]:
+                    fa, fb, ia, ib = fb, fa, ib, ia
+                fids = [ia, ib]
+                key = pair_key(fa, fb, res_caps)
+            else:
+                members = sorted(group, key=order.__getitem__)
+                fids = [group[f] for f in members]
+                key = component_key(members, res_caps)
+            hit = memo.lookup(key)
+            if hit is not None:
+                rates, iters = hit
+                memo_hits += 1
             else:
                 if k == 2:
-                    fa, fb = group
-                    if order[fa] > order[fb]:
-                        fa, fb = fb, fa
-                    members = (fa, fb)
-                    key = pair_key(fa, fb, res_caps)
+                    rates, iters = solve_pair(fa, fb, res_caps)
                 else:
-                    members = sorted(group, key=order.__getitem__)
-                    key = component_key(members, res_caps)
-                hit = memo.lookup(key)
-                if hit is not None:
-                    rates, iters = hit
-                    memo_hits += 1
-                else:
-                    if k == 2:
-                        rates, iters = solve_pair(fa, fb, res_caps)
-                    else:
-                        rates, iters = solve_small(members, res_caps)
-                    memo.store(key, rates, iters)
+                    rates, iters = solve_small(members, res_caps)
+                memo.store(key, rates, iters)
             iterations += iters
             if out is None:
-                for f, rate in zip(members, rates):
-                    rate_of[f] = rate
-                    changed.append(id_of[f])
+                for fid, rate in zip(fids, rates):
+                    rate_at[fid] = rate
+                    changed.append(fid)
             else:
-                for f, rate in zip(members, rates):
-                    rate_of[f] = rate
-                    fid = id_of[f]
+                for fid, rate in zip(fids, rates):
+                    rate_at[fid] = rate
                     out[fid] = rate
                     changed.append(fid)
         self.last_iterations += iterations
@@ -589,3 +681,85 @@ class ComponentAllocator:
         self.last_flows_resolved += resolved
         self.last_vectorized_solves += vectorized
         self.last_memo_hits += memo_hits
+
+    def _solve_large(
+        self,
+        group: dict[Flow, int],
+        changed: list[int],
+        out: "np.ndarray | None",
+    ) -> int:
+        """Numpy-tier solve of one component; returns its iterations.
+
+        Lowers each member from its slot's cached id tuple (no name
+        lookups, no ``Flow`` hashing) and writes and reports only the
+        slots whose rate is new or changed.  An unreported slot keeps an
+        identical rate, so the engine's completion-heap entry for it,
+        which depends only on that rate, stays valid.
+        """
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = id_table(self._res_caps)
+        res_id, cap_tbl, pen_tbl = ids
+        cache = self._path_ids
+        paths: list[tuple[int, ...]] = []
+        caps: list[float | None] = []
+        for f, fid in group.items():
+            p = cache.get(fid)
+            if p is None:
+                p = cache[fid] = path_ids(f, res_id)
+            paths.append(p)
+            caps.append(f.rate_cap)
+        rates, iters = solve_large(paths, caps, cap_tbl, pen_tbl)
+        rate_at = self._rate_at
+        for fid, rate in zip(group.values(), rates):
+            # Exact on purpose: an unreported slot must hold the very
+            # rate its completion-heap entry was predicted from.
+            if rate != rate_at[fid]:  # opass: ignore[OPS004] -- bit-identity is the reporting rule
+                rate_at[fid] = rate
+                if out is not None:
+                    out[fid] = rate
+                changed.append(fid)
+        return iters
+
+
+def _index_flow(adj: dict[str, dict[int, Flow]], flow: Flow, fid: int) -> None:
+    """Enter ``flow`` (slot ``fid``) under each of its path resources."""
+    for r in flow.path:
+        users = adj.get(r)
+        if users is None:
+            adj[r] = {fid: flow}
+        else:
+            users[fid] = flow
+
+
+def _still_whole(adj: dict[str, dict[int, Flow]], probes: dict[str, None]) -> bool:
+    """Whether a component that was connected at its last solve still is.
+
+    ``probes`` are the path resources of flows removed since then that
+    still have users.  Every piece a split leaves behind holds one of
+    them (the piece was joined to the rest only through removed flows),
+    so one search from a probe that reaches all the others proves the
+    component whole; it stops as soon as it has, consuming ``probes``.
+    Returns ``False`` only when the search is exhausted: then the
+    component did split.
+    """
+    if len(probes) <= 1:
+        return True
+    start, _ = probes.popitem()
+    seen_res = {start}
+    seen_fid: set[int] = set()
+    stack = [start]
+    while stack:
+        for fid, f in adj[stack.pop()].items():
+            if fid in seen_fid:
+                continue
+            seen_fid.add(fid)
+            for r in f.path:
+                if r not in seen_res:
+                    seen_res.add(r)
+                    stack.append(r)
+                    if r in probes:
+                        del probes[r]
+                        if not probes:
+                            return True
+    return False

@@ -33,14 +33,16 @@ The hot path is O(affected component) end to end:
   predicted absolute finish time ``t = settled_at + remaining/rate`` is
   invariant while its rate holds (``remaining`` drains linearly at
   exactly that rate), so an entry pushed once stays valid until the
-  flow's rate changes.  ``solve()`` reports exactly which flows changed
-  rate (the dirty components' members); only those are re-pushed, each
-  stamped with a sequence number, and superseded/finished entries are
-  skipped lazily on pop.  Entries order by ``(time, flow_id)``, and
-  candidates within a ≤1e-9-relative tie window of the top are
-  re-predicted fresh and snapped to the minimal ``flow_id`` — so
-  simultaneous completions fire in ``flow_id`` order (matching the
-  sweep) regardless of float noise in the predictions.  Tie candidates
+  flow's rate changes.  ``solve()`` reports a superset of the flows whose
+  rate changed: every member of a re-solved component below
+  ``VECTOR_MIN_FLOWS`` flows, and from a larger one only its new flows
+  and those whose rate is not bit-identical to the last solve's.  Only
+  reported flows are re-pushed, each stamped with a sequence number, and
+  superseded/finished entries are skipped lazily on pop.  Entries order
+  by ``(time, flow_id)``, and candidates within a ≤1e-9-relative tie
+  window of the top are re-predicted fresh and snapped to the minimal
+  ``flow_id`` — so simultaneous completions fire in ``flow_id`` order
+  (matching the sweep) regardless of float noise in the predictions.  Tie candidates
   pulled out of the heap park in a **tie group** side table (fid →
   fresh prediction) instead of being re-pushed, so a wave of w
   simultaneous completions costs O(w) dict scans per event rather than

@@ -148,13 +148,15 @@ class DatasetIngest:
         with the writer node offered to the placement policy."""
         owner = self.assignment.process_of()
         layout: dict[ChunkId, tuple[int, ...]] = {}
+        # Placement reads the candidate list; it never changes mid-layout.
+        candidates = self.fs.cluster.active_nodes
         for file_idx, meta in enumerate(self.dataset.files):
             writer_node = self.writers.node_of(owner[file_idx])
             for chunk in meta.chunks:
                 layout[chunk.id] = self.fs.placement.place_chunk(
                     chunk,
                     self.fs.spec,
-                    self.fs.cluster.active_nodes,
+                    candidates,
                     self.fs.replication,
                     self.fs.rng,
                     writer_node,

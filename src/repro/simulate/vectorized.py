@@ -12,10 +12,13 @@ component size (the dispatch :func:`solve_component` mirrors):
   flows, lowered inline against a name-keyed capacity table;
 * :func:`solve_large` — the numpy kernel at and above the cutoff.  It
   works on integer resource ids: the caller's :func:`id_table` maps each
-  name to a row of two float arrays (capacity, penalty), a ``bincount``
-  over the members' flat id list gives the touched rows in sorted order
-  with their concurrency, and the water-level search, drain, saturation
-  and freezing run as whole-array operations.
+  name to a row of two float arrays (capacity, penalty), each member
+  arrives as its :func:`path_ids` tuple (the allocator caches them per
+  slot), and a ``bincount`` over the flat id list gives the touched rows
+  in sorted order with their concurrency.  The water-level search, drain
+  and saturation test run as whole-array operations; freezing runs in
+  Python over a resource -> flows index, because an iteration usually
+  saturates only one to three resources.
 
 Identity is the contract, not an aspiration.  Every float operation is
 the one the reference performs: effective capacity uses the same
@@ -29,9 +32,13 @@ within an iteration only permutes commutative updates (every frozen flow
 gets the same level; per-resource unfrozen counts are decremented once
 per frozen flow), and resource order never enters a decision, so the
 numpy kernel's sorted local ids give the rates and iteration counts of
-the reference's first-appearance numbering — bit-for-bit, pinned by the
-differential fuzz suite in ``tests/test_properties_vectorized.py``
-(which also runs the numpy kernel on shuffled id tables at every size).
+the reference's first-appearance numbering.  Member order, likewise,
+only permutes the freezes within an iteration and the stable order
+among equal caps, whose flows freeze together at the same value — so
+the numpy kernel takes members in any order.  All of it bit-for-bit,
+pinned by the differential fuzz suite in
+``tests/test_properties_vectorized.py`` (which also runs the numpy
+kernel on shuffled id tables and shuffled members at every size).
 
 Purity contract: kernels read ``Flow.path``/``rate_cap`` and the
 capacity tables and write only locals (registered in
@@ -41,6 +48,8 @@ capacity tables and write only locals (registered in
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -51,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "VECTOR_MIN_FLOWS",
     "id_table",
+    "path_ids",
     "res_entry",
     "solve_component",
     "solve_large",
@@ -82,12 +92,18 @@ def id_table(
 ) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """Dense integer ids for a capacity table, for :func:`solve_large`.
 
-    Ids follow the table's order; returns the name -> id map and the
-    capacity and penalty columns indexed by id.
+    Ids follow the table's order, so a table rebuilt after appending
+    entries keeps every existing name's id; returns the name -> id map
+    and the capacity and penalty columns indexed by id.
     """
     res_id = {name: rid for rid, name in enumerate(res_caps)}
     table = np.array(list(res_caps.values()), dtype=np.float64).reshape(-1, 2)
     return res_id, table[:, 0], table[:, 1]
+
+
+def path_ids(flow: "Flow", res_id: dict[str, int]) -> tuple[int, ...]:
+    """The flow's path as :func:`id_table` ids, for :func:`solve_large`."""
+    return tuple([res_id[r] for r in flow.path])
 
 
 def solve_single(
@@ -351,7 +367,8 @@ def solve_component(
     closed form for singletons, :func:`solve_pair` and
     :func:`solve_small` below the cutoff, and at and above it
     :func:`solve_large` over an :func:`id_table` of ``res_caps`` (the
-    allocator keeps its table across solves instead).
+    allocator keeps its table, and each flow's :func:`path_ids`, across
+    solves instead).
     """
     k = len(members)
     if k == 1:
@@ -360,7 +377,13 @@ def solve_component(
         return solve_pair(members[0], members[1], res_caps)
     if k < VECTOR_MIN_FLOWS:
         return solve_small(members, res_caps)
-    return solve_large(members, *id_table(res_caps))
+    res_id, cap_tbl, pen_tbl = id_table(res_caps)
+    return solve_large(
+        [path_ids(f, res_id) for f in members],
+        [f.rate_cap for f in members],
+        cap_tbl,
+        pen_tbl,
+    )
 
 
 def _capped_order(caps: list[float]) -> list[int]:
@@ -371,61 +394,72 @@ def _capped_order(caps: list[float]) -> list[int]:
 
 
 def solve_large(
-    members: Sequence["Flow"],
-    res_id: dict[str, int],
+    paths: Sequence[tuple[int, ...]],
+    caps: Sequence[float | None],
     cap_tbl: np.ndarray,
     pen_tbl: np.ndarray,
 ) -> tuple[list[float], int]:
-    """Numpy kernel: the reference loop as whole-array operations.
+    """Numpy kernel over integer resource ids, with freezing in Python.
 
-    ``res_id`` maps resource names to rows of ``cap_tbl``/``pen_tbl``
-    (capacity and concurrency penalty, see :func:`id_table`).  A
-    ``bincount`` over the members' flat id list yields the touched rows in
-    sorted order with their concurrency, and a lookup table renumbers the
-    flat list to local ids.  Per iteration: one divide and min for the
-    water-level search, one drain, one comparison for saturation, a
-    gather and scatter for the saturated flows, a ``searchsorted`` over
-    the cap-sorted thresholds once the level reaches the lowest live cap,
-    and one ``bincount`` for the concurrency drop.  A resource leaves the
+    ``paths`` holds each member's resource ids (rows of ``cap_tbl`` and
+    ``pen_tbl``, see :func:`id_table` and :func:`path_ids`) and ``caps``
+    its rate cap; the rates come back in member order, and member order
+    never changes them.  One ``np.fromiter`` flattens the ids, a
+    ``bincount`` yields the touched rows in sorted order with their
+    concurrency, and a resource -> flows CSR over local ids is built once.
+    Per iteration, numpy runs the water-level search (one divide and
+    ``np.minimum.reduce``), the drain and the saturation test, while
+    Python freezes the flows of the saturated resources (usually one to
+    three of them) and walks the cap-sorted prefix, collecting the frozen
+    flows' resources for one ``bincount`` that drops their concurrency.
+    Concurrency is held as float64 (the counts are exact), so the divide
+    and the drain need no int -> float cast.  A resource leaves the
     search by dropping to zero flows: its room becomes ``free / 0 = inf``
     (a saturated resource's ``free`` is set to ``inf`` first, since its
     drained value may be ``<= 0``).  Scalar accumulators (``level``,
     ``delta``) stay Python floats so their rounding matches the reference.
     """
-    nflows = len(members)
-    ids = np.array([res_id[r] for f in members for r in f.path])
-    lens = [len(f.path) for f in members]
-    caps = [math.inf if f.rate_cap is None else f.rate_cap for f in members]
+    nflows = len(paths)
+    lens = [len(p) for p in paths]
+    ids = np.fromiter(chain.from_iterable(paths), np.intp, sum(lens))
     counts = np.bincount(ids)
     rows = counts.nonzero()[0]
     nres = len(rows)
     local = np.empty(len(counts), np.intp)
     local[rows] = np.arange(nres)
     fr_flat = local[ids]
-    flow_idx = np.repeat(np.arange(nflows), lens)
-    kcnt = counts[rows]
+    kint = counts[rows]
+    kcnt = kint.astype(np.float64)
     cap = cap_tbl[rows]
-    eff = np.where(kcnt > 1, cap / (1.0 + pen_tbl[rows] * (kcnt - 1)), cap)
+    eff = np.where(kint > 1, cap / (1.0 + pen_tbl[rows] * (kcnt - 1.0)), cap)
     thresh = 1e-9 * eff
     free = eff.copy()
+    # Flows of local resource r: by_res[res_at[r]:res_at[r + 1]]; local
+    # resources of flow fi: fres[flow_at[fi]:flow_at[fi + 1]].
+    by_res = np.repeat(np.arange(nflows), lens)[
+        np.argsort(fr_flat, kind="stable")
+    ].tolist()
+    res_at = [0, *np.cumsum(kint).tolist()]
+    fres = fr_flat.tolist()
+    flow_at = [0, *accumulate(lens)]
     # Capped flows sorted by cap (stable): ``level >= cap - 1e-12`` holds
     # for a prefix of this order, and ``ci`` walks to the first flow of
     # it still unfrozen, whose cap bounds the next level step.
-    capv = np.array(caps)
-    ncapped = int(np.count_nonzero(capv != math.inf))
-    capped = np.argsort(capv, kind="stable")[:ncapped]
-    cap_sorted = capv[capped]
-    cap_thr = cap_sorted - 1e-12
-    capped_l = capped.tolist()
-    cap_l = cap_sorted.tolist()
-    thr_l = cap_thr.tolist()
+    by_cap = sorted(
+        ((c, fi) for fi, c in enumerate(caps) if c is not None), key=itemgetter(0)
+    )
+    capped = [fi for _, fi in by_cap]
+    cap_l = [c for c, _ in by_cap]
+    thr_l = [c - 1e-12 for c in cap_l]
+    ncapped = len(capped)
     ci = 0
-    unfrozen = np.ones(nflows, bool)
-    newf = np.empty(nflows, bool)
-    rates = np.zeros(nflows)
+    unfrozen = [True] * nflows
+    rates = [0.0] * nflows
     rooms = np.empty(nres)
     drain = np.empty(nres)
     sat = np.empty(nres, bool)
+    min_reduce = np.minimum.reduce
+    inf = math.inf
     level = 0.0
     iterations = 0
     remaining = nflows
@@ -433,8 +467,8 @@ def solve_large(
         while True:
             iterations += 1
             np.divide(free, kcnt, out=rooms)
-            delta = float(rooms.min())
-            while ci < ncapped and not unfrozen[capped_l[ci]]:
+            delta = float(min_reduce(rooms))
+            while ci < ncapped and not unfrozen[capped[ci]]:
                 ci += 1
             if ci < ncapped:
                 room = cap_l[ci] - level
@@ -444,32 +478,46 @@ def solve_large(
                 delta = 0.0
             level += delta
             np.multiply(kcnt, delta, out=drain)
-            free -= drain
+            np.subtract(free, drain, out=free)
             np.less_equal(free, thresh, out=sat)
-            newf.fill(False)
-            if np.count_nonzero(sat):
-                newf[flow_idx[sat[fr_flat]]] = True
-                newf &= unfrozen
-                free[sat] = math.inf
-            if ci < ncapped and level >= thr_l[ci]:
-                p = int(cap_thr.searchsorted(level, "right"))
-                cand = capped[ci:p]
-                cand = cand[unfrozen[cand]]
-                # Cap first: a flow that also saturated takes the level.
-                rates[cand] = capv[cand]
-                rates[newf] = level
-                newf[cand] = True
-                ci = p
-            else:
-                rates[newf] = level
-            nnew = int(np.count_nonzero(newf))
+            nsat = np.count_nonzero(sat)
+            froze: list[int] = []
+            nnew = 0
+            if nsat:
+                if nsat == 1:
+                    r = int(sat.argmax())
+                    free[r] = inf
+                    sat_rows: list[int] = [r]
+                else:
+                    sat_rows = sat.nonzero()[0].tolist()
+                    free[sat] = inf
+                for r in sat_rows:
+                    for fi in by_res[res_at[r]:res_at[r + 1]]:
+                        if unfrozen[fi]:
+                            unfrozen[fi] = False
+                            rates[fi] = level
+                            froze += fres[flow_at[fi]:flow_at[fi + 1]]
+                            nnew += 1
+            # Cap freezes after saturation: a flow that also saturated
+            # keeps the level, as in the reference.
+            while ci < ncapped:
+                fi = capped[ci]
+                if unfrozen[fi]:
+                    if level < thr_l[ci]:
+                        break
+                    unfrozen[fi] = False
+                    rates[fi] = cap_l[ci]
+                    froze += fres[flow_at[fi]:flow_at[fi + 1]]
+                    nnew += 1
+                ci += 1
             if not nnew:
                 # Float underflow stalled the level; freeze the survivors.
-                rates[unfrozen] = level
+                for fi in range(nflows):
+                    if unfrozen[fi]:
+                        rates[fi] = level
                 break
             remaining -= nnew
             if not remaining:
                 break
-            unfrozen ^= newf
-            kcnt -= np.bincount(fr_flat[newf[flow_idx]], minlength=nres)
-    return rates.tolist(), iterations
+            kcnt -= np.bincount(froze, minlength=nres)
+    return rates, iterations

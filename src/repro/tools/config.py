@@ -156,7 +156,13 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     # dirty-set re-solve: linear in the dirty components plus their sort
     "repro.simulate.components.ComponentAllocator.solve": "O(n log n)",
     "repro.simulate.components.ComponentAllocator._dirty_groups": "O(n)",
-    # one numpy-tier component end to end (lowering, sorts, filling)
+    # one numpy-tier component: lowering from the slot-cached id tuples
+    # and the changed-only write-back are linear in its members
+    "repro.simulate.components.ComponentAllocator._solve_large": "O(n log n)",
+    # the kept-index split check walks one component, never the world
+    "repro.simulate.components._still_whole": "O(n)",
+    # one numpy-tier component end to end (flattening, the CSR and cap
+    # sorts, filling)
     "repro.simulate.vectorized.solve_large": "O(n log n)",
     # CSR row lookups are slice reads, never rebuilds
     "repro.core.csr.LocalityCSR.task_row": "O(deg)",

@@ -233,6 +233,31 @@ def test_rack_uplink_merge_and_split():
     assert alloc.component_count == 2
 
 
+def test_absorbed_shrunk_component_is_repartitioned():
+    """A component that lost a flow and is then absorbed by a larger one
+    before the next solve hands its pending re-partition to the merged
+    component: the piece the new flow does not reach splits off."""
+    resources = {n: 10.0 for n in ("r1", "r2", "r3", "r4", "s1", "s2")}
+    alloc = build(resources)
+    a = Flow(100.0, ("r1", "r2"))
+    b = Flow(100.0, ("r2", "r3"))
+    c = Flow(100.0, ("r3", "r4"))
+    live = [a, b, c, *(Flow(100.0, ("s1", "s2")) for _ in range(3))]
+    for f in live:
+        alloc.add(f)
+    alloc.solve()
+    alloc.remove(b)  # {a, c} is now two pieces, awaiting re-partition
+    live.remove(b)
+    e = Flow(100.0, ("r1", "s1"))  # joins a's piece to the larger component
+    alloc.add(e)
+    live.append(e)
+    rates = alloc.solve()
+    assert {frozenset(p) for p in alloc.components()} == bruteforce_partition(live)
+    assert [c] in alloc.components()
+    for members in alloc.components():
+        assert {f: rates[f] for f in members} == allocate_rates(members, resources)
+
+
 def test_rate_capped_flows_freeze_exactly():
     """Capped flows must come out at exactly their cap when unconstrained
     — the stable sort by cap inside a component matches the reference."""
@@ -281,3 +306,88 @@ def test_changed_slot_reporting_is_component_scoped():
     alloc.solve(out=out)
     assert alloc.last_changed == []
     assert alloc.last_component_solves == 0
+
+
+def test_large_component_reports_only_rerated_slots():
+    """A component of VECTOR_MIN_FLOWS or more flows writes and reports
+    only its new flows and the flows whose rate changed; every other slot
+    keeps what it held, which the engine's completion heap relies on."""
+    import numpy as np
+
+    from repro.simulate.vectorized import VECTOR_MIN_FLOWS
+
+    # Each flow is bound by its own disk (small integer capacities, so
+    # every water level is exact); the hub joins them into one component
+    # without binding anyone.  "s" is shared by fx and fy only, and
+    # binds both.
+    n = VECTOR_MIN_FLOWS + 8
+    resources = {
+        "hub": 1000.0, "s": 4.0, "dy": 8.0, "dz": 3.0, "dw": 5.0,
+        **{f"d{i}": float(i % 8 + 1) for i in range(n)},
+    }
+    alloc = build(resources)
+    flows = [Flow(100.0, ("hub", f"d{i}")) for i in range(n)]
+    fx = Flow(100.0, ("hub", "s"))
+    fy = Flow(100.0, ("hub", "s", "dy"))
+    slots = {}
+    for f in [*flows, fx, fy]:
+        slots[f] = alloc.add(f, fid=len(slots))
+    out = np.full(len(slots) + 4, -1.0)
+    alloc.solve(out=out)
+    assert alloc.last_vectorized_solves == 1
+    assert sorted(alloc.last_changed) == sorted(slots.values())
+    before = allocate_rates(list(slots), resources)
+    assert all(out[slot] == before[f] for f, slot in slots.items())
+
+    # Flow 0's resources bind nobody else: the component is re-solved on
+    # the numpy tier, but no rate moves, so nothing is reported or written.
+    alloc.remove(flows[0])
+    del slots[flows[0]]
+    out[:] = -1.0
+    alloc.solve(out=out)
+    assert alloc.last_vectorized_solves == alloc.last_component_solves == 1
+    assert alloc.last_changed == []
+    assert (out == -1.0).all()
+
+    # fx leaves "s" to fy (re-rated), fz is new; nothing else moves.
+    alloc.remove(fx)
+    del slots[fx]
+    fz = Flow(100.0, ("hub", "dz"))
+    slots[fz] = alloc.add(fz, fid=len(out) - 1)
+    alloc.solve(out=out)
+    assert alloc.last_vectorized_solves == 1
+    changed = sorted(alloc.last_changed)
+    assert changed == sorted([slots[fy], slots[fz]])
+    assert np.flatnonzero(out != -1.0).tolist() == changed
+    after = allocate_rates(list(slots), resources)
+    assert after[fy] != before[fy]
+    for f, slot in slots.items():
+        if slot in changed:
+            assert out[slot] == after[f]
+        else:
+            assert after[f] == before[f]
+    assert alloc.solve() == after
+
+    # Recycled slots: a new tenant is reported even when its rate equals
+    # the old tenant's, and is lowered from its own path.
+    fu = Flow(100.0, ("hub", "d1"))  # same path and rate as flows[1]
+    fw = Flow(100.0, ("hub", "dw"))  # flows[2] ran at 3.0 on d2
+    for old, new in ((flows[1], fu), (flows[2], fw)):
+        slot = slots.pop(old)
+        alloc.remove(old)
+        slots[new] = alloc.add(new, fid=slot)
+    out[:] = -1.0
+    alloc.solve(out=out)
+    assert sorted(alloc.last_changed) == [1, 2]
+    assert out[1] == 2.0 and out[2] == 5.0
+
+    # A resource registered late rebuilds the id table; the ids cached
+    # for the other slots stay valid.
+    resources["late"] = 7.0
+    alloc.register("late", 7.0)
+    fl = Flow(100.0, ("hub", "late"))
+    slots[fl] = alloc.add(fl, fid=len(out) - 2)
+    rates = alloc.solve()
+    assert alloc.last_vectorized_solves == 1
+    assert rates == allocate_rates(list(slots), resources)
+    assert rates[fl] == 7.0

@@ -26,6 +26,7 @@ from repro.simulate.resources import Resource
 from repro.simulate.vectorized import (
     VECTOR_MIN_FLOWS,
     id_table,
+    path_ids,
     res_entry,
     solve_component,
     solve_large,
@@ -58,6 +59,17 @@ def _shuffled_id_table(resources, seed):
     return id_table({n: res_entry(resources[n]) for n in names})
 
 
+def _solve_large_on(flows, id_tbl):
+    """The numpy kernel as the allocator calls it: per-member id tuples."""
+    res_id, cap_tbl, pen_tbl = id_tbl
+    return solve_large(
+        [path_ids(f, res_id) for f in flows],
+        [f.rate_cap for f in flows],
+        cap_tbl,
+        pen_tbl,
+    )
+
+
 def _assert_identical(flows, resources):
     got, got_iters = _kernel_rates(flows, resources)
     want, want_iters = _reference_rates(flows, resources)
@@ -65,9 +77,16 @@ def _assert_identical(flows, resources):
     assert got_iters == want_iters
     if len(flows) > 1:
         # The numpy kernel must agree at every size, not only where the
-        # dispatch sends it, and whatever order the resource ids take.
-        res_id, cap_tbl, pen_tbl = _shuffled_id_table(resources, len(flows))
-        assert solve_large(flows, res_id, cap_tbl, pen_tbl) == (want, want_iters)
+        # dispatch sends it, whatever order the resource ids take, and
+        # whatever order the members come in (the allocator passes them
+        # in component order, not in the reference's active-list order).
+        id_tbl = _shuffled_id_table(resources, len(flows))
+        assert _solve_large_on(flows, id_tbl) == (want, want_iters)
+        perm = list(range(len(flows)))
+        random.Random(len(flows)).shuffle(perm)
+        rates, iters = _solve_large_on([flows[i] for i in perm], id_tbl)
+        assert [rates[perm.index(i)] for i in range(len(flows))] == want
+        assert iters == want_iters
 
 
 def _random_component(rng: random.Random, nflows: int):
@@ -205,6 +224,43 @@ def test_underflow_fallback_freezes_all():
         Flow(size=1.0, path=("b",), rate_cap=1e-320),
         Flow(size=1.0, path=("b",)),
     ]
+    _assert_identical(flows, resources)
+
+
+@pytest.mark.parametrize("extra", [0, VECTOR_MIN_FLOWS])
+def test_underflow_stall_freezes_survivors_at_the_level(extra):
+    """A stall after the level has risen: the survivors take that level.
+
+    In ulps of the smallest subnormal: "u" (6) saturates first and lifts
+    the level to 6, leaving "t" (19, three flows) 1 ulp free, above its
+    zero threshold; the next room, 1/3 ulp, rounds to 0, so nothing
+    freezes and the fallback does.  ``extra`` flows on a roomy resource
+    push the component onto the numpy tier and also freeze in the
+    fallback."""
+    ulp = 5e-324
+    resources = {"t": 19 * ulp, "u": 6 * ulp, "v": 1.0}
+    flows = [Flow(size=1.0, path=("t",)) for _ in range(3)]
+    flows.append(Flow(size=1.0, path=("u",)))
+    flows += [Flow(size=1.0, path=("v",)) for _ in range(extra)]
+    _assert_identical(flows, resources)
+    rates, iters = _kernel_rates(flows, resources)
+    assert iters == 2
+    assert set(rates) == {6 * ulp}
+
+
+def test_large_equal_cap_ties_with_uncapped_flows():
+    """On the numpy tier: many flows share one cap, others share another
+    or have none, and a shared resource binds part of them."""
+    rng = random.Random(77)
+    resources = {
+        "hub": Resource(name="hub", capacity=150.0, concurrency_penalty=0.02),
+        **{f"d{i}": float(rng.choice([3, 4, 6])) for i in range(12)},
+    }
+    flows = []
+    for i in range(3 * VECTOR_MIN_FLOWS // 2):
+        path = ("hub", f"d{i % 12}") if i % 3 else (f"d{i % 12}",)
+        cap = (None, 2.0, 2.0, 2.0, 3.5, 3.5)[i % 6]
+        flows.append(Flow(size=1.0, path=path, rate_cap=cap))
     _assert_identical(flows, resources)
 
 
@@ -350,6 +406,148 @@ def test_allocator_large_components_churn(seed):
     parts = auto.components()
     assert len(parts) >= 3
     assert max(len(c) for c in parts) >= VECTOR_MIN_FLOWS // 2
+
+
+def _rebuilt_index(alloc, cid):
+    """The resource -> slot -> flow index of one component, from scratch."""
+    index = {}
+    for f, fid in alloc._comp_flows[cid].items():
+        for r in f.path:
+            index.setdefault(r, {})[fid] = f
+    return index
+
+
+def _assert_kept_indexes_exact(alloc):
+    for cid, index in alloc._adj.items():
+        assert index == _rebuilt_index(alloc, cid)
+    assert set(alloc._probes) <= set(alloc._adj)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_allocator_large_component_index_fuzz(seed):
+    """The resource index kept for large components, through absorbs of
+    shrunk large components, splits into three or more parts, shrinking
+    below the cutoff and regrowing past it, and random churn.  After
+    every operation each kept index equals one rebuilt from its
+    component's members; at every solve the partition is the brute-force
+    one and the rates equal the reference kernel's."""
+    rng = random.Random(8000 + seed)
+    islands = [[f"i{k}r{j}" for j in range(6)] for k in range(4)]
+    bridges = ["b01", "b12", "b23"]
+    resources = {}
+    for name in [n for isl in islands for n in isl] + bridges:
+        resources[name] = Resource(
+            name=name,
+            capacity=rng.choice([20.0, 40.0, 125.0]),
+            concurrency_penalty=rng.choice([0.0, 0.02, 0.1]),
+        )
+    auto = ComponentAllocator()
+    ref = ComponentAllocator(kernel="reference")
+    for name in resources:
+        auto.register(name, resources[name])
+        ref.register(name, resources[name])
+    live: list[Flow] = []
+    of_island: dict[Flow, int] = {}
+
+    def add(f, k=None):
+        live.append(f)
+        if k is not None:
+            of_island[f] = k
+        auto.add(f)
+        ref.add(f)
+        _assert_kept_indexes_exact(auto)
+
+    def remove(f):
+        live.remove(f)
+        of_island.pop(f, None)
+        auto.remove(f)
+        ref.remove(f)
+        _assert_kept_indexes_exact(auto)
+
+    def grow(k, n):
+        for _ in range(n):
+            add(_island_flow(rng, islands[k]), k)
+
+    def check():
+        assert auto.solve() == ref.solve()
+        assert auto.last_iterations == ref.last_iterations
+        assert {frozenset(c) for c in auto.components()} == bruteforce_partition(live)
+        _assert_kept_indexes_exact(auto)
+        assert not auto._probes
+        for cid in auto._adj:
+            assert len(auto._comp_flows[cid]) >= VECTOR_MIN_FLOWS
+
+    def bridge(a, b, name):
+        f = _island_flow(rng, islands[a], name)
+        f = Flow(size=1.0, path=(*f.path, rng.choice(islands[b])), rate_cap=f.rate_cap)
+        add(f)
+        return f
+
+    for k, isl in enumerate(islands):
+        for a, b in zip(isl, isl[1:]):
+            add(Flow(size=1.0, path=(a, b), rate_cap=4.0))
+        grow(k, VECTOR_MIN_FLOWS)
+    check()
+    # A remove makes each island's next re-partition a full one, which
+    # finds it whole and starts keeping its index.
+    for k in range(4):
+        remove(rng.choice([f for f in live if of_island.get(f) == k]))
+    check()
+    assert len(auto._adj) == 4
+
+    # Absorbing a shrunk large component drops the survivor's index.
+    remove(rng.choice([f for f in live if of_island.get(f) == 0]))
+    links = [bridge(0, 1, "b01")]
+    assert len(auto._adj) == 2
+    check()
+    # Absorbing clean components merges their index into the survivor's.
+    remove(rng.choice([f for f in live if of_island.get(f) == 1]))
+    check()
+    assert len(auto._adj) == 3
+    links.append(bridge(1, 2, "b12"))
+    links.append(bridge(2, 3, "b23"))
+    assert len(auto._adj) == 1
+    check()
+    # Churn inside the merged component: re-partitions prove it whole
+    # through the kept index.
+    for _ in range(30):
+        if rng.random() < 0.5:
+            remove(rng.choice([f for f in live if f in of_island]))
+        else:
+            grow(rng.randrange(4), 1)
+        if rng.random() < 0.5:
+            check()
+    check()
+    # Dropping the bridges splits it four ways (some islands may split
+    # further once churn removed part of their spine).
+    for f in links:
+        remove(f)
+    check()
+    assert len(auto.components()) >= 4
+
+    # Shrink island 2 below the cutoff, then regrow it past it.
+    mine = [f for f in live if of_island.get(f) == 2]
+    for f in mine[: len(mine) - VECTOR_MIN_FLOWS // 2]:
+        remove(f)
+    check()
+    grow(2, VECTOR_MIN_FLOWS)
+    check()
+    remove(rng.choice([f for f in live if of_island.get(f) == 2]))
+    check()
+
+    # Random churn, bridges included, solving at random points.
+    for _ in range(150):
+        u = rng.random()
+        if u < 0.1:
+            a = rng.randrange(3)
+            bridge(a, a + 1, bridges[a])
+        elif u < 0.55 and live:
+            remove(rng.choice(live))
+        else:
+            grow(rng.randrange(4), 1)
+        if rng.random() < 0.3:
+            check()
+    check()
 
 
 def test_allocator_counts_vectorized_solves():

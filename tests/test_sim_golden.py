@@ -155,6 +155,10 @@ def test_ingest_64_numpy_tier_bitwise():
 
     ing, res = ingest_64_wl()
     assert ing.sim.perf.vectorized_solves > 0
+    # Numpy-tier solves re-push only the flows they re-rate; most keep a
+    # bit-identical rate (deterministic counts: 1,471 pushes for 5,365
+    # re-solved flows, against 5,453 when every member was re-pushed).
+    assert ing.sim.perf.heap_pushes < ing.sim.perf.component_flows_resolved // 2
     assert ingest_64_wl_entry(res) == GOLDEN_COMPONENT["ingest_64_wl"]
 
 

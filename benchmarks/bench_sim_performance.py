@@ -33,12 +33,8 @@ Without ``--check`` the measured rows are merged into the file.
 CI runs the gated form on every push (see .github/workflows/ci.yml,
 job ``bench-regression``).
 
-``--fastforward off`` disables the engine's fused cascade fast-forward
-loop and runs the general per-event dispatcher instead; ``--trace-out``
-dumps the full event trace per scale, and CI's
-``bench-fastforward-identity`` job runs both forms with it and diffs the
-traces byte-for-byte (the fast-forward identity contract).  'off' rows
-are never merged into the committed baseline.
+``--trace-out`` dumps the full event trace per scale (records and
+makespan), for diffing two revisions' runs.
 """
 
 import argparse
@@ -50,12 +46,7 @@ from pathlib import Path
 
 from repro.core import ProcessPlacement, rank_interval_assignment, tasks_from_dataset
 from repro.dfs import ClusterSpec, DistributedFileSystem
-from repro.simulate import (
-    ParallelReadRun,
-    Simulation,
-    StaticSource,
-    cluster_resources,
-)
+from repro.simulate import ParallelReadRun, StaticSource
 from repro.viz import format_table
 from repro.workloads import single_data_workload
 
@@ -107,22 +98,15 @@ EXTENDED_SCALES = (2048, 4096)
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 
-def _run_once(
-    m: int, seed: int, want_trace: bool = False, fastforward: bool = True
-):
+def _run_once(m: int, seed: int, want_trace: bool = False):
     fs = DistributedFileSystem(ClusterSpec.homogeneous(m), seed=seed)
     data = single_data_workload(m, 10)
     fs.put_dataset(data)
     placement = ProcessPlacement.one_per_node(m)
     tasks = tasks_from_dataset(data)
-    sim = None
-    if not fastforward:
-        sim = Simulation(allocator="component", fastforward=False)
-        sim.add_resources(cluster_resources(fs.spec))
     run = ParallelReadRun(
         fs, placement, tasks,
         StaticSource(rank_interval_assignment(len(tasks), m)), seed=seed,
-        sim=sim,
     )
     # Keep runs independent: don't let garbage from the previous run
     # trigger a collection pause inside this run's timed region.
@@ -152,7 +136,6 @@ def _run_once(
         "events_per_second": run.sim.events_processed / wall,
         "solves": snap["solves"],
         "solve_iterations": snap["solve_iterations"],
-        "prediction_rebuilds": snap["prediction_rebuilds"],
         "heap_pushes": snap["heap_pushes"],
         "stale_pops": snap["stale_pops"],
         "components": snap["components"],
@@ -176,13 +159,12 @@ def _run_once(
 
 def run_scaling(
     seed: int = 0, repeats: int = REPEATS, scales=SCALES,
-    want_trace: bool = False, fastforward: bool = True,
+    want_trace: bool = False,
 ):
     rows = []
     for m in scales:
         best = min(
-            (_run_once(m, seed, want_trace=want_trace,
-                       fastforward=fastforward)
+            (_run_once(m, seed, want_trace=want_trace)
              for _ in range(repeats)),
             key=lambda r: r["wall_s"],
         )
@@ -222,8 +204,6 @@ def assert_row_health(r):
     # One re-solve per flow start + one per finish, plus slack: the
     # allocator must stay event-driven, never per-timestep.
     assert r["solves"] <= r["events"] + 2
-    # The lazy heap must hold: no full prediction rebuilds, ever.
-    assert r["prediction_rebuilds"] < r["solves"]
 
 
 def test_sim_event_throughput(benchmark):
@@ -352,15 +332,7 @@ def main(argv=None):
     parser.add_argument(
         "--trace-out", type=Path, default=None,
         help="write the full event trace (records + makespan per scale) "
-             "to this JSON file for cross-leg identity checks",
-    )
-    parser.add_argument(
-        "--fastforward", choices=("on", "off"), default="on",
-        help="'off' disables the engine's fused cascade fast-forward "
-             "loop (the general per-event dispatcher runs instead); "
-             "traces must match the fast-forward run byte-for-byte, and "
-             "'off' rows are never merged into the committed baseline "
-             "(default: %(default)s)",
+             "to this JSON file, for diffing two revisions' runs",
     )
     args = parser.parse_args(argv)
     scales = tuple(int(s) for s in args.scales.split(","))
@@ -369,7 +341,6 @@ def main(argv=None):
     rows = run_scaling(
         seed=0, repeats=args.repeats, scales=scales,
         want_trace=args.trace_out is not None,
-        fastforward=args.fastforward == "on",
     )
     if args.trace_out is not None:
         traces = {str(r["nodes"]): r.pop("trace") for r in rows}
@@ -380,16 +351,6 @@ def main(argv=None):
     print_rows(rows)
     for r in rows:
         assert_row_health(r)
-        if args.fastforward == "off":
-            # The general dispatcher ran: no cascade runs may be counted.
-            assert r["fastforward_cascades"] == 0, r
-    if args.fastforward == "off" and not args.check:
-        # Fast-forward-off rows never merge into the committed
-        # fast-forward baseline.
-        if args.out is not None:
-            args.out.write_text(json.dumps({"scales": rows}, indent=1) + "\n")
-            print(f"wrote {args.out}")
-        return 0
     if args.check:
         failures = check_regression(rows)
         if args.out is not None:

@@ -1,6 +1,5 @@
 """Flow-level discrete-event simulation of the cluster's disks and network."""
 
-from .allocator import IncrementalAllocator
 from .background import BackgroundTraffic
 from .components import ComponentAllocator
 from .engine import REMAINING_EPS, Simulation
@@ -36,7 +35,6 @@ __all__ = [
     "DatasetIngest",
     "FaultPlan",
     "Flow",
-    "IncrementalAllocator",
     "IngestResult",
     "NodeFailure",
     "NodeRecovery",

@@ -1,4 +1,4 @@
-"""Canonical component-solve memoization for the cascade fast-forward.
+"""Canonical component-solve memoization for completion cascades.
 
 The Fig-7-style workloads solve the *same component shapes* millions of
 times: a local read is a singleton on its disk chain, a remote read is a

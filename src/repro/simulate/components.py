@@ -84,9 +84,9 @@ class ComponentAllocator:
     """Persistent per-component water-filling with O(affected component)
     re-solve.
 
-    API-compatible with
-    :class:`~repro.simulate.allocator.IncrementalAllocator`
-    (``register``/``add``/``remove``/``solve``), plus the component
+    The engine's only allocator: ``register``/``add``/``remove``/``solve``
+    (without ``out``, ``solve`` returns the Flow-keyed dict of
+    :func:`~repro.simulate.flows.allocate_rates`), plus the component
     introspection the engine's lazy completion heap and the perf counters
     consume (:attr:`last_changed`, :attr:`component_count`, ...).
     """

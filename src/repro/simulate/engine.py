@@ -13,22 +13,19 @@ starts, completes or is cancelled).  Between events every flow's
 no fixed time step, no numerical integration error beyond float
 arithmetic.
 
-The hot path is O(affected component) end to end:
+The hot path is O(affected component) end to end, and one fused loop
+(:meth:`Simulation.run`) drives every run, bounded or not:
 
 * flow state lives in a structure-of-arrays
   :class:`~repro.simulate.flowtable.FlowTable` (remaining/rate/start-epoch
   slot arrays with free-list recycling and 64-bit generation stamps), so
-  the settle pass, the sweep and the completion predictions are whole-array
+  the settle pass and the bulk completion predictions are whole-array
   kernels instead of per-Flow attribute walks;
 * rates come from a persistent :class:`~repro.simulate.components.
-  ComponentAllocator` (the default) that tracks the connected components
-  of the flow–resource graph and re-runs water-filling only for the
-  components a flow event touched — the measured workloads split into
-  many components of median size one flow.  The previous engines remain
-  as differential references: ``Simulation(allocator="incremental")``
-  (persistent whole-network :class:`~repro.simulate.allocator.
-  IncrementalAllocator`) and ``allocator="reference"`` (pure
-  :func:`~repro.simulate.flows.allocate_rates` rebuild per epoch);
+  ComponentAllocator` that tracks the connected components of the
+  flow–resource graph and re-runs water-filling only for the components
+  a flow event touched — the measured workloads split into many
+  components of median size one flow;
 * the next completion comes from a **lazy-invalidation heap**: a flow's
   predicted absolute finish time ``t = settled_at + remaining/rate`` is
   invariant while its rate holds (``remaining`` drains linearly at
@@ -42,23 +39,21 @@ The hot path is O(affected component) end to end:
   by ``(time, flow_id)``, and candidates within a ≤1e-9-relative tie
   window of the top are re-predicted fresh and snapped to the minimal
   ``flow_id`` — so simultaneous completions fire in ``flow_id`` order
-  (matching the sweep) regardless of float noise in the predictions.  Tie candidates
-  pulled out of the heap park in a **tie group** side table (fid →
-  fresh prediction) instead of being re-pushed, so a wave of w
-  simultaneous completions costs O(w) dict scans per event rather than
-  O(w log n) heap churn — the whole-wave pop/re-push cycle per event is
-  what collapsed throughput at 2048+ nodes.  The cache modes keep the
-  **per-epoch completion cache** (one vectorised ``now + remaining/
-  rate`` pass per rate epoch) for bit-exact differential runs;
+  (matching the retire sweep) regardless of float noise in the
+  predictions.  Tie candidates pulled out of the heap park in a **tie
+  group** side table (fid → fresh prediction) instead of being re-pushed,
+  so a wave of w simultaneous completions costs O(w) dict scans per event
+  rather than O(w log n) heap churn — the whole-wave pop/re-push cycle
+  per event is what collapsed throughput at 2048+ nodes;
 * **timer waves coalesce**: all timers sharing the *exact* timestamp of
   the one being processed drain in a single settle/solve cycle when a
   conservative bound proves the replay is unchanged — every active
   flow's remaining, divided by the fastest resource's capacity, keeps
   any completion strictly beyond the wave's instant (so the per-timer
-  event-selection checks and sweeps the sequential path would run are
-  all provably no-ops).  Per-component water-filling depends only on
-  the final membership of the epoch, so one solve at the end of the
-  wave writes the same rates the per-timer solves would have;
+  event-selection checks and sweeps a one-timer-per-event replay would
+  run are all provably no-ops).  Per-component water-filling depends
+  only on the final membership of the epoch, so one solve at the end of
+  the wave writes the same rates the per-timer solves would have;
 * flow progress uses **credit accounting**: each flow's ``remaining`` is
   settled only at rate-epoch boundaries (one fused ``remaining -=
   rate·dt`` per epoch instead of one per event), and the sweep never
@@ -70,12 +65,17 @@ The hot path is O(affected component) end to end:
 
 The dense slot arrays are authoritative for ``remaining``; the ``Flow``
 objects are synchronised at observation points (completion, cancellation,
-every ``run``/``run(until=...)`` return).  Component-sliced solves match
-the reference arithmetic operation for operation *per component*; across
-components the global water level of the reference interleaves float
-rounding differently, so end-to-end rates agree to ≤ 1e-9 relative
-(pinned by ``tests/test_properties_components.py``; the cache modes stay
-bit-for-bit against ``tests/test_sim_golden.py``'s fixtures).
+every ``run`` return).  A bounded ``run(until=...)`` that stops early
+does not settle the slot arrays — it reports each flow's drained
+remaining on the ``Flow`` only — so a run split at any number of
+``until`` cuts replays exactly the floats of the unsplit run.
+Component-sliced solves match the pure :func:`~repro.simulate.flows.
+allocate_rates` operation for operation *per component*; across
+components the global water level of a whole-network solve interleaves
+float rounding differently, so end-to-end event times agree with the
+naive engine in ``tests/reference_sim.py`` to ≤ 1e-9 relative, in the
+same event order (pinned by ``tests/test_sim_fastforward.py``; the
+exact trajectories are pinned by ``tests/test_sim_golden.py``).
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocator import IncrementalAllocator
 from .components import ComponentAllocator
-from .flows import Flow, allocate_rates
+from .flows import Flow
 from .flowtable import FlowTable
 from .perf import SimPerf, wall_clock
 from .resources import Resource
@@ -99,83 +98,24 @@ REMAINING_EPS = 1e-6
 
 #: Relative width of the lazy heap's tie window: entries this close to the
 #: top are re-predicted fresh before the winner is chosen, so the pick is
-#: made from the same floats the cache modes' full rescan would produce.
+#: made from the same floats a full rescan of every flow would produce.
 #: Parked entries drift from their fresh value only by the float rounding
 #: of the settles that ran meanwhile (≲1e-10 s absolute over the largest
 #: benches) — orders of magnitude inside this window, so the true earliest
 #: completion is always among the re-predicted candidates.
 _PEEK_TIE_WINDOW = 1e-9
 
-#: Allocator mode used by ``Simulation()`` when none is named.  Tests pin
-#: historical engines by rebinding this (see ``tests/test_sim_golden.py``);
-#: library code never mutates it.
-DEFAULT_ALLOCATOR = "component"
-
-#: Whether ``Simulation()`` uses the fused cascade fast-forward loop for
-#: unbounded ``run()`` calls when the caller does not say.  The
-#: differential golden leg rebinds this to drive whole experiments
-#: through the general dispatcher (see ``tests/test_sim_fastforward.py``);
-#: library code never mutates it.
-DEFAULT_FASTFORWARD = True
-
 
 class Simulation:
     """Event loop owning the clock, timers, resources and active flows."""
 
-    def __init__(
-        self,
-        *,
-        allocator: str | None = None,
-        fastforward: bool | None = None,
-    ) -> None:
-        """
-        Parameters
-        ----------
-        allocator:
-            ``"component"`` (the module default, see
-            :data:`DEFAULT_ALLOCATOR`) re-solves only the connected
-            components a flow event touched and re-predicts only their
-            members' completions; ``"incremental"`` uses the persistent
-            whole-network :class:`IncrementalAllocator` with the
-            per-epoch completion cache; ``"reference"`` re-solves with
-            the pure :func:`allocate_rates` on every dirty refresh —
-            slowest, kept for differential testing.
-        fastforward:
-            When true (the module default, see
-            :data:`DEFAULT_FASTFORWARD`), ``run()`` with no ``until`` bound
-            executes component-mode event cycles through the fused
-            fast-forward loop (:meth:`_run_fast`): completion cascades
-            are driven without re-entering the general dispatcher, with
-            the per-event settle/solve/drain/select/sweep phases
-            inlined into one frame.  The replay is event-for-event and
-            bit-for-bit identical to ``fastforward=False`` (pinned by
-            the golden fixtures and the differential trace tests in
-            ``tests/test_sim_fastforward.py``); the flag exists for
-            that differential and for perf A/B runs.
-        """
-        if allocator is None:
-            allocator = DEFAULT_ALLOCATOR
-        if fastforward is None:
-            fastforward = DEFAULT_FASTFORWARD
-        if allocator not in ("component", "incremental", "reference"):
-            raise ValueError(f"unknown allocator {allocator!r}")
-        #: which rate-solve strategy this simulation runs (read-only).
-        self.allocator = allocator
-        #: whether unbounded ``run()`` uses the fused fast-forward loop
-        #: (read-only; component mode only — other modes ignore it).
-        self.fastforward = fastforward
+    def __init__(self) -> None:
         self.now = 0.0
         self.perf = SimPerf()
         self._timers: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = count()
         self._resources: dict[str, Resource] = {}
-        self._calloc: ComponentAllocator | None = None
-        self._alloc: ComponentAllocator | IncrementalAllocator | None = None
-        if allocator == "component":
-            self._calloc = ComponentAllocator()
-            self._alloc = self._calloc
-        elif allocator == "incremental":
-            self._alloc = IncrementalAllocator()
+        self._alloc = ComponentAllocator()
         #: O(1) registry: flow -> completion callback, insertion-ordered.
         self._flows: dict[Flow, Callable[[Flow], None]] = {}
         self._dirty = True
@@ -188,13 +128,9 @@ class Simulation:
         self._table = FlowTable()
         #: simulated time all slots' ``remaining`` values refer to
         self._settled_at = 0.0
-        #: rate epoch; bumped on every re-solve, invalidates the prediction
-        self._epoch = 0
-        self._next_completion: tuple[float, int, Flow] | None = None
-        self._pred_epoch = -1
-        # Lazy-invalidation completion heap (component mode): entries are
-        # ``(time, flow_id, fid, seq)``; ``_entry_seq[fid]`` names the only
-        # live sequence number per slot (-1 = none), so superseded and
+        # Lazy-invalidation completion heap: entries are ``(time,
+        # flow_id, fid, seq)``; ``_entry_seq[fid]`` names the only live
+        # sequence number per slot (-1 = none), so superseded and
         # finished entries are recognised and discarded on pop.  Changed
         # fids reported by solve() park in ``_pending_push`` (an
         # insertion-ordered dict used as a set) until the next peek.
@@ -211,12 +147,11 @@ class Simulation:
         #: fastest single-flow capacity over all resources — the hard
         #: upper bound on any flow's rate, for the coalescing bound below.
         self._cap_max = 0.0
-        #: pessimistic retire-time heap (component mode): entries
-        #: ``(bound, fid, seq)`` where ``bound = settled_at +
-        #: (remaining − 1 byte)/rate`` is strictly earlier than the slot
-        #: could reach the sweep threshold *at its current rate* — and a
-        #: rate only changes at a re-solve, which pushes a fresh entry
-        #: for every re-rated slot (see :meth:`_drain_pending`) and
+        #: pessimistic retire-time heap: entries ``(bound, fid, seq)``
+        #: where ``bound = settled_at + (remaining − 1 byte)/rate`` is
+        #: strictly earlier than the slot could reach the sweep threshold
+        #: *at its current rate* — and a rate only changes at a re-solve,
+        #: which pushes a fresh entry for every re-rated slot and
         #: supersedes the old one via ``_pess_seq``.  The 1-byte margin
         #: dwarfs the settles' float rounding, so the sweep only ever
         #: runs the exact drain arithmetic on the handful of slots whose
@@ -242,8 +177,7 @@ class Simulation:
         cap = resource.effective_capacity(1)
         if cap > self._cap_max:
             self._cap_max = cap
-        if self._alloc is not None:
-            self._alloc.register(resource.name, resource)
+        self._alloc.register(resource.name, resource)
 
     def add_resources(self, resources: list[Resource]) -> None:
         for r in resources:
@@ -256,8 +190,8 @@ class Simulation:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay!r}")
         heapq.heappush(self._timers, (self.now + delay, next(self._seq), callback))
 
     def start_flow(
@@ -288,8 +222,7 @@ class Simulation:
             self._pess_seq.append(-1)
         if flow.remaining < self._scan_floor:
             self._scan_floor = flow.remaining
-        if self._alloc is not None:
-            self._alloc.add(flow, fid)
+        self._alloc.add(flow, fid)
         self._dirty = True
         self.perf.flows_started += 1
         return flow
@@ -307,8 +240,7 @@ class Simulation:
         del self._flows[flow]
         flow.remaining = float(self._table.rem[flow.fid])
         self._release_fid(flow)
-        if self._alloc is not None:
-            self._alloc.remove(flow)
+        self._alloc.remove(flow)
         self._dirty = True
         self.perf.flows_cancelled += 1
 
@@ -331,28 +263,6 @@ class Simulation:
         return float(self._table.rate[flow.fid])
 
     # -- incremental state ---------------------------------------------------
-
-    # Slot-table compatibility views (tests and diagnostics poke these;
-    # the hot path reads the table directly).
-    @property
-    def _flow_at(self) -> list[Flow | None]:
-        return self._table.flow_at
-
-    @property
-    def _fid_of(self) -> dict[Flow, int]:
-        return self._table.fid_of
-
-    @property
-    def _free_ids(self) -> list[int]:
-        return self._table.free_ids
-
-    @property
-    def _rem(self) -> np.ndarray:
-        return self._table.rem
-
-    @property
-    def _rate(self) -> np.ndarray:
-        return self._table.rate
 
     def _release_fid(self, flow: Flow) -> None:
         """Return the flow's slot to the free list, restoring sentinels."""
@@ -378,62 +288,39 @@ class Simulation:
         self.perf.flows_settled += n
         self.perf.settle_wall += wall_clock() - t0
 
-    def _sync_remaining(self) -> None:
-        """Copy the authoritative slot array back onto the Flow objects."""
-        self._table.sync_remaining()
-
     def _refresh_rates(self) -> None:
+        """Settle and re-solve outside the loop (for :meth:`current_rate`).
+
+        :meth:`run` inlines the same steps; the re-rated slots wait in
+        ``_pending_push`` for the loop's next drain.
+        """
         if not self._dirty:
             return
         # The old rates governed the interval up to ``now``; credit it
         # before they are replaced.
         self._settle_all()
         t0 = wall_clock()
-        calloc = self._calloc
-        if calloc is not None:
-            calloc.solve(out=self._table.rate)
-            perf = self.perf
-            perf.solve_iterations += calloc.last_iterations
-            perf.component_solves += calloc.last_component_solves
-            perf.component_flows_resolved += calloc.last_flows_resolved
-            perf.vectorized_solves += calloc.last_vectorized_solves
-            perf.memo_hits += calloc.last_memo_hits
-            if calloc.last_component_size_max > perf.component_size_max:
-                perf.component_size_max = calloc.last_component_size_max
-            n_comp = calloc.component_count
-            if n_comp > perf.components:
-                perf.components = n_comp
-            pending = self._pending_push
-            for fid in calloc.last_changed:
-                pending[fid] = None
-        elif self._alloc is not None:
-            self._alloc.solve(out=self._table.rate)
-            self.perf.solve_iterations += self._alloc.last_iterations
-        else:
-            rates = allocate_rates(list(self._flows), self._resources)
-            rate = self._table.rate
-            fid_of = self._table.fid_of
-            for f, r in rates.items():
-                rate[fid_of[f]] = r
+        alloc = self._alloc
+        alloc.solve(out=self._table.rate)
+        perf = self.perf
+        perf.solve_iterations += alloc.last_iterations
+        perf.component_solves += alloc.last_component_solves
+        perf.component_flows_resolved += alloc.last_flows_resolved
+        perf.vectorized_solves += alloc.last_vectorized_solves
+        perf.memo_hits += alloc.last_memo_hits
+        if alloc.last_component_size_max > perf.component_size_max:
+            perf.component_size_max = alloc.last_component_size_max
+        n_comp = alloc.component_count
+        if n_comp > perf.components:
+            perf.components = n_comp
+        pending = self._pending_push
+        for fid in alloc.last_changed:
+            pending[fid] = None
         self._dirty = False
-        self._epoch += 1
-        self.perf.solves += 1
-        self.perf.solve_wall += wall_clock() - t0
+        perf.solves += 1
+        perf.solve_wall += wall_clock() - t0
 
     # -- event selection -----------------------------------------------------
-
-    def _peek_completion(self) -> tuple[float, int, Flow] | None:
-        """The earliest predicted completion.
-
-        Component mode answers from the lazy heap
-        (:meth:`_peek_completion_heap`); the cache modes from the
-        per-epoch cache (:meth:`_peek_completion_cache`).  Both order by
-        ``(time, flow_id)``.
-        """
-        self._refresh_rates()
-        if self._calloc is not None:
-            return self._peek_completion_heap()
-        return self._peek_completion_cache()
 
     def _drain_pending(self) -> None:
         """Push a fresh heap entry for every flow the last solves re-rated.
@@ -441,11 +328,13 @@ class Simulation:
         Each gets one entry ``(settled_at + rem/rate, flow_id, fid,
         seq)`` — the predicted *absolute* finish time, which stays valid
         for as long as the rate does, however far the clock advances
-        meanwhile.  A re-rated member of the tie group goes back through
-        the heap (its parked prediction is superseded).  The predictions
-        are computed in one vectorised gather; numpy's elementwise
-        divide/add round exactly like the scalar forms, so the entries
-        are bit-identical to a per-flow loop.
+        meanwhile — plus its pessimistic retire bound.  A re-rated member
+        of the tie group goes back through the heap (its parked
+        prediction is superseded).  :meth:`run` inlines the scalar form
+        for drains of fewer than 8 flows and calls this vectorised form
+        for larger ones; numpy's elementwise divide/add round exactly
+        like the scalar forms, so the entries are bit-identical either
+        way.
         """
         pending = self._pending_push
         t0 = wall_clock()
@@ -470,36 +359,24 @@ class Simulation:
                 tie.pop(fid, None)
             alive.append(fid)
         pending.clear()
-        if len(alive) >= 8:
-            fids = np.array(alive, dtype=np.intp)
-            rem = table.rem.take(fids)
-            rate = table.rate.take(fids)
-            times = base + rem / rate
-            bounds = base + (rem - 1.0) / rate
-            for fid, t, b in zip(alive, times.tolist(), bounds.tolist()):
-                entry_seq[fid] = seq
-                pess_seq[fid] = seq
-                push(heap, (t, flow_at[fid].flow_id, fid, seq))
-                push(pess, (b, fid, seq))
-                seq += 1
-        else:
-            rem_item = table.rem.item
-            rate_item = table.rate.item
-            for fid in alive:
-                rem = rem_item(fid)
-                rate = rate_item(fid)
-                entry_seq[fid] = seq
-                pess_seq[fid] = seq
-                push(heap, (base + rem / rate, flow_at[fid].flow_id, fid, seq))
-                push(pess, (base + (rem - 1.0) / rate, fid, seq))
-                seq += 1
+        fids = np.array(alive, dtype=np.intp)
+        rem = table.rem.take(fids)
+        rate = table.rate.take(fids)
+        times = base + rem / rate
+        bounds = base + (rem - 1.0) / rate
+        for fid, t, b in zip(alive, times.tolist(), bounds.tolist()):
+            entry_seq[fid] = seq
+            pess_seq[fid] = seq
+            push(heap, (t, flow_at[fid].flow_id, fid, seq))
+            push(pess, (b, fid, seq))
+            seq += 1
         self._push_seq = seq
         self.perf.heap_pushes += len(alive)
         # Compact when superseded entries dominate: every pop and push
         # pays log(len) on garbage otherwise.  A heap rebuilt from only
         # the live entries pops them in the same order (pop order is the
-        # sorted order of the keys, and the fast path's root/children
-        # reads are arrangement-independent), so the replay is unchanged.
+        # sorted order of the keys, and the loop's root/children reads
+        # are arrangement-independent), so the replay is unchanged.
         cap = (len(table.fid_of) << 1) + 64
         if len(heap) > cap:
             live = [e for e in heap if entry_seq[e[2]] == e[3]]
@@ -512,35 +389,24 @@ class Simulation:
             heapq.heapify(pess)
         self.perf.scan_wall += wall_clock() - t0
 
-    def _peek_completion_heap(self) -> tuple[float, int, Flow] | None:
-        """Lazy-invalidation heap peek (component mode).
+    def _peek_completion_heap(self) -> tuple[float, Flow] | None:
+        """Pick the next completion out of a tie window (the loop's slow path).
 
-        The anchor is the earliest parked prediction across the heap and
-        the tie group (their union is exactly the old single-heap state:
-        tie-group park times are the fresh values a re-push would have
-        parked).  Every candidate parked within the tie window of the
-        anchor is re-predicted fresh and the winner snapped to the
-        minimal ``flow_id`` — identical selection to draining the window
-        out of the heap, without the per-event pop/re-push of the whole
-        wave.  Entries whose seq is no longer the slot's live one (rate
-        re-solved again, flow finished/cancelled, slot recycled) are
-        discarded on pop.
+        :meth:`run` calls this when the tie group is non-empty or the
+        heap's top two entries lie within one tie window, after it has
+        drained the pending pushes and discarded stale heap tops.  The
+        anchor is the earliest parked prediction across the heap and the
+        tie group (their union is exactly a single heap's state: tie-group
+        park times are the fresh values a re-push would have parked).
+        Every candidate parked within the tie window of the anchor is
+        re-predicted fresh and the winner snapped to the minimal
+        ``flow_id`` — identical selection to draining the window out of
+        the heap, without the per-event pop/re-push of the whole wave.
+        Returns ``(time, flow)``.
         """
-        if self._pending_push:
-            self._drain_pending()
         heap = self._heap
         entry_seq = self._entry_seq
         tie = self._tie
-        stale = 0
-        # Discard stale tops so the anchor is a live prediction.
-        while heap:
-            t_top, flowid_top, fid_top, seq_top = heap[0]
-            if entry_seq[fid_top] == seq_top:
-                break
-            heapq.heappop(heap)
-            stale += 1
-        if stale:
-            self.perf.stale_pops += stale
         t_anchor = heap[0][0] if heap else math.inf
         if tie:
             t_tie = min(tie.values())
@@ -550,37 +416,11 @@ class Simulation:
             return None
         horizon = t_anchor + _PEEK_TIE_WINDOW * max(1.0, abs(t_anchor))
         table = self._table
-        rem_item = table.rem.item
-        rate_item = table.rate.item
         base = self._settled_at
         flow_at = table.flow_at
-        if not tie and heap:
-            # Single-candidate fast path: the heap's second-smallest parked
-            # time sits at the root's children, so when both are beyond the
-            # horizon the tie-window drain below would pull exactly the top.
-            # Pop/re-predict/re-push it directly — same entries, same
-            # floats as the general path on this input.
-            t_top, flowid_top, fid_top, seq_top = heap[0]
-            n = len(heap)
-            second = heap[1][0] if n > 1 else math.inf
-            if n > 2 and heap[2][0] < second:
-                second = heap[2][0]
-            if second > horizon:
-                t_new = base + rem_item(fid_top) / rate_item(fid_top)
-                seq = self._push_seq
-                self._push_seq = seq + 1
-                entry_seq[fid_top] = seq
-                # heapreplace = pop + push in one sift; every read of the
-                # heap (root, min of the root's children, ascending pops)
-                # is arrangement-independent, so the replay is unchanged.
-                heapq.heapreplace(heap, (t_new, flowid_top, fid_top, seq))
-                self.perf.heap_pushes += 1
-                flow = flow_at[fid_top]
-                assert flow is not None
-                return (t_new, flowid_top, flow)
-        # General path: gather every candidate parked within the horizon —
-        # tie-group members for free, heap entries by popping them into the
-        # tie group (their live-entry marker moves with them).
+        # Gather every candidate parked within the horizon — tie-group
+        # members for free, heap entries by popping them into the tie
+        # group (their live-entry marker moves with them).
         cands: list[int] = []
         if tie:
             for fid, park in tie.items():
@@ -616,6 +456,8 @@ class Simulation:
                 if t_new < t_min:
                     t_min = t_new
         else:
+            rem_item = table.rem.item
+            rate_item = table.rate.item
             for fid in cands:
                 t_new = base + rem_item(fid) / rate_item(fid)
                 tie[fid] = t_new
@@ -638,70 +480,22 @@ class Simulation:
             return None
         flow = flow_at[best_fid]
         assert flow is not None
-        return (best_t, best_id, flow)
-
-    def _peek_completion_cache(self) -> tuple[float, int, Flow] | None:
-        """Per-epoch full-prediction cache (incremental/reference modes).
-
-        One vectorised prediction pass per rate epoch; the ``(time,
-        flow_id)``-minimal flow is cached and stays valid for the whole
-        epoch because any flow-set change dirties the rates.  Ties on the
-        predicted time break by ``flow_id`` — the registry's insertion
-        order, matching the pre-incremental engine's scan.
-        """
-        if self._pred_epoch != self._epoch:
-            t0 = wall_clock()
-            table = self._table
-            if table.fid_of:
-                rem, rate, _ = table.views()
-                t = self.now + rem / rate
-                i = int(t.argmin())
-                tv = t[i]
-                ties = (t == tv).nonzero()[0]
-                if len(ties) > 1:
-                    flow = min(
-                        (table.flow_at[j] for j in ties.tolist()),
-                        key=lambda f: f.flow_id,
-                    )
-                else:
-                    flow = table.flow_at[i]
-                self._next_completion = (float(tv), flow.flow_id, flow)
-            else:
-                self._next_completion = None
-            self._pred_epoch = self._epoch
-            self.perf.prediction_rebuilds += 1
-            self.perf.scan_wall += wall_clock() - t0
-        return self._next_completion
-
-    def _pending_event(self) -> tuple[float, float, tuple[float, int, Flow] | None] | None:
-        """The next event, computed once: ``(flow_t, timer_t, completion)``."""
-        completion = self._peek_completion()
-        timer_t = self._timers[0][0] if self._timers else math.inf
-        flow_t = completion[0] if completion else math.inf
-        if timer_t is math.inf and flow_t is math.inf:
-            return None
-        return flow_t, timer_t, completion
-
-    def _peek_time(self) -> float:
-        event = self._pending_event()
-        if event is None:
-            return math.inf
-        return min(event[0], event[1])
+        return (best_t, flow)
 
     # -- main loop ----------------------------------------------------------------
 
     def _can_coalesce(self, t: float) -> bool:
         """May the next timer at exactly ``t`` join the current cycle?
 
-        True only when a conservative bound proves the sequential replay
-        is unchanged: every active flow's remaining is still at least
-        ``thresh`` bytes, where ``thresh/cap_max`` clears the tie window
-        around ``t`` with margin.  Then no completion can be predicted
-        at or before ``t`` (so event selection would pick the timer
-        anyway) and no sweep in between can retire anything (so
+        True only when a conservative bound proves the one-timer-per-event
+        replay is unchanged: every active flow's remaining is still at
+        least ``thresh`` bytes, where ``thresh/cap_max`` clears the tie
+        window around ``t`` with margin.  Then no completion can be
+        predicted at or before ``t`` (so event selection would pick the
+        timer anyway) and no sweep in between can retire anything (so
         deferring the sweeps to the end of the wave is a no-op) —
         remaining-bytes bounds are immune to the rate *rises* the
-        sequential replay's mid-wave re-solves could produce, which
+        per-timer replay's mid-wave re-solves could produce, which
         per-rate retire bounds are not.  The floor is lowered by every
         flow start; when the cheap check fails it is refreshed once by a
         fused scan before giving up, so the O(n) scan runs at most once
@@ -731,70 +525,22 @@ class Simulation:
         drain = (t - self.now) * cap
         return floor - drain > thresh + 1e-9 * (floor + drain)
 
-    def _process(self, event: tuple[float, float, tuple[float, int, Flow] | None]) -> int:
-        """Process one event cycle; returns the number of events drained."""
-        flow_t, timer_t, completion = event
-        processed = 1
-        if flow_t <= timer_t:
-            assert completion is not None
-            t, _, flow = completion
-            self.now = t
-            # The predicted flow finishes; numerically-simultaneous
-            # completions are picked up by the sweep below.
-            flow.remaining = 0.0
-            self._table.rem[flow.fid] = 0.0
-            self._finish(flow)
-            self.perf.flow_events += 1
-        else:
-            self.now = timer_t
-            timers = self._timers
-            _, _, callback = heapq.heappop(timers)
-            callback()
-            self.perf.timer_events += 1
-            # Coalesce the timer wave: drain every timer sharing this
-            # exact timestamp in one settle/solve cycle while the replay
-            # bound holds (see _can_coalesce).  The pop budget is the
-            # heap size at wave start, so a callback endlessly
-            # rescheduling at the same instant still returns to the main
-            # loop (and its max_events guard).
-            if timers and timers[0][0] == timer_t and self._calloc is not None:
-                budget = len(timers)
-                while (
-                    processed <= budget
-                    and timers
-                    and timers[0][0] == timer_t
-                    and self._can_coalesce(timer_t)
-                ):
-                    _, _, cb = heapq.heappop(timers)
-                    cb()
-                    self.perf.timer_events += 1
-                    processed += 1
-                if processed > 1:
-                    self.perf.coalesced_events += processed - 1
-        self._sweep()
-        self.events_processed += processed
-        return processed
-
     def _sweep(self) -> None:
         """Retire every flow the elapsed interval drained to (near) zero.
 
-        Component mode pulls candidates from the pessimistic retire-time
-        heap: a slot is examined only once its bound has come due, so
-        the common case is one heap peek and no arithmetic at all.  Due
-        candidates get the exact drain check (``remaining − rate·dt``,
-        the same IEEE operations the full-array scan performs
-        elementwise); survivors are re-queued with a bound refreshed
-        from their just-computed remaining (their rate is unchanged — a
-        re-rate would have superseded the entry).  The cache modes keep
-        the fused whole-range scan.
+        Candidates come from the pessimistic retire-time heap: a slot is
+        examined only once its bound has come due, so the common case is
+        one heap peek and no arithmetic at all.  Due candidates get the
+        exact drain check (``remaining − rate·dt``, the same IEEE
+        operations the settle performs elementwise); survivors are
+        re-queued with a bound refreshed from their just-computed
+        remaining (their rate is unchanged — a re-rate would have
+        superseded the entry).  Retirements fire in ``flow_id`` order.
         """
         table = self._table
         if not table.fid_of:
             return
         now = self.now
-        if self._calloc is None:
-            self._sweep_scan(now)
-            return
         pess = self._pess
         flow_at = table.flow_at
         pess_seq = self._pess_seq
@@ -835,124 +581,65 @@ class Simulation:
             table.rem[flow.fid] = flow.remaining
             self._finish(flow)
 
-    def _sweep_scan(self, now: float) -> None:
-        """Whole-range drain scan (cache modes): the original exact sweep."""
-        table = self._table
-        dt = now - self._settled_at
-        rem, rate, scratch = table.views()
-        if dt > 0.0:
-            np.multiply(rate, dt, out=scratch)
-            np.subtract(rem, scratch, out=scratch)
-            current = scratch
-        else:
-            current = rem
-        if current.min() > REMAINING_EPS:
-            return
-        drained = current <= REMAINING_EPS
-        flow_at = table.flow_at
-        hits = sorted(
-            ((flow_at[i], current[i]) for i in drained.nonzero()[0].tolist()),
-            key=lambda item: item[0].flow_id,
-        )
-        for flow, value in hits:
-            if flow not in self._flows:  # a sweep callback cancelled it
-                continue
-            flow.remaining = max(0.0, float(value))
-            table.rem[flow.fid] = flow.remaining
-            self._finish(flow)
-
-    def step(self) -> bool:
-        """Process the next event cycle.  Returns False when nothing is
-        pending.  A cycle is usually one event; a wave of timers sharing
-        one timestamp may drain in a single cycle (``events_processed``
-        still counts each timer)."""
-        event = self._pending_event()
-        if event is None:
-            return False
-        self._process(event)
-        return True
-
     def _finish(self, flow: Flow) -> None:
         callback = self._flows.pop(flow)
         self._release_fid(flow)
-        if self._alloc is not None:
-            self._alloc.remove(flow)
+        self._alloc.remove(flow)
         self._dirty = True
         self.completed_flows += 1
         self.perf.flows_finished += 1
         callback(flow)
 
     def run(self, until: float | None = None, max_events: int = 10_000_000) -> float:
-        """Run until no events remain (or ``until``); returns the final clock."""
-        if until is None and self.fastforward and self._calloc is not None:
-            return self._run_fast(max_events)
-        t0 = wall_clock()
-        events = 0
-        while True:
-            event = self._pending_event()
-            if until is not None:
-                next_t = min(event[0], event[1]) if event else math.inf
-                if next_t > until:
-                    self._refresh_rates()
-                    self.now = until
-                    self._settle_all()
-                    break
-            if event is None:
-                break
-            events += self._process(event)
-            if events > max_events:
-                raise RuntimeError(f"exceeded {max_events} events; runaway simulation?")
-        self._sync_remaining()
-        self.perf.run_wall += wall_clock() - t0
-        return self.now
+        """Run until no events remain, or until the next event lies
+        beyond ``until``; returns the final clock.
 
-    def _run_fast(self, max_events: int) -> float:
-        """Fused fast-forward event loop (component mode, no ``until``).
+        A bounded run processes every event at or before ``until``, then
+        sets ``now = until`` and writes each active flow's drained
+        remaining onto its ``Flow`` *without* settling the slot arrays,
+        so resuming replays the unsplit run's floats exactly.  ``until``
+        must not lie before ``now`` (or be NaN).
 
-        One frame drives the entire run: the per-event phases the
-        general loop dispatches through methods — settle, component
-        solve, prediction drain, event selection, completion/timer
-        processing, retire sweep — are inlined here with every hot
-        structure cached in locals, and completion *cascades* (runs of
-        consecutive completion events between timers) are fast-forwarded
-        without ever returning to the general dispatcher.  Identity is
-        by construction: each iteration performs exactly the operations
-        ``_pending_event`` + ``_process`` would, in the same order on
-        the same floats —
+        One frame drives the whole run: the per-event phases — settle,
+        component solve, prediction drain, event selection,
+        completion/timer processing, retire sweep — are inlined here
+        with every hot structure cached in locals, and completion
+        *cascades* (runs of consecutive completion events between
+        timers) run back to back.  Each iteration:
 
-        * the per-epoch whole-table settle sequence is replayed
-          unmerged.  (It must be: each settle rounds ``rem − rate·dt``
-          once per epoch, so two epochs fused into one ``dt`` would
-          produce different floats for *every* active flow, not just
-          the cascading component's — there is no identity-preserving
-          "analytic skip" over settle epochs, which is why the
-          fast-forward fuses the loop instead of integrating across
-          windows.)
-        * re-rated flows go through the same ``_drain_pending`` (its
-          pessimistic-bound refresh is load-bearing: a rate *increase*
-          can pull a flow's true retire time earlier than its stale
-          bound, so skipping the refresh could make a sweep miss a
-          retire the per-event engine performs);
-        * event selection inlines only the no-tie single-candidate fast
-          path (the dominant case) and defers tie groups and candidate
-          waves to :meth:`_peek_completion_heap` — the same code the
-          general loop runs;
-        * the rare-case sweep body is :meth:`_sweep` itself; the inline
-          part is just the "nothing due" pessimistic-heap peek.
+        * settles and re-solves when the flow set changed.  The
+          per-epoch whole-table settles run unmerged: each settle rounds
+          ``rem − rate·dt`` once per epoch, so two epochs fused into one
+          ``dt`` would produce different floats for *every* active flow,
+          not just the cascading component's;
+        * pushes a fresh prediction and pessimistic bound for every
+          re-rated flow (the bound refresh is load-bearing: a rate
+          *increase* can pull a flow's true retire time earlier than its
+          stale bound);
+        * selects the event: the no-tie single-candidate case inline,
+          tie groups and candidate waves through
+          :meth:`_peek_completion_heap`; a completion wins a tie against
+          a timer;
+        * processes it (a same-timestamp timer wave coalesces while
+          :meth:`_can_coalesce` holds), then runs :meth:`_sweep` when a
+          pessimistic bound has come due.
 
         Only structures whose identity is stable across callbacks are
         cached (the table's lists/dicts, the heaps, the timer list);
         the slot *arrays* are re-fetched wherever they are read because
         ``FlowTable.acquire`` replaces them on growth.  The loop also
         maintains the cascade telemetry (``fastforward_cascades``,
-        ``cascade_events``) and flushes all counters — even when a
-        callback raises — so perf stays comparable with the general
-        loop's live accounting.
+        ``cascade_events``) and flushes all counters, even when a
+        callback raises.
         """
+        if until is not None:
+            if math.isnan(until):
+                raise ValueError("until must not be NaN")
+            if until < self.now:
+                raise ValueError(f"until={until!r} lies before now={self.now!r}")
         t0 = wall_clock()
         perf = self.perf
-        calloc = self._calloc
-        assert calloc is not None
+        alloc = self._alloc
         table = self._table
         timers = self._timers
         heap = self._heap
@@ -968,13 +655,14 @@ class Simulation:
         # in place by solve()).  Empty means the last flow event removed
         # a singleton component — the refresh still settles and opens a
         # new epoch, but the solve call would be a no-op and is skipped.
-        calloc_dirty = calloc._dirty
+        alloc_dirty = alloc._dirty
         heappop = heapq.heappop
         heappush = heapq.heappush
         heapreplace = heapq.heapreplace
         heapify = heapq.heapify
         clock = wall_clock
         inf = math.inf
+        bound = inf if until is None else until
         tw = _PEEK_TIE_WINDOW
         events = 0
         run_len = 0
@@ -1001,7 +689,7 @@ class Simulation:
         comp_peak = perf.components
         try:
             while True:
-                # -- refresh rates (inlined _refresh_rates) ------------------
+                # -- refresh rates ------------------------------------------
                 if self._dirty:
                     now = self.now
                     dt = now - self._settled_at
@@ -1012,29 +700,28 @@ class Simulation:
                         settles += 1
                         settle_wall += clock() - ts
                     ts = clock()
-                    if calloc_dirty:
-                        calloc.solve(out=table.rate)
-                        iters_acc += calloc.last_iterations
-                        comp_solves += calloc.last_component_solves
-                        flows_resolved += calloc.last_flows_resolved
-                        vec_solves += calloc.last_vectorized_solves
-                        memo_acc += calloc.last_memo_hits
-                        if calloc.last_component_size_max > size_max:
-                            size_max = calloc.last_component_size_max
-                        n_comp = calloc.component_count
+                    if alloc_dirty:
+                        alloc.solve(out=table.rate)
+                        iters_acc += alloc.last_iterations
+                        comp_solves += alloc.last_component_solves
+                        flows_resolved += alloc.last_flows_resolved
+                        vec_solves += alloc.last_vectorized_solves
+                        memo_acc += alloc.last_memo_hits
+                        if alloc.last_component_size_max > size_max:
+                            size_max = alloc.last_component_size_max
+                        n_comp = alloc.component_count
                         if n_comp > comp_peak:
                             comp_peak = n_comp
-                        for fid in calloc.last_changed:
+                        for fid in alloc.last_changed:
                             pending[fid] = None
                     self._dirty = False
-                    self._epoch += 1
                     solves += 1
                     solve_wall += clock() - ts
                 if pending:
-                    # Inlined scalar _drain_pending (the dominant shape:
-                    # a handful of re-rated flows per epoch); big drains
-                    # take the vectorised path in the method.  Both
-                    # forms produce bit-identical entries.
+                    # Scalar drain (the dominant shape: a handful of
+                    # re-rated flows per epoch); big drains take the
+                    # vectorised path in the method.  Both forms produce
+                    # bit-identical entries.
                     if len(pending) >= 8:
                         self._drain_pending()
                     else:
@@ -1086,8 +773,7 @@ class Simulation:
                 if tie:
                     picked = self._peek_completion_heap()
                     if picked is not None:
-                        flow_t = picked[0]
-                        completion_flow = picked[2]
+                        flow_t, completion_flow = picked
                     else:
                         flow_t = inf
                 elif heap:
@@ -1098,6 +784,11 @@ class Simulation:
                     if n > 2 and heap[2][0] < second:
                         second = heap[2][0]
                     if second > horizon:
+                        # Single candidate: the heap's second-smallest
+                        # parked time sits at the root's children, and
+                        # both lie beyond the tie window.  Re-predict the
+                        # top fresh and replace it in one sift (every
+                        # read of the heap is arrangement-independent).
                         flow_t = self._settled_at + table.rem.item(
                             fid_top
                         ) / table.rate.item(fid_top)
@@ -1110,13 +801,15 @@ class Simulation:
                     else:
                         picked = self._peek_completion_heap()
                         assert picked is not None
-                        flow_t = picked[0]
-                        completion_flow = picked[2]
+                        flow_t, completion_flow = picked
                 else:
                     flow_t = inf
+                if flow_t > bound and timer_t > bound:
+                    self.now = bound
+                    break
                 if flow_t == inf and timer_t == inf:
                     break
-                # -- process (inlined _process / _finish) --------------------
+                # -- process -------------------------------------------------
                 processed = 1
                 if flow_t <= timer_t:
                     self.now = flow_t
@@ -1130,7 +823,7 @@ class Simulation:
                     pess_seq[fidr] = -1
                     if tie:
                         tie.pop(fidr, None)
-                    calloc.remove(flow)
+                    self._alloc.remove(flow)
                     self._dirty = True
                     self.completed_flows += 1
                     finished += 1
@@ -1143,6 +836,9 @@ class Simulation:
                     cb()
                     timer_events += 1
                     if timers and timers[0][0] == timer_t:
+                        # The pop budget is the heap size at wave start,
+                        # so a callback endlessly rescheduling at the same
+                        # instant still reaches the max_events guard.
                         budget = len(timers)
                         can = self._can_coalesce
                         while (
@@ -1161,7 +857,7 @@ class Simulation:
                         casc_runs += 1
                         casc_events += run_len - 1
                     run_len = 0
-                # -- sweep (inlined nothing-due peek) ------------------------
+                # -- sweep (the nothing-due peek inline) ---------------------
                 if fid_of:
                     now = self.now
                     while pess:
@@ -1207,5 +903,5 @@ class Simulation:
             if comp_peak > perf.components:
                 perf.components = comp_peak
             perf.run_wall += clock() - t0
-        self._sync_remaining()
+        table.sync_remaining(self.now - self._settled_at)
         return self.now

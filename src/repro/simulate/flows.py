@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .resources import Resource
 
 _flow_ids = count()
+_INF = float("inf")
 
 
 def effective_capacity(
@@ -56,14 +57,14 @@ class Flow:
     fid: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError("flow size must be positive")
+        if not 0 < self.size < _INF:
+            raise ValueError(f"flow size must be positive and finite, got {self.size!r}")
         if not self.path:
             raise ValueError("flow path must name at least one resource")
         if len(set(self.path)) != len(self.path):
             raise ValueError("flow path has duplicate resources")
-        if self.rate_cap is not None and self.rate_cap <= 0:
-            raise ValueError("rate_cap must be positive")
+        if self.rate_cap is not None and not self.rate_cap > 0:
+            raise ValueError(f"rate_cap must be positive, got {self.rate_cap!r}")
         self.remaining = float(self.size)
         self.fid = -1
 

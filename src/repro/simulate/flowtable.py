@@ -180,8 +180,11 @@ class FlowTable:
         np.maximum(rem, 0.0, out=rem)
         return len(self.fid_of)
 
-    def sync_remaining(self) -> None:
-        """Copy the authoritative ``rem`` array back onto the Flow objects."""
-        rem = self.rem
+    def sync_remaining(self, dt: float = 0.0) -> None:
+        """Write each slot's ``remaining``, drained ``dt`` seconds further,
+        onto its Flow object: ``max(0, rem - rate*dt)``, the settle's own
+        arithmetic, without changing the slot (``dt = 0`` copies ``rem``)."""
+        rem_item = self.rem.item
+        rate_item = self.rate.item
         for f, fid in self.fid_of.items():
-            f.remaining = float(rem[fid])
+            f.remaining = max(0.0, rem_item(fid) - rate_item(fid) * dt)

@@ -6,7 +6,7 @@ counters are plain ints/floats (negligible overhead) and answer the
 questions a performance regression hunt starts with: how many rate
 re-solves ran, how many water-filling iterations they took, how many
 components they touched, how the lazy completion heap behaved (pushes,
-stale pops, full prediction rebuilds), and how much wall time each phase
+stale pops), and how much wall time each phase
 consumed.
 
 ``repro.metrics`` re-exports :class:`SimPerf` and
@@ -37,10 +37,6 @@ class SimPerf:
     solves: int = 0
     #: total water-filling iterations across all solves
     solve_iterations: int = 0
-    #: full completion-prediction passes (one per rate epoch that reached
-    #: a peek in the cache modes; 0 in component mode, which re-predicts
-    #: per changed flow instead)
-    prediction_rebuilds: int = 0
     #: per-flow completion predictions pushed onto the lazy heap
     heap_pushes: int = 0
     #: invalidated heap entries lazily discarded on pop
@@ -59,12 +55,10 @@ class SimPerf:
     #: multi-flow component solves answered by the canonical-shape memo
     #: (see repro.simulate.cascade) instead of re-entering a kernel
     memo_hits: int = 0
-    #: fast-forwarded completion runs: maximal stretches of ≥ 2
-    #: consecutive completion events the fused engine loop processed
-    #: without returning to the general event loop
+    #: completion cascades: maximal stretches of ≥ 2 consecutive
+    #: completion events the engine loop processed with no timer between
     fastforward_cascades: int = 0
-    #: completion events beyond the first inside those runs (the events
-    #: whose per-event dispatch the fast-forward layer absorbed)
+    #: completion events beyond the first inside those runs
     cascade_events: int = 0
     #: settle passes (bulk remaining updates at rate-epoch boundaries)
     settles: int = 0
@@ -95,15 +89,12 @@ class SimPerf:
         """A plain-dict copy, JSON-ready (for RunResult / BENCH files).
 
         Emits the counter fields plus the derived
-        ``component_size_mean``.  The pre-PR-4 aliases (``heap_rebuilds``
-        / ``heap_pops``) are gone: read ``prediction_rebuilds`` /
-        ``stale_pops``.
+        ``component_size_mean``.
         """
         solves = self.component_solves
         out = {
             "solves": self.solves,
             "solve_iterations": self.solve_iterations,
-            "prediction_rebuilds": self.prediction_rebuilds,
             "heap_pushes": self.heap_pushes,
             "stale_pops": self.stale_pops,
             "components": self.components,

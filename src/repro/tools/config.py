@@ -262,9 +262,8 @@ class LintConfig:
     #: :data:`DEFAULT_WALLCLOCK_ALLOW`, the single source of truth).
     wallclock_allow: tuple[str, ...] = DEFAULT_WALLCLOCK_ALLOW
     #: receiver attribute names whose ``.remove`` is O(small) by contract
-    #: (the allocator handle: ``self._alloc`` in the general loop,
-    #: the ``calloc`` local in the engine's fused fast-forward loop).
-    remove_allow: tuple[str, ...] = ("_alloc", "calloc")
+    #: (the engine's allocator handle, ``self._alloc``).
+    remove_allow: tuple[str, ...] = ("_alloc",)
     #: function names that ARE the tolerance helpers (OPS004 is off inside).
     float_eq_helpers: tuple[str, ...] = ("isclose", "close_enough", "approx_equal")
     #: names of float-typed sim quantities for OPS004.

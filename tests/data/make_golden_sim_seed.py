@@ -1,39 +1,32 @@
-"""Regenerate the simulator golden fixtures.
+"""Regenerate the simulator golden fixture.
 
 Usage (from the repo root)::
 
     PYTHONPATH=src python tests/data/make_golden_sim_seed.py [--check]
 
-Two fixture files are produced, one per pinned engine:
-
-``golden_sim_seed.json``
-    Captured from the pre-incremental seed engine.  **Never rewritten**:
-    it is a historical artifact that ``Simulation(allocator=
-    "incremental")`` (and ``"reference"``) reproduce bit for bit on the
-    flow-event-dense workloads and to 1e-9 relative on the two
-    timer-heavy ones (``faults_8``, ``dynamic_8_s2`` — merged settle
-    intervals round differently, pinned via ``assert_ulp`` since PR 1).
+Two fixture files pin the simulator; only one is ever written:
 
 ``golden_sim_component.json``
-    Pins the default engine (``allocator="component"``).  Component-
-    sliced water-filling matches the reference arithmetic exactly within
-    a component but rounds the global water level differently across
-    components, so its trajectories sit an ulp away from the seed
-    engine's.  On 12 of the 13 workloads that is invisible (≤3e-15
-    relative); on one (``fig7_m16_s0_base``) a wave of chunk reads
-    finishes at the *exact same* simulated instant and the firing order
-    among the tied flows — float noise in the seed engine, canonical
-    ``flow_id`` order in the component engine — permutes downstream
-    replica draws, so that run diverges in makespan while byte counts
-    and locality stay identical.  See tests/test_sim_golden.py for the
-    per-fixture tolerance table.
+    Pins the engine, bit for bit.  This script rewrites it.
 
-``--check`` compares what the current engines produce against both
-committed files without rewriting anything: the incremental engine must
-match the seed file's flow-event-dense fixtures byte-for-byte, the
-component engine must match its own file exactly, and the
-component-vs-seed cross deviation is printed per fixture.  Exits
-non-zero on any mismatch.
+``golden_sim_seed.json``
+    Captured from the pre-incremental seed engine.  **Never
+    rewritten**, and no engine today reproduces it: it stays as a
+    cross-check.  Component-sliced water-filling matches the reference
+    arithmetic exactly within a component but rounds the global water
+    level differently across components, so the engine's trajectories
+    sit an ulp away from the seed engine's.  On 12 of the 13 workloads
+    that is invisible (≤3e-15 relative); on one (``fig7_m16_s0_base``)
+    a wave of chunk reads finishes at the *exact same* simulated instant
+    and the firing order among the tied flows — float noise in the seed
+    engine, canonical ``flow_id`` order in the engine — permutes
+    downstream replica draws, so that run diverges in makespan while
+    byte counts and locality stay identical.  See
+    tests/test_sim_golden.py for the cross-check.
+
+``--check`` compares what the engine produces against
+``golden_sim_component.json`` without rewriting anything, and prints the
+engine-vs-seed deviation per fixture.  Exits non-zero on any mismatch.
 """
 
 from __future__ import annotations
@@ -47,13 +40,9 @@ from pathlib import Path
 SEED_PATH = Path(__file__).parent / "golden_sim_seed.json"
 COMPONENT_PATH = Path(__file__).parent / "golden_sim_component.json"
 
-#: Fixtures whose component-mode run legitimately diverges from the seed
-#: pin beyond float noise (exact-tie firing order, see module docstring).
+#: Fixtures whose run legitimately diverges from the seed pin beyond
+#: float noise (exact-tie firing order, see module docstring).
 TIE_DIVERGENT = ("fig7_m16_s0_base",)
-
-#: Seed fixtures the incremental engine matches only to 1e-9 relative
-#: (pinned from the pre-incremental engine; see tests/test_sim_golden.py).
-SEED_ULP = ("faults_8", "dynamic_8_s2")
 
 
 def records_digest(result) -> str:
@@ -118,19 +107,8 @@ def ingest_64_wl_entry(result) -> dict:
     }
 
 
-def build(allocator: str) -> dict:
-    """Run every pinned workload under ``allocator`` and collect fixtures."""
-    import repro.simulate.engine as engine_mod
-
-    saved = engine_mod.DEFAULT_ALLOCATOR
-    engine_mod.DEFAULT_ALLOCATOR = allocator
-    try:
-        return _build()
-    finally:
-        engine_mod.DEFAULT_ALLOCATOR = saved
-
-
-def _build() -> dict:
+def build() -> dict:
+    """Run every pinned workload and collect the fixtures."""
     from repro.analysis import validation_grid
     from repro.core import (
         ProcessPlacement,
@@ -229,7 +207,7 @@ def _floats(entry, path=""):
 
 
 def cross_check(component: dict, seed: dict) -> int:
-    """Print component-vs-seed deviation per fixture; 1e-9 budget except
+    """Print engine-vs-seed deviation per fixture; 1e-9 budget except
     for the documented tie-divergent fixtures."""
     status = 0
     for key in sorted(seed):
@@ -264,36 +242,19 @@ def main(argv: list[str]) -> int:
         help="compare against the committed files instead of rewriting them",
     )
     args = parser.parse_args(argv)
-    seed_pins = build("incremental")
-    comp_pins = build("component")
+    comp_pins = build()
     committed_seed = json.loads(SEED_PATH.read_text())
-    status = 0
-    frozen_ok = True
-    for key, committed in committed_seed.items():
-        if key in SEED_ULP:
-            continue
-        if seed_pins.get(key) != committed:
-            print(f"FAIL: incremental engine no longer reproduces "
-                  f"{SEED_PATH.name}[{key}] bit-for-bit")
-            frozen_ok = False
-            status = 1
-    if frozen_ok:
-        print(f"{SEED_PATH.name}: bit-frozen fixtures OK "
-              f"(ulp fixtures {SEED_ULP} checked by the test suite)")
     if args.check:
-        committed_comp = json.loads(COMPONENT_PATH.read_text())
-        if comp_pins != committed_comp:
-            print(f"FAIL: component engine no longer reproduces "
-                  f"{COMPONENT_PATH.name}")
+        status = 0
+        if comp_pins != json.loads(COMPONENT_PATH.read_text()):
+            print(f"FAIL: the engine no longer reproduces {COMPONENT_PATH.name}")
             status = 1
         else:
             print(f"{COMPONENT_PATH.name}: exact OK")
-        status |= cross_check(comp_pins, committed_seed)
-        return status
+        return status | cross_check(comp_pins, committed_seed)
     COMPONENT_PATH.write_text(dumps(comp_pins))
     print(f"wrote {COMPONENT_PATH} ({SEED_PATH.name} is never rewritten)")
-    return status | cross_check(comp_pins, committed_seed)
-
+    return cross_check(comp_pins, committed_seed)
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))

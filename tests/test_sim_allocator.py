@@ -1,19 +1,20 @@
-"""Unit tests for the incremental max-min allocator.
+"""Unit tests for the engine's allocator, :class:`ComponentAllocator`.
 
-The allocator must return *bit-for-bit* the same rates as the pure
-reference :func:`repro.simulate.flows.allocate_rates` — exact ``==``
-assertions throughout, no ``approx``.
+Its bookkeeping errors, and on single-component networks *bit-for-bit*
+the rates of the pure reference :func:`repro.simulate.flows.allocate_rates`
+— exact ``==`` assertions throughout, no ``approx``.  Multi-component
+agreement is pinned by ``tests/test_properties_components.py``.
 """
 
 import pytest
 
-from repro.simulate.allocator import IncrementalAllocator
+from repro.simulate.components import ComponentAllocator
 from repro.simulate.flows import Flow, allocate_rates, verify_allocation
 from repro.simulate.resources import Resource
 
 
 def make_alloc(**capacities):
-    alloc = IncrementalAllocator()
+    alloc = ComponentAllocator()
     for name, cap in capacities.items():
         alloc.register(name, cap)
     return alloc
@@ -102,7 +103,7 @@ class TestExactEquivalence:
 
     def test_concurrency_penalty_resources(self):
         res = Resource("d", 100.0, concurrency_penalty=0.5)
-        alloc = IncrementalAllocator()
+        alloc = ComponentAllocator()
         alloc.register("d", res)
         flows = [Flow(10, ("d",)) for _ in range(3)]
         for f in flows:

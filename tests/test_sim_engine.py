@@ -40,6 +40,14 @@ class TestTimers:
         with pytest.raises(ValueError):
             sim.schedule(-1, lambda: None)
 
+    def test_nan_delay_rejected(self, sim):
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule(float("nan"), lambda: None)
+
+    def test_infinite_delay_rejected(self, sim):
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule(float("inf"), lambda: None)
+
     def test_nested_scheduling(self, sim):
         events = []
 
@@ -126,6 +134,35 @@ class TestRunControl:
         f = sim.start_flow(100, ["r"], lambda _: None)
         sim.run(until=4.0)
         assert f.remaining == pytest.approx(60.0)
+
+    def test_until_before_now_rejected(self, sim):
+        """A bounded run never rewinds the clock: the flow that would
+        finish at 10.0 still does."""
+        done = []
+        sim.start_flow(100, ["r"], lambda f: done.append(sim.now))
+        sim.run(until=5.0)
+        with pytest.raises(ValueError, match="before now"):
+            sim.run(until=2.0)
+        assert sim.now == 5.0
+        sim.run()
+        assert done == [10.0]
+
+    def test_negative_until_rejected(self, sim):
+        with pytest.raises(ValueError, match="before now"):
+            sim.run(until=-1.0)
+        assert sim.now == 0.0
+
+    def test_nan_until_rejected(self, sim):
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0 and sim.events_processed == 0
+
+    def test_until_equal_to_now_processes_due_events(self, sim):
+        fired = []
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        assert sim.run(until=0.0) == 0.0
+        assert fired == [0.0]
 
     def test_max_events_guard(self, sim):
         def loop():

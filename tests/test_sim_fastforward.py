@@ -1,21 +1,22 @@
-"""Differential tests for the engine's cascade fast-forward loop.
+"""Differential tests for the engine's fused event loop.
 
-The fused loop (:meth:`repro.simulate.engine.Simulation._run_fast`) and
-the canonical solve memo (:mod:`repro.simulate.cascade`) carry a
-bit-for-bit identity contract: every emitted event — time, flow id,
-order, the 1e-9 tie-snap to the lowest flow id — must be byte-identical
-to the general per-event dispatcher.  These tests pin that contract
-three ways:
+The loop (:meth:`repro.simulate.engine.Simulation.run`) and the canonical
+solve memo (:mod:`repro.simulate.cascade`) are pinned two ways, over a
+scripted fuzz interleaving the hazards that could break them —
+completion cascades, same-timestamp timer waves, flow starts/cancels
+*during* a cascade, and FlowTable slot recycling inside a cascade:
 
-* a scripted fuzz interleaving the hazards that could break it —
-  fast-forwarded completion cascades, same-timestamp timer waves,
-  flow starts/cancels *during* the fast-forwarded window, and FlowTable
-  slot recycling inside a cascade;
-* the golden experiment fixtures replayed with the fast-forward loop
-  disabled (``DEFAULT_FASTFORWARD = False``), asserting against the
-  same pinned digests the fast-forward engine reproduces;
-* the memo's canonical keys (pair/general agreement, cap sensitivity)
-  and the cascade telemetry counters.
+* **split runs**: the same script run in one ``run()`` and split by 25+
+  ``run(until=...)`` cuts must emit byte-identical event logs (times
+  compared by ``repr``) — a bounded run must stop without perturbing a
+  single float;
+* **the naive oracle**: :class:`tests.reference_sim.ReferenceSimulation`
+  (whole-network ``allocate_rates`` and a full settle at every event,
+  full-scan prediction, ``flow_id``-ordered retires) must emit the same
+  events in the same order, with times within 1e-9 relative.
+
+The memo's canonical keys (pair/general agreement, cap sensitivity) and
+the cascade telemetry counters are pinned directly.
 """
 
 from __future__ import annotations
@@ -24,15 +25,18 @@ import random
 
 import pytest
 
-import repro.simulate.engine as engine_mod
 from repro.simulate import Simulation
 from repro.simulate.cascade import SolveMemo, component_key, pair_key
 from repro.simulate.flows import Flow
 from repro.simulate.resources import Resource
+from tests.reference_sim import ReferenceSimulation
+
+#: Scripts per fuzz: each is replayed split, unsplit and on the oracle.
+FUZZ_SEEDS = range(32)
 
 
-def _grid_sim(ff: bool, n: int = 6) -> Simulation:
-    sim = Simulation(fastforward=ff)
+def _grid_sim(factory, n: int = 6):
+    sim = factory()
     for i in range(n):
         sim.add_resource(Resource(f"r{i}", 10.0))
     return sim
@@ -64,8 +68,8 @@ def _fuzz_script(seed: int, waves: int = 120):
         else:
             # chain: when the flow completing at this point finishes,
             # its callback immediately starts a follow-up flow — the
-            # start lands *inside* a fast-forwarded cascade window and
-            # recycles the just-freed slot.
+            # start lands *inside* a completion cascade and recycles the
+            # just-freed slot.
             size = rng.choice((10.0, 20.0))
             first = rng.randrange(6)
             path = (f"r{first}", f"r{(first + 1) % 6}")
@@ -73,14 +77,22 @@ def _fuzz_script(seed: int, waves: int = 120):
     return script
 
 
-def _run_script(seed: int, ff: bool):
+def _cuts(seed: int, end: float, n: int = 25) -> list[float]:
+    """``n`` random cut points over ``[0, end]`` plus the script's timer
+    grid instants, so some cuts land exactly on an event."""
+    rng = random.Random(seed ^ 0x5EED)
+    grid = [0.5 * k for k in range(1, 13)]
+    return sorted(set([rng.uniform(0.0, end) for _ in range(n)] + grid))
+
+
+def _run_script(seed: int, factory=Simulation, cuts=()):
     """Replay one script; returns the completion/cancel event log."""
-    sim = _grid_sim(ff)
+    sim = _grid_sim(factory)
     log: list[tuple] = []
     active: list[Flow] = []
     chain_next: list[tuple] = []
     # flow_id is a process-global counter; log per-run ordinals so the
-    # two runs compare structurally.
+    # runs compare structurally.
     ordinal: dict[int, int] = {}
 
     def track(f: Flow) -> Flow:
@@ -112,65 +124,53 @@ def _run_script(seed: int, ff: bool):
 
     for action in _fuzz_script(seed):
         sim.schedule(action[1], lambda a=action: apply(a))
+    for cut in cuts:
+        assert sim.run(until=cut) == cut
     sim.run()
-    return log, sim.perf
+    return log, sim
 
 
 class TestFuzzIdentity:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
     def test_interleaved_trace_identity(self, seed):
         """start/cancel/chain × same-timestamp waves × slot recycling:
-        the fast-forward trace equals the general dispatcher's, with
-        event times compared by repr (bit-for-bit)."""
-        log_ff, perf_ff = _run_script(seed, True)
-        log_gen, perf_gen = _run_script(seed, False)
-        assert log_ff == log_gen
-        # Same events, same per-kind counts either way.
-        assert perf_ff.flow_events == perf_gen.flow_events
-        assert perf_ff.timer_events == perf_gen.timer_events
-        assert perf_ff.flows_cancelled == perf_gen.flows_cancelled
-        # The general loop never counts cascades.
-        assert perf_gen.fastforward_cascades == 0
-        assert perf_gen.cascade_events == 0
+        a run split by 25+ ``until`` cuts emits the unsplit run's trace,
+        with event times compared by repr (bit-for-bit)."""
+        log, sim = _run_script(seed)
+        cuts = _cuts(seed, sim.now)
+        assert len(cuts) >= 25
+        log_split, sim_split = _run_script(seed, cuts=cuts)
+        assert log_split == log
+        assert sim_split.now == sim.now
+        assert sim_split.events_processed == sim.events_processed
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS)
+    def test_engine_matches_reference_oracle(self, seed):
+        """The same scripts on the naive engine: identical event kinds,
+        flows and order; times within 1e-9 relative."""
+        log, sim = _run_script(seed)
+        log_ref, ref = _run_script(seed, ReferenceSimulation)
+        assert [(kind, o) for kind, _, o in log] == [
+            (kind, o) for kind, _, o in log_ref
+        ]
+        for (_, t, _), (_, t_ref, _) in zip(log, log_ref):
+            assert float(t) == pytest.approx(float(t_ref), rel=1e-9, abs=1e-12)
+        assert sim.now == pytest.approx(ref.now, rel=1e-9)
+        assert sim.events_processed == ref.events_processed
 
     def test_fuzz_exercises_the_hazards(self):
         """The scripts actually cover what they claim to cover."""
         cascades = cancels = chained = coalesced = 0
         for seed in range(8):
-            log, perf = _run_script(seed, True)
-            cascades += perf.fastforward_cascades
-            coalesced += perf.coalesced_events
+            log, sim = _run_script(seed)
+            cascades += sim.perf.fastforward_cascades
+            coalesced += sim.perf.coalesced_events
             cancels += sum(1 for e in log if e[0] == "cancel")
             chained += sum(1 for e in log if e[0] == "chained")
         assert cascades > 0
         assert coalesced > 0
         assert cancels > 0
         assert chained > 0
-
-
-class TestGoldenFastforwardOff:
-    """The pinned component-engine fixtures, replayed without the
-    fast-forward loop.  The regular golden suite runs them with it (the
-    default); equality against the same digests on both sides is the
-    on/off identity contract on every golden workload."""
-
-    @pytest.fixture(autouse=True)
-    def _general_dispatcher(self, monkeypatch):
-        monkeypatch.setattr(engine_mod, "DEFAULT_FASTFORWARD", False)
-
-    def test_fig7_bitwise_without_fastforward(self):
-        from tests.test_sim_golden import GOLDEN_COMPONENT, assert_exact
-
-        from repro.experiments.single_data import run_single_data_comparison
-
-        c = run_single_data_comparison(16, seed=9)
-        assert_exact(c.base, GOLDEN_COMPONENT["fig7_m16_s9_base"])
-        assert_exact(c.opass, GOLDEN_COMPONENT["fig7_m16_s9_opass"])
-
-    def test_faults_bitwise_without_fastforward(self):
-        from tests.test_sim_golden import GOLDEN_COMPONENT, _faults_run, assert_exact
-
-        assert_exact(_faults_run(), GOLDEN_COMPONENT["faults_8"])
 
 
 class TestCascadeCounters:
@@ -187,28 +187,17 @@ class TestCascadeCounters:
         # cascade_events counts events beyond the first of each run.
         assert sim.perf.cascade_events == sim.perf.flow_events - 1
 
-    def test_general_loop_counts_nothing(self):
-        sim = Simulation(fastforward=False)
-        sim.add_resource(Resource("r", 30.0))
-        for size in (30.0, 60.0, 90.0):
-            sim.start_flow(size, ("r",), lambda f: None)
-        sim.run()
-        assert sim.perf.flows_finished == 3
-        assert sim.perf.fastforward_cascades == 0
-        assert sim.perf.cascade_events == 0
-
-    def test_bounded_run_uses_general_loop(self):
-        """run(until=...) must not enter the fused loop (it has no
-        horizon handling) — and still completes correctly."""
+    def test_bounded_run_resumes_the_same_loop(self):
+        """run(until=...) stops mid-flow and resumes without moving the
+        completion: 50 B at 10 B/s finishes at exactly 5.0."""
         sim = Simulation()
         sim.add_resource(Resource("r", 10.0))
         done = []
-        sim.start_flow(50.0, ("r",), done.append)
+        sim.start_flow(50.0, ("r",), lambda f: done.append(sim.now))
         sim.run(until=1.0)
         assert not done and sim.now == 1.0
         sim.run()
-        assert len(done) == 1
-        assert sim.perf.fastforward_cascades == 0
+        assert done == [5.0]
 
 
 class TestSolveMemo:

@@ -125,6 +125,18 @@ class TestFlowValidation:
         with pytest.raises(ValueError):
             Flow(0, ("r",))
 
+    def test_nan_size(self):
+        with pytest.raises(ValueError, match="finite"):
+            Flow(float("nan"), ("r",))
+
+    def test_infinite_size(self):
+        with pytest.raises(ValueError, match="finite"):
+            Flow(float("inf"), ("r",))
+
+    def test_nan_rate_cap(self):
+        with pytest.raises(ValueError, match="rate_cap"):
+            Flow(1, ("r",), rate_cap=float("nan"))
+
     def test_empty_path(self):
         with pytest.raises(ValueError):
             Flow(1, ())

@@ -103,7 +103,7 @@ class TestRecyclingFuzz:
     STEPS = 300
 
     def _make_sim(self):
-        sim = Simulation(allocator="component")
+        sim = Simulation()
         for i in range(self.RESOURCES):
             sim.add_resource(Resource(f"r{i}", 10.0))
         return sim

@@ -1,31 +1,24 @@
-"""Golden regression: both pinned engines reproduce their fixture files.
+"""Golden regression: the engine reproduces its fixture file bit for bit.
 
-Two fixture files, one per pinned engine (regenerate with
-``tests/data/make_golden_sim_seed.py``):
+``golden_sim_component.json`` (regenerate with
+``tests/data/make_golden_sim_seed.py``) pins the engine exactly on every
+fixture: makespans compared by ``repr`` string and the full record
+stream by sha256 digest.
 
-``golden_sim_seed.json`` — captured from the pre-incremental seed engine
-and **never rewritten**.  ``Simulation(allocator="incremental")`` must
-reproduce it bit for bit on workloads whose every event changes the flow
-set (all parallel-read benchmarks): makespans compared by ``repr`` string
-and the full record stream by sha256 digest.  Timer-heavy workloads
-(failure injection, irregular compute) merge several events into one
-settle interval, so their float error differs in the last ulp; those pin
-byte counts and discrete decisions exactly and makespans to 1e-9
-relative.
-
-``golden_sim_component.json`` — pins the **default** engine
-(``allocator="component"``), bit for bit on every fixture.  Component-
-sliced water-filling is arithmetically identical to the reference solver
-within a component but rounds the global water level differently across
-components, so its trajectories sit an ulp from the seed engine's:
-cross-checking the two files shows ≤3e-15 relative deviation on 12 of
-the 13 workloads.  The one exception, ``fig7_m16_s0_base``, hits a wave
-of chunk reads finishing at the *exact same* simulated instant; the
-firing order among the tied flows (float noise in the seed engine,
-canonical ``flow_id`` order in the component engine) permutes downstream
-replica-pick RNG draws, so its makespan diverges while byte counts and
-locality stay identical.  That cross-file deviation is asserted here so
-a silent re-convergence or a new divergence both fail loudly.
+``golden_sim_seed.json`` was captured from the pre-incremental seed
+engine and is **never rewritten**; no engine today reproduces it, and it
+stays as a cross-check.  Component-sliced water-filling is arithmetically
+identical to the whole-network reference solver within a component but
+rounds the global water level differently across components, so the
+engine's trajectories sit an ulp from the seed engine's: the two files
+agree to ≤3e-15 relative on 12 of the 13 shared workloads.  The one
+exception, ``fig7_m16_s0_base``, hits a wave of chunk reads finishing at
+the *exact same* simulated instant; the firing order among the tied
+flows (float noise in the seed engine, canonical ``flow_id`` order here)
+permutes downstream replica-pick RNG draws, so its makespan diverges
+while byte counts and locality stay identical.  That cross-file deviation
+is asserted here so a silent re-convergence or a new divergence both
+fail loudly.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.simulate.engine as engine_mod
-
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_sim_seed.json").read_text()
 )
@@ -45,19 +36,15 @@ GOLDEN_COMPONENT = json.loads(
     (Path(__file__).parent / "data" / "golden_sim_component.json").read_text()
 )
 
-#: The one fixture where the component engine's tie policy changes the
-#: firing order of simultaneous completions (see module docstring).
+#: The one fixture where the engine's tie policy changes the firing order
+#: of simultaneous completions (see module docstring).
 TIE_DIVERGENT = ("fig7_m16_s0_base",)
 
 
-@pytest.fixture(params=["incremental", "component"])
-def pinned(request, monkeypatch):
-    """Run the test body once per pinned engine; yields that engine's
-    golden dict.  Experiment entry points construct ``Simulation()``
-    internally, so the default allocator is patched module-wide."""
-    monkeypatch.setattr(engine_mod, "DEFAULT_ALLOCATOR", request.param)
-    if request.param == "incremental":
-        return GOLDEN
+@pytest.fixture(params=["component"])
+def pinned():
+    """The golden dict the engine must reproduce; the ``component`` id
+    names the fixture file (``golden_sim_component.json``)."""
     return GOLDEN_COMPONENT
 
 
@@ -79,15 +66,6 @@ def assert_exact(result, golden):
     assert result.local_bytes == golden["local_bytes"]
     assert result.remote_bytes == golden["remote_bytes"]
     assert {k: repr(v) for k, v in result.io_stats().items()} == golden["io"]
-
-
-def assert_ulp(result, golden):
-    """Timer-heavy run: discrete outcomes exact, floats to 1e-9 relative."""
-    assert result.makespan == pytest.approx(float(golden["makespan"]), rel=1e-9)
-    assert result.local_bytes == golden["local_bytes"]
-    assert result.remote_bytes == golden["remote_bytes"]
-    for k, v in result.io_stats().items():
-        assert v == pytest.approx(float(golden["io"][k]), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -188,13 +166,7 @@ def _faults_run():
 
 
 def test_faults(pinned):
-    # The seed file predates the incremental engine and pins faults_8
-    # only to 1e-9 (merged settle intervals); the component file pins
-    # its own engine exactly.
-    if pinned is GOLDEN:
-        assert_ulp(_faults_run(), pinned["faults_8"])
-    else:
-        assert_exact(_faults_run(), pinned["faults_8"])
+    assert_exact(_faults_run(), pinned["faults_8"])
 
 
 def test_dynamic(pinned):
@@ -202,9 +174,8 @@ def test_dynamic(pinned):
 
     dyn = run_dynamic_comparison(num_nodes=8, num_fragments=48, seed=2)
     g = pinned["dynamic_8_s2"]
-    check = assert_ulp if pinned is GOLDEN else assert_exact
-    check(dyn.base.result, g["base"])
-    check(dyn.opass.result, g["opass"])
+    assert_exact(dyn.base.result, g["base"])
+    assert_exact(dyn.opass.result, g["opass"])
     assert dyn.base.steals == g["base_steals"]
     assert dyn.opass.steals == g["opass_steals"]
 

@@ -6,9 +6,9 @@
   opass-lint OPS005 rule via :mod:`repro.tools.api`, which generalises
   PR 1's bespoke engine-only ``list.remove`` ban to every hot-path
   module;
-* ``Simulation(allocator="reference")`` re-solves with the pure
-  ``allocate_rates`` every time — whole runs must match the incremental
-  engine event for event.
+* the naive oracle :class:`tests.reference_sim.ReferenceSimulation`
+  re-solves the whole network with the pure ``allocate_rates`` at every
+  event — whole runs must match the engine event for event.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from __future__ import annotations
 import inspect
 from pathlib import Path
 
-import pytest
-
 import repro.simulate.engine as engine_mod
 from repro.simulate import Simulation
 from repro.simulate.resources import Resource
 from repro.tools.api import lint_file, lint_paths
+from tests.reference_sim import ReferenceSimulation
 
 
 class TestStructure:
@@ -59,22 +58,19 @@ class TestStructure:
         assert isinstance(sim._flows, dict)
         assert not hasattr(sim, "_active")
 
-    def test_unknown_allocator_rejected(self):
-        with pytest.raises(ValueError, match="unknown allocator"):
-            Simulation(allocator="magic")
-
     def test_slot_ids_are_recycled(self):
         sim = Simulation()
         sim.add_resource(Resource("r", 10.0))
+        table = sim._table
         flows = [sim.start_flow(100, ["r"], lambda f: None) for _ in range(5)]
         sim.cancel_flow(flows[1])
         sim.cancel_flow(flows[3])
-        assert len(sim._fid_of) == 3
-        assert sorted(sim._free_ids) == [1, 3]
+        assert len(table.fid_of) == 3
+        assert sorted(table.free_ids) == [1, 3]
         # a new flow reuses a freed slot instead of growing the arrays
         extra = sim.start_flow(100, ["r"], lambda f: None)
-        assert sim._fid_of[extra] in (1, 3)
-        assert len(sim._flow_at) == 5
+        assert table.fid_of[extra] in (1, 3)
+        assert len(table.flow_at) == 5
 
 
 def build_workload(sim):
@@ -110,42 +106,34 @@ def build_workload(sim):
 class TestReferenceDifferential:
     def test_runs_match_event_for_event(self):
         runs = {}
-        for mode in ("component", "incremental", "reference"):
-            sim = Simulation(allocator=mode)
+        for name, factory in (("engine", Simulation), ("oracle", ReferenceSimulation)):
+            sim = factory()
             events = build_workload(sim)
             end = sim.run()
-            runs[mode] = (events, end, sim.events_processed, sim.completed_flows)
-        assert runs["incremental"] == runs["reference"]
-        # Component-sliced rounding drifts from the global solve by at
-        # most an ulp: same tag order and event counts, times ≤1e-9 off.
-        comp_events, comp_end, comp_n, comp_done = runs["component"]
-        ref_events, ref_end, ref_n, ref_done = runs["reference"]
-        assert (comp_n, comp_done) == (ref_n, ref_done)
-        assert [tag for tag, _ in comp_events] == [tag for tag, _ in ref_events]
-        for (_, tc), (_, tr) in zip(comp_events, ref_events):
-            assert tc == pytest.approx(tr, rel=1e-9, abs=1e-9)
-        assert comp_end == pytest.approx(ref_end, rel=1e-9)
+            runs[name] = (events, end, sim.events_processed, sim.completed_flows)
+        # Every solve here covers one connected component, which the
+        # engine solves with the oracle's own arithmetic: exact match.
+        assert runs["engine"] == runs["oracle"]
 
     def test_partial_run_remaining_match(self):
         states = {}
-        for mode in ("component", "incremental", "reference"):
-            sim = Simulation(allocator=mode)
+        for name, factory in (("engine", Simulation), ("oracle", ReferenceSimulation)):
+            sim = factory()
             sim.add_resources([Resource("a", 10.0), Resource("b", 4.0)])
             f1 = sim.start_flow(100, ["a", "b"], lambda f: None)
             f2 = sim.start_flow(100, ["a"], lambda f: None)
             sim.run(until=3.0)
-            states[mode] = (sim.now, f1.remaining, f2.remaining)
-        assert states["incremental"] == states["reference"]
-        assert states["component"] == pytest.approx(states["reference"], rel=1e-9)
+            states[name] = (sim.now, f1.remaining, f2.remaining)
+        assert states["engine"] == states["oracle"]
+        assert states["engine"][0] == 3.0
 
     def test_current_rate_matches(self):
         rates = {}
-        for mode in ("component", "incremental", "reference"):
-            sim = Simulation(allocator=mode)
+        for name, factory in (("engine", Simulation), ("oracle", ReferenceSimulation)):
+            sim = factory()
             sim.add_resources([Resource("a", 10.0), Resource("b", 4.0)])
             f1 = sim.start_flow(100, ["a", "b"], lambda f: None)
             f2 = sim.start_flow(100, ["a"], lambda f: None)
             f3 = sim.start_flow(100, ["b"], lambda f: None, rate_cap=1.0)
-            rates[mode] = (sim.current_rate(f1), sim.current_rate(f2), sim.current_rate(f3))
-        assert rates["incremental"] == rates["reference"]
-        assert rates["component"] == pytest.approx(rates["reference"], rel=1e-9)
+            rates[name] = (sim.current_rate(f1), sim.current_rate(f2), sim.current_rate(f3))
+        assert rates["engine"] == rates["oracle"]

@@ -51,34 +51,18 @@ class TestEngineCounters:
         drain(sim)
         # one initial solve, nothing dirtied until the flow completed
         assert sim.perf.solves == 2
-        # the default (component) engine predicts per changed flow and
-        # never rebuilds the full prediction set; pushes are bounded by
+        # the engine predicts per changed flow; pushes are bounded by
         # peeks (the tie-snap re-push), not flows x epochs
-        assert sim.perf.prediction_rebuilds == 0
         assert 1 <= sim.perf.heap_pushes <= sim.perf.events + 2
         assert sim.perf.solve_iterations >= 1
 
-    def test_cache_modes_rebuild_per_epoch(self):
-        """The cache-scan engines rebuild predictions once per rate epoch."""
-        for allocator in ("incremental", "reference"):
-            sim = Simulation(allocator=allocator)
-            sim.add_resource(Resource("r", 10.0))
-            sim.start_flow(100, ["r"], lambda f: None)
-            for i in range(5):
-                sim.schedule(float(i + 1), lambda: None)
-            drain(sim)
-            assert sim.perf.prediction_rebuilds == 2
-            assert sim.perf.heap_pushes == 0
-
     def test_deprecated_aliases_removed(self):
-        """The pre-PR-4 alias names are gone from both API and snapshot."""
+        """Retired counters are gone from both API and snapshot."""
         p = SimPerf()
-        assert not hasattr(p, "heap_rebuilds")
-        assert not hasattr(p, "heap_pops")
         snap = p.snapshot()
-        assert "heap_rebuilds" not in snap
-        assert "heap_pops" not in snap
-        assert "prediction_rebuilds" in snap
+        for name in ("heap_rebuilds", "heap_pops", "prediction_rebuilds"):
+            assert not hasattr(p, name)
+            assert name not in snap
         assert "stale_pops" in snap
         assert "memo_hits" in snap
         assert "fastforward_cascades" in snap

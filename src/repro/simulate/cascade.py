@@ -122,13 +122,14 @@ class SolveMemo:
     returned them: ``rates`` in member (active-list) order, and the
     water-filling iteration count replayed into the perf counters on a
     hit so ``solve_iterations`` keeps measuring the *represented* work
-    (the OPS304 echo bounds iterations/event across scales; a memo
-    whose hit rate varies by scale must not bend that curve).  Hit
-    accounting lives in the allocator (``SimPerf.memo_hits``), keeping
-    :meth:`lookup` a pure read.  The method names are deliberately not
-    ``get``/``put``: the OPS103 interprocedural pass resolves untyped
-    method calls by name, and a mutating ``get`` would shadow every
-    ``dict.get`` call site in the project.
+    (``tests/test_work_counter_growth.py`` bounds iterations/event
+    across scales; a memo whose hit rate varies by scale must not bend
+    that curve).  Hit accounting lives in the allocator
+    (``SimPerf.memo_hits``), keeping :meth:`lookup` a pure read.  The
+    method names are deliberately not ``get``/``put``: the OPS103
+    interprocedural pass resolves untyped method calls by name, and a
+    mutating ``get`` would shadow every ``dict.get`` call site in the
+    project.
     """
 
     __slots__ = ("_cache", "max_entries")

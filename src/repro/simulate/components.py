@@ -524,7 +524,7 @@ class ComponentAllocator:
             # The static lattice sums per-component work as if every dirty
             # component were the whole problem; the bound below counts the
             # dirty set, which is what the O(n log n) contract is about
-            # (cross-checked dynamically by the OPS304 solve_iterations echo).
+            # (cross-checked by the solve_iterations/events growth test).
             if self._kernel == "reference":
                 self._solve_reference(changed, out)  # opass: ignore[OPS302] -- amortized over the dirty set
             else:

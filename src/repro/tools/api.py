@@ -20,9 +20,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .callgraph import _module_from_path
 from .checks import RULES, check_module
 from .concurrency import CONCURRENCY_RULES
-from .config import LintConfig, find_pyproject, load_config
+from .config import LintConfig, config_near
 from .costmodel import COST_RULES
 from .interproc import INTERPROC_RULES
 from .model import Violation, module_directive, parse_suppressions
@@ -106,26 +107,6 @@ class LintReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
-def _module_from_path(path: Path) -> tuple[str, bool]:
-    """Infer the dotted module from a file path (``.../repro/x/y.py``).
-
-    Returns ``(module, is_package)``.  Files outside a ``repro`` tree get
-    a synthetic top-level name, which keeps package-scoped rules off.
-    """
-    parts = list(path.parts)
-    is_package = path.name == "__init__.py"
-    if "repro" in parts:
-        start = len(parts) - 1 - parts[::-1].index("repro")
-        mod_parts = parts[start:]
-    else:
-        mod_parts = [path.name]
-    if is_package:
-        mod_parts = mod_parts[:-1]
-    elif mod_parts[-1].endswith(".py"):
-        mod_parts[-1] = mod_parts[-1][: -len(".py")]
-    return ".".join(mod_parts), is_package
-
-
 def apply_suppressions(
     raw: list[Violation], source: str, path: str, *, tool: str = "opass-lint"
 ) -> LintReport:
@@ -190,6 +171,21 @@ def lint_source(
     return apply_suppressions(raw, source, path)
 
 
+def emit_report(report: LintReport, fmt: str, output: str | None) -> None:
+    """Print ``report`` as ``fmt`` (human, json or sarif); copy it to ``output``."""
+    if fmt == "sarif":
+        from .sarif import to_sarif_json
+
+        rendered = to_sarif_json(report)
+    elif fmt == "json":
+        rendered = report.to_json()
+    else:
+        rendered = report.render()
+    print(rendered)
+    if output is not None:
+        Path(output).write_text(rendered + "\n", encoding="utf-8")
+
+
 def _is_relaxed_path(path: Path, config: LintConfig) -> bool:
     """True when ``path`` sits under a configured ``extra-paths`` root."""
     return any(part in config.extra_paths for part in path.parts)
@@ -233,8 +229,7 @@ def lint_paths(
     lint fixture snippets live under the excluded ``tests/data/``).
     """
     if config is None:
-        pyproject = find_pyproject(Path(paths[0]) if paths else Path.cwd())
-        config = load_config(pyproject) if pyproject else LintConfig()
+        config = config_near(paths[0] if paths else Path.cwd())
     report = LintReport()
     for raw in paths:
         p = Path(raw)

@@ -5,13 +5,15 @@ misses cleanly instead of serving stale results:
 
 * **summary bundles** — per-module :class:`~.summaries.LocalSummary`
   tables plus the module's name and runtime deps, keyed by
-  ``sha256(source)`` + the config fingerprint.  Parsing a module is
-  cheap; *summarizing* it (the per-function dataflow walk) is the
-  expensive part, and that is what a bundle hit skips.
-* **check results** — the raw OPS101–OPS103 + OPS203–OPS204 violations
-  for one module, keyed by the module key **plus a closure signature**:
-  the hash of every (module, content-hash) pair in its transitive
-  import closure.  Editing a leaf module therefore invalidates exactly
+  ``sha256(source)`` alone (summaries do not depend on the config).
+  Parsing a module is cheap; *summarizing* it (the per-function
+  dataflow walk) is the expensive part, and that is what a bundle hit
+  skips.
+* **check results** — the raw OPS101–OPS103, OPS203 and OPS301–OPS303
+  violations for one module, keyed by the module key, the check-config
+  and per-module contract digests **and a closure signature**: the hash
+  of every (module, content-hash) pair in its transitive import
+  closure.  Editing a leaf module therefore invalidates exactly
   the modules that can see it, and nothing else.
 
 Both stores live under ``.opass-cache/v<ANALYZER_VERSION>/`` so bumping
@@ -22,7 +24,7 @@ deleted (or half-deleted) at any time without affecting results.
 Known approximations: dynamic-dispatch fallback resolution consults
 *every* class in the project, not just the import closure, so renaming a
 same-named method in an unrelated module does not invalidate cached
-check results.  Config edits are covered by the fingerprint;
+check results.  Config edits are covered by the check digests;
 ``--no-cache`` (or removing ``.opass-cache/``) forces a guaranteed-fresh
 pass.
 """
@@ -60,9 +62,9 @@ class CacheStats:
         }
 
 
-def module_key(source: str, config_fingerprint: str) -> str:
-    """Cache key of one module: content hash + configuration."""
-    return f"{source_fingerprint(source)[:32]}-{config_fingerprint}"
+def module_key(source: str) -> str:
+    """Cache key of one module: its content hash."""
+    return source_fingerprint(source)[:32]
 
 
 def closure_signature(members: list[tuple[str, str]]) -> str:
@@ -77,10 +79,6 @@ class AnalysisCache:
     def __init__(self, root: str | Path | None, stats: CacheStats | None = None):
         self.root = Path(root) if root is not None else None
         self.stats = stats if stats is not None else CacheStats()
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
 
     def _dir(self, kind: str) -> Path:
         assert self.root is not None

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .astutils import annotation_roots, dotted, iter_arguments
+from .model import module_directive
 
 #: Bump when the analysis or the cached-summary format changes.
 #: v2: LocalSummary gained ``global_writes``; the OPS200 concurrency pass
@@ -43,7 +44,9 @@ from .astutils import annotation_roots, dotted, iter_arguments
 #: and check keys gained the check-config + per-module contract digests.
 #: v4: LocalSummary dropped ``global_writes`` along with its only reader,
 #: the fork-worker safety rule.
-ANALYZER_VERSION = 4
+#: v5: the async-blocking rule is gone, summary keys no longer carry a
+#: config digest, and cached ``call_axes`` must align with ``calls``.
+ANALYZER_VERSION = 5
 
 
 @dataclass
@@ -116,6 +119,9 @@ class ModuleDecl:
     classes: dict[str, ClassDecl] = field(default_factory=dict)
     #: module-level ``name = <dotted>`` aliases (``wall_clock = time.perf_counter``).
     assign_aliases: dict[str, str] = field(default_factory=dict)
+    #: True when a ``# opass-lint: module=`` directive placed this source
+    #: in ``module``'s scope: it stands for part of the module, not all.
+    snippet: bool = False
 
     def resolve_local(self, name: str) -> str | None:
         """Dotted target a local binding refers to, if imported/aliased."""
@@ -135,7 +141,11 @@ class ModuleDecl:
 
 
 def _module_from_path(path: Path) -> tuple[str, bool]:
-    """Infer the dotted module name from a file path (shared with lint)."""
+    """Infer the dotted module from a file path (``.../repro/x/y.py``).
+
+    Returns ``(module, is_package)``.  Files outside a ``repro`` tree get
+    a synthetic top-level name, which keeps package-scoped rules off.
+    """
     parts = list(path.parts)
     is_package = path.name == "__init__.py"
     if "repro" in parts:
@@ -180,13 +190,13 @@ def parse_module(
     is_package: bool | None = None,
 ) -> ModuleDecl:
     """Build a :class:`ModuleDecl` from source text."""
-    from .model import module_directive
-
     directive = module_directive(source)
+    snippet = False
     if module is None:
         if directive is not None:
             module = directive
             inferred_pkg = False
+            snippet = True
         else:
             module, inferred_pkg = _module_from_path(Path(path))
         if is_package is None:
@@ -195,7 +205,9 @@ def parse_module(
         is_package = path.endswith("__init__.py")
 
     tree = ast.parse(source, filename=path)
-    decl = ModuleDecl(module=module, path=path, tree=tree, is_package=is_package)
+    decl = ModuleDecl(
+        module=module, path=path, tree=tree, is_package=is_package, snippet=snippet
+    )
 
     finder = _TypeCheckingFinder()
     finder.visit(tree)
@@ -505,28 +517,6 @@ class Project:
                 continue
             break
         return target
-
-    # -- dependency closure (drives cache invalidation) ----------------------
-
-    def closure_of(self, module: str) -> set[str]:
-        """Transitive in-project dependencies of a module, including itself."""
-        out: set[str] = set()
-        stack = [module]
-        while stack:
-            cur = stack.pop()
-            if cur in out:
-                continue
-            decl = self.modules.get(cur)
-            if decl is None:
-                # `from repro.x import name` records dep "repro.x.name" when
-                # name is a function — strip one component and retry.
-                parent = cur.rpartition(".")[0]
-                if parent and parent not in out and parent in self.modules:
-                    stack.append(parent)
-                continue
-            out.add(cur)
-            stack.extend(decl.deps)
-        return out
 
 
 def build_project(

@@ -36,6 +36,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from .astutils import WALLCLOCK_CALLS, annotation_roots, dotted, terminal_name
 from .config import LintConfig
 from .model import Violation
 
@@ -52,23 +53,6 @@ RULES: dict[str, str] = {
 
 KNOWN_RULES = frozenset(RULES)
 
-_WALLCLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
 #: np.random attributes that are explicitly-seeded machinery, not global
 #: state; constructing them is fine.
 _SEEDED_RNG_TYPES = frozenset(
@@ -82,49 +66,6 @@ _SET_ANNOTATIONS = frozenset(
 _SET_METHODS_RETURNING_SET = frozenset(
     {"copy", "union", "intersection", "difference", "symmetric_difference"}
 )
-
-
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a pure Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _terminal_name(node: ast.expr) -> str | None:
-    """The last component of a Name/Attribute chain (``self.a.b`` → ``b``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _annotation_roots(node: ast.expr | None) -> set[str]:
-    """Root type names of an annotation (``set[int] | None`` → {set, None})."""
-    out: set[str] = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur is None:
-            continue
-        if isinstance(cur, ast.Subscript):
-            stack.append(cur.value)
-        elif isinstance(cur, ast.BinOp) and isinstance(cur.op, ast.BitOr):
-            stack.extend([cur.left, cur.right])
-        elif isinstance(cur, ast.Name):
-            out.add(cur.id)
-        elif isinstance(cur, ast.Attribute):
-            out.add(cur.attr)
-        elif isinstance(cur, ast.Constant) and isinstance(cur.value, str):
-            # a quoted annotation — parse its root the cheap way
-            out.add(cur.value.split("[", 1)[0].strip())
-    return out
 
 
 @dataclass
@@ -266,7 +207,7 @@ class _Checker(ast.NodeVisitor):
                     if isinstance(target, ast.Name):
                         self._classify_into(env, target.id, node.value, attr=False)
                 elif isinstance(node, ast.AnnAssign):
-                    roots = _annotation_roots(node.annotation)
+                    roots = annotation_roots(node.annotation)
                     target = node.target
                     if isinstance(target, ast.Name):
                         if roots & _SET_ANNOTATIONS:
@@ -306,7 +247,7 @@ class _Checker(ast.NodeVisitor):
         )
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                roots = _annotation_roots(stmt.annotation)
+                roots = annotation_roots(stmt.annotation)
                 if roots & _SET_ANNOTATIONS:
                     env.set_attrs.add(stmt.target.id)
                 elif "str" in roots:
@@ -327,7 +268,7 @@ class _Checker(ast.NodeVisitor):
                     and isinstance(target.value, ast.Name)
                     and target.value.id == "self"
                 ):
-                    roots = _annotation_roots(sub.annotation)
+                    roots = annotation_roots(sub.annotation)
                     if roots & _SET_ANNOTATIONS:
                         env.set_attrs.add(target.attr)
                     elif "str" in roots:
@@ -418,9 +359,9 @@ class _Checker(ast.NodeVisitor):
     # -- calls (OPS001 / OPS002 / OPS003 / OPS005) ---------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
-        if dotted is not None:
-            expanded = self._expand(dotted)
+        name = dotted(node.func)
+        if name is not None:
+            expanded = self._expand(name)
             self._check_rng_call(node, expanded)
             self._check_wallclock_call(node, expanded)
         if isinstance(node.func, ast.Attribute):
@@ -478,7 +419,7 @@ class _Checker(ast.NodeVisitor):
         )
 
     def _check_wallclock_call(self, node: ast.Call, expanded: str) -> None:
-        if expanded not in _WALLCLOCK_CALLS:
+        if expanded not in WALLCLOCK_CALLS:
             return
         if self.module in self.config.wallclock_allow:
             return
@@ -495,7 +436,7 @@ class _Checker(ast.NodeVisitor):
         if func.attr == "remove" and len(node.args) == 1:
             if self._is_set_expr(receiver):
                 return  # set.remove is O(1); order is not observed
-            terminal = _terminal_name(receiver)
+            terminal = terminal_name(receiver)
             if terminal in self.config.remove_allow:
                 return
             self._flag(
@@ -586,7 +527,7 @@ class _Checker(ast.NodeVisitor):
     def _is_float_quantity(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Constant):
             return type(node.value) is float
-        terminal = _terminal_name(node)
+        terminal = terminal_name(node)
         return terminal is not None and terminal in self.config.float_attrs
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -641,7 +582,7 @@ class _Checker(ast.NodeVisitor):
             *([args.vararg] if args.vararg else []),
             *([args.kwarg] if args.kwarg else []),
         ]:
-            roots = _annotation_roots(arg.annotation)
+            roots = annotation_roots(arg.annotation)
             if roots & _SET_ANNOTATIONS:
                 env.set_names.add(arg.arg)
             elif "str" in roots:

@@ -1,71 +1,36 @@
-"""Float-identity and async-blocking rules OPS203–OPS204 (`opass-verify`).
+"""Float-identity rule OPS203 (`opass-verify`).
 
 The numpy water-filling kernels promise bit-for-bit identity with the
-reference solvers.  This pass rides the same fixed-point summaries as
-OPS101–OPS103 and machine-checks the float semantics those rules are
-blind to, plus blocking calls reachable from async code:
+reference solvers.  Inside registered kernel modules
+(``kernel_modules``, same prefix machinery as ``pure_modules``) this
+pass machine-checks the float semantics OPS101–OPS103 are blind to: a
+dtype lattice forbids implicit float32/float16/object promotion,
+``int / int`` true division is flagged as drift, and reassociating
+reductions (``np.sum``, ``np.dot``, ``.mean()`` …) are banned unless the
+line carries an explicit waiver::
 
-* **OPS203 — float-identity preservation.**  Inside registered kernel
-  modules (``kernel-modules``, same prefix machinery as
-  ``pure_modules``): a dtype lattice forbids implicit float32/float16/
-  object promotion, ``int / int`` true division is flagged as drift,
-  and reassociating reductions (``np.sum``, ``np.dot``, ``.mean()`` …)
-  are banned unless the line carries an explicit waiver::
+    n = int(lens.sum())  # opass: reassoc-ok -- int64 sum, addition is exact
 
-      n = int(lens.sum())  # opass: reassoc-ok -- int64 sum, addition is exact
-
-  A waiver without a reason is itself reported as OPS000.
-* **OPS204 — blocking calls in async code.**  Sync sleeps, file I/O,
-  ``subprocess``, socket connects and pool/process joins reachable from
-  an ``async def`` (directly or through sync project callees) stall the
-  event loop; this seeds the ROADMAP online-scheduling service work.
-
-Reachability (OPS204) follows only *confidently resolved* call edges —
-plain dotted calls and method calls with a typed receiver.  The
-dynamic-dispatch fallback (every class method sharing a bare method
-name) is deliberately excluded: following it would make ``conn.recv()``
-reach every ``recv`` in the project and drown the rule in false
-positives.  Every violation is attributed to a concrete line in the
-module under check, so the per-line suppression pragmas and the
-per-module check cache work unchanged.
+A waiver without a reason is itself reported as OPS000.  Every
+violation is attributed to a concrete line in the module under check,
+so the per-line suppression pragmas and the per-module check cache
+work unchanged.
 """
 
 from __future__ import annotations
 
 import ast
 
-from .callgraph import CallRef, FunctionDecl, ModuleDecl, ResolvedCall
+from .astutils import dotted
+from .callgraph import FunctionDecl, ModuleDecl
 from .config import LintConfig
 from .interproc import _package_of
 from .model import Violation, marker_lines
-from .summaries import ProjectSummaries
 
 #: rule id → one-line description (merged into ``--list-rules``).
 CONCURRENCY_RULES: dict[str, str] = {
     "OPS203": "float-identity drift in a bit-identical kernel module",
-    "OPS204": "blocking call reachable from async code",
 }
-
-#: External callables that block the calling thread (OPS204).
-_BLOCKING_CALLS: dict[str, str] = {
-    "time.sleep": "synchronous sleep",
-    "open": "synchronous file I/O",
-    "io.open": "synchronous file I/O",
-    "os.system": "spawns and waits on a shell",
-    "os.wait": "waits on a child process",
-    "os.waitpid": "waits on a child process",
-    "subprocess.run": "waits on a subprocess",
-    "subprocess.call": "waits on a subprocess",
-    "subprocess.check_call": "waits on a subprocess",
-    "subprocess.check_output": "waits on a subprocess",
-    "subprocess.Popen": "spawns a subprocess",
-    "socket.create_connection": "synchronous socket connect",
-    "urllib.request.urlopen": "synchronous HTTP request",
-}
-
-#: Bound-method names that block: ``.join()`` with zero args is a pool /
-#: process / thread join (``str.join`` always takes one argument).
-_BLOCKING_METHODS = frozenset({"acquire", "recv", "recv_bytes"})
 
 #: numpy dtype tails that break the float64/int64 identity contract.
 _BAD_DTYPES = frozenset(
@@ -117,13 +82,6 @@ _REDUCTION_CALLS = frozenset(
 _REDUCTION_METHODS = frozenset({"sum", "dot", "prod", "mean", "std", "var", "trace"})
 
 
-def _confident_targets(ref: CallRef, rc: ResolvedCall) -> list[FunctionDecl]:
-    """Project targets excluding the dynamic-dispatch (bare-name) fallback."""
-    if ref.kind == "method" and ref.recv_type is None:
-        return []
-    return rc.targets
-
-
 def _int_names(fn: FunctionDecl):
     """(int-typed names, is_int predicate) for one function (tiny lattice)."""
     ints: set[str] = set()
@@ -165,12 +123,10 @@ def _int_names(fn: FunctionDecl):
 
 def _check_float_identity(
     decl: ModuleDecl,
-    config: LintConfig,
     reassoc_lines: set[int],
     violation,
 ) -> None:
     """OPS203 over one registered kernel module."""
-    from .astutils import dotted
 
     def expanded(func: ast.expr) -> str | None:
         if not isinstance(func, (ast.Name, ast.Attribute)):
@@ -269,101 +225,13 @@ def _check_float_identity(
                 )
 
 
-def _blocking_chain(
-    key: str,
-    summaries: ProjectSummaries,
-    memo: dict[str, tuple[str, tuple[str, ...]] | None],
-    stack: set[str],
-) -> tuple[str, tuple[str, ...]] | None:
-    """(reason, chain starting at ``key``) if ``key`` can block, else None."""
-    if key in memo:
-        return memo[key]
-    if key in stack:
-        return None
-    local = summaries.locals.get(key)
-    if local is None:
-        memo[key] = None
-        return None
-    stack.add(key)
-    result: tuple[str, tuple[str, ...]] | None = None
-    for ref, rc in zip(local.calls, summaries.resolved.get(key, [])):
-        if rc.external is not None and rc.external in _BLOCKING_CALLS:
-            result = (f"{_BLOCKING_CALLS[rc.external]} ({rc.external})", (key,))
-            break
-        if result is None:
-            for target in _confident_targets(ref, rc):
-                if isinstance(target.node, ast.AsyncFunctionDef):
-                    continue
-                sub = _blocking_chain(target.key, summaries, memo, stack)
-                if sub is not None:
-                    result = (sub[0], (key,) + sub[1])
-                    break
-        if result is not None:
-            break
-    stack.discard(key)
-    memo[key] = result
-    return result
-
-
-def _check_async_blocking(
-    decl: ModuleDecl,
-    summaries: ProjectSummaries,
-    violation,
-) -> None:
-    """OPS204: blocking work reachable from this module's ``async def``s."""
-    memo: dict[str, tuple[str, tuple[str, ...]] | None] = {}
-    for fn in decl.functions.values():
-        if not isinstance(fn.node, ast.AsyncFunctionDef):
-            continue
-        local = summaries.locals.get(fn.key)
-        if local is None:
-            continue
-        for ref, rc in zip(local.calls, summaries.resolved.get(fn.key, [])):
-            site = ast.Name(id="x")  # placeholder location carrier
-            site.lineno, site.col_offset = ref.line, max(ref.col - 1, 0)
-            if rc.external is not None and rc.external in _BLOCKING_CALLS:
-                violation(
-                    "OPS204",
-                    site,
-                    f"{_BLOCKING_CALLS[rc.external]} ({rc.external}) blocks "
-                    f"the event loop inside async '{fn.local_qualname}'",
-                )
-                continue
-            if ref.kind == "method" and not rc.targets:
-                if ref.target in _BLOCKING_METHODS or (
-                    ref.target == "join" and ref.nargs == 0
-                ):
-                    violation(
-                        "OPS204",
-                        site,
-                        f"'.{ref.target}()' may block the event loop inside "
-                        f"async '{fn.local_qualname}'",
-                    )
-                continue
-            for target in _confident_targets(ref, rc):
-                if isinstance(target.node, ast.AsyncFunctionDef):
-                    continue
-                sub = _blocking_chain(target.key, summaries, memo, set())
-                if sub is not None:
-                    reason, chain = sub
-                    violation(
-                        "OPS204",
-                        site,
-                        f"blocking call reachable from async "
-                        f"'{fn.local_qualname}': {reason} via "
-                        f"{' -> '.join(chain)}",
-                    )
-                    break
-
-
 def check_module_concurrency(
     decl: ModuleDecl,
-    summaries: ProjectSummaries,
     config: LintConfig | None = None,
     *,
     source: str | None = None,
 ) -> list[Violation]:
-    """Run OPS203–OPS204 over one module using project-wide summaries.
+    """Run OPS203 over one module.
 
     ``source`` (when available) is scanned for ``reassoc-ok`` waivers;
     without it OPS203's reduction ban has no waiver mechanism, so pass it
@@ -396,9 +264,6 @@ def check_module_concurrency(
         for k in config.kernel_modules
     )
     if kernel and config.in_scope("OPS203", package):
-        _check_float_identity(decl, config, reassoc_lines, violation)
-
-    if config.in_scope("OPS204", package):
-        _check_async_blocking(decl, summaries, violation)
+        _check_float_identity(decl, reassoc_lines, violation)
 
     return out

@@ -2,9 +2,11 @@
 
 The defaults below describe *this* repository: the package layering DAG,
 the wall-clock allow-list, the names of float-typed simulation
-quantities, and the per-rule package scopes.  A ``pyproject.toml`` can
-override any key under ``[tool.opass-lint]`` (kebab-case, as usual for
-tool tables); unknown keys are rejected so typos fail loudly.
+quantities, the per-rule package scopes, the pure and bit-identical
+kernel modules and the hot-path cost contracts.  A ``pyproject.toml``
+can override the keys in :data:`_KEYS` under ``[tool.opass-lint]``
+(kebab-case, as usual for tool tables); every other key is rejected so
+typos fail loudly.  The remaining fields keep their code defaults.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ DEFAULT_SCOPES: dict[str, tuple[str, ...] | None] = {
     "OPS101": None,
     "OPS102": ("simulate", "dfs"),
     "OPS103": None,
-    # concurrency / float-identity rules (repro.tools.concurrency)
+    # float-identity rule (repro.tools.concurrency)
     "OPS203": None,
-    "OPS204": None,
 }
 
 #: Modules whose functions are matching kernels: pure readers of the
@@ -101,8 +102,7 @@ DEFAULT_PROTECTED_TYPES: tuple[str, ...] = (
 DEFAULT_DECISION_PACKAGES: tuple[str, ...] = ("core", "dfs")
 
 #: Modules where wall-clock reads are legitimate (perf instrumentation).
-#: Single source of truth for OPS002 — the pyproject ``[tool.opass-lint]``
-#: table intentionally does NOT mirror this list.
+#: Single source of truth for OPS002: no ``[tool.opass-lint]`` key sets it.
 DEFAULT_WALLCLOCK_ALLOW: tuple[str, ...] = (
     "repro.core.perf",
     "repro.simulate.perf",
@@ -190,59 +190,6 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     "repro.simulate.cascade.SolveMemo.store": "O(1)",
 }
 
-#: OPS304 contract echo: bench counters whose growth across scales must
-#: stay within ``max-growth`` (ratio of largest to smallest per-unit
-#: value).  ``per: None`` bounds the counter itself.  Deliberately built
-#: on deterministic work counters, not wall times.
-DEFAULT_CONTRACT_ECHO: tuple[dict[str, object], ...] = (
-    {
-        "work": "solve_iterations",
-        "per": "events",
-        "max-growth": 2.0,
-        "note": "water-filling solves per event stay bounded "
-        "(ComponentAllocator.solve is per-dirty-component)",
-    },
-    {
-        "work": "stale_pops",
-        "per": "events",
-        "max-growth": 2.0,
-        "note": "lazy completion-heap invalidation is amortized O(1)/event",
-    },
-    {
-        "work": "component_size_mean",
-        "per": None,
-        "max-growth": 3.0,
-        "note": "dirty components stay O(deg), not O(n) "
-        "(the add/remove O(|path|) contract)",
-    },
-    {
-        "work": "heap_pushes",
-        "per": "events",
-        "max-growth": 2.0,
-        "note": "completion predictions stay O(changed flows)/event "
-        "(the lazy heap is fed per re-rated flow, never rebuilt)",
-    },
-    {
-        "work": "coalesced_events",
-        "per": "events",
-        "max-growth": 2.0,
-        "note": "same-timestamp timer waves keep coalescing as scale "
-        "grows (the 2048/4096-node collapse fix does not decay)",
-    },
-    {
-        "work": "augmentations",
-        "per": "tasks",
-        "max-growth": 2.0,
-        "note": "incremental re-matching is amortized O(1) augmentations/task",
-    },
-    {
-        "work": "bfs_phases",
-        "per": "solves",
-        "max-growth": 3.0,
-        "note": "Dinic phase count grows logarithmically, not linearly",
-    },
-)
-
 #: Directories linted with the relaxed profile (OPS000/OPS001/OPS003,
 #: literal seeds allowed): benches and tests pin seeds on purpose, but
 #: must still stay free of *unseeded* RNG and unordered-set iteration.
@@ -288,8 +235,6 @@ class LintConfig:
     )
     #: iteration axes charged at O(deg) by the cost lattice.
     small_axes: tuple[str, ...] = DEFAULT_SMALL_AXES
-    #: OPS304 bench-counter growth bounds.
-    contract_echo: tuple[dict[str, object], ...] = DEFAULT_CONTRACT_ECHO
     #: directories linted with the relaxed profile.
     extra_paths: tuple[str, ...] = DEFAULT_EXTRA_PATHS
     #: rules active under the relaxed profile.
@@ -308,28 +253,11 @@ class LintConfig:
         text = json.dumps(payload, sort_keys=True, default=list)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
-    def fingerprint(self) -> str:
-        """Stable digest of the *whole* configuration."""
-        from dataclasses import asdict
-
-        return self._digest(asdict(self))
-
-    def summary_fingerprint(self) -> str:
-        """Digest of the fields that affect per-module *summaries*.
-
-        Local summaries are pure functions of one module's source (axis
-        names are recorded raw and classified later), so today this
-        subset is empty and every config edit keeps summary bundles
-        warm.  The hook stays so a future summary-relevant knob slots in
-        without a cache-layout change.
-        """
-        return self._digest({})
-
     def check_fingerprint(self) -> str:
         """Digest of the fields that affect per-module *check results*.
 
-        Deliberately excludes lint-only knobs (layers, float-attrs,
-        wallclock-allow, …) and the cost-contract registry — contracts
+        Deliberately excludes lint-only knobs (layers, float_attrs,
+        wallclock_allow, …) and the cost-contract registry — contracts
         enter each module's cache key individually via
         :meth:`contracts_signature`, so editing one bound invalidates
         exactly the module that declares the contracted function.
@@ -345,39 +273,45 @@ class LintConfig:
             }
         )
 
-    def contracts_signature(self, module: str, function_locals: set[str]) -> str:
-        """Digest of the contracts declared on ``module``'s own functions.
+    def own_contracts(self, module: str) -> dict[str, str]:
+        """The cost contracts whose key names a function of ``module``.
 
-        Computable on the warm path from a cached bundle's function
-        table alone — no parsing required.
+        A key is ``<module>.<function>`` or ``<module>.<Class>.<method>``.
+        A capitalised segment marks the class, which tells a method of a
+        package's own class from a function of its submodule
+        (``repro.simulate.cascade.pair_key`` belongs to ``cascade``, not
+        to the ``repro.simulate`` package).  Keys naming no existing
+        function are included: they are stale contracts.
         """
-        own = sorted(
-            (key, budget)
-            for key, budget in self.cost_contracts.items()
-            if key in {f"{module}.{local}" for local in function_locals}
-        )
-        return self._digest(own)
+        prefix = module + "."
+        out: dict[str, str] = {}
+        for key, budget in self.cost_contracts.items():
+            if not key.startswith(prefix):
+                continue
+            parts = key[len(prefix) :].split(".")
+            if len(parts) == 1 or (len(parts) == 2 and parts[0][:1].isupper()):
+                out[key] = budget
+        return out
+
+    def contracts_signature(self, module: str) -> str:
+        """Digest of the contracts :meth:`own_contracts` gives ``module``.
+
+        Computable on the warm path from the module name alone — no
+        parsing required.
+        """
+        return self._digest(sorted(self.own_contracts(module).items()))
 
 
 class ConfigError(ValueError):
     """Raised for unreadable or malformed ``[tool.opass-lint]`` tables."""
 
 
+#: The keys ``pyproject.toml`` may set, mapped to their fields.
 _KEYS = {
     "layers": "layers",
-    "wallclock-allow": "wallclock_allow",
     "remove-allow": "remove_allow",
     "float-eq-helpers": "float_eq_helpers",
-    "float-attrs": "float_attrs",
-    "scopes": "scopes",
     "exclude": "exclude",
-    "pure-modules": "pure_modules",
-    "protected-types": "protected_types",
-    "decision-packages": "decision_packages",
-    "kernel-modules": "kernel_modules",
-    "cost-contracts": "cost_contracts",
-    "small-axes": "small_axes",
-    "contract-echo": "contract_echo",
     "extra-paths": "extra_paths",
     "extra-rules": "extra_rules",
 }
@@ -398,56 +332,9 @@ def config_from_table(table: dict[str, object]) -> LintConfig:
             ):
                 raise ConfigError("layers must map package names to integer ranks")
             kwargs["layers"] = dict(value)
-        elif attr == "cost_contracts":
-            if not isinstance(value, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in value.items()
-            ):
-                raise ConfigError(
-                    "cost-contracts must map function keys to budget strings"
-                )
-            for fn_key, budget in value.items():
-                if budget not in COST_BUDGET_LEVELS:
-                    raise ConfigError(
-                        f"cost-contracts[{fn_key!r}]: unknown budget {budget!r} "
-                        f"(known: {sorted(COST_BUDGET_LEVELS)})"
-                    )
-            contracts = dict(DEFAULT_COST_CONTRACTS)
-            contracts.update(value)
-            kwargs["cost_contracts"] = contracts
-        elif attr == "contract_echo":
-            if not isinstance(value, list) or not all(
-                isinstance(entry, dict) for entry in value
-            ):
-                raise ConfigError(
-                    "contract-echo must be an array of tables "
-                    "(work, per, max-growth, note)"
-                )
-            echo: list[dict[str, object]] = []
-            for entry in value:
-                unknown = set(entry) - {"work", "per", "max-growth", "note"}
-                if unknown or "work" not in entry or "max-growth" not in entry:
-                    raise ConfigError(
-                        "each contract-echo entry needs work and max-growth "
-                        f"(and optionally per, note); got {sorted(entry)}"
-                    )
-                echo.append(dict(entry))
-            kwargs["contract_echo"] = tuple(echo)
-        elif attr == "scopes":
-            if not isinstance(value, dict):
-                raise ConfigError("scopes must map rule ids to package lists")
-            scopes: dict[str, tuple[str, ...] | None] = dict(DEFAULT_SCOPES)
-            for rule, pkgs in value.items():
-                if not isinstance(pkgs, list) or not all(
-                    isinstance(p, str) for p in pkgs
-                ):
-                    raise ConfigError(f"scopes[{rule!r}] must be a list of packages")
-                scopes[rule] = tuple(pkgs)
-            kwargs["scopes"] = scopes
+        elif not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"{key} must be a list of strings")
         else:
-            if not isinstance(value, list) or not all(
-                isinstance(v, str) for v in value
-            ):
-                raise ConfigError(f"{key} must be a list of strings")
             kwargs[attr] = tuple(value)
     return LintConfig(**kwargs)  # type: ignore[arg-type]
 
@@ -472,13 +359,16 @@ def load_config(pyproject: str | Path) -> LintConfig:
     return config_from_table(table)
 
 
-def find_pyproject(start: str | Path) -> Path | None:
-    """Walk up from ``start`` to the nearest ``pyproject.toml``."""
+def config_near(start: str | Path) -> LintConfig:
+    """Config of the nearest ``pyproject.toml`` at or above ``start``.
+
+    No ``pyproject.toml`` up the tree → the built-in defaults.
+    """
     here = Path(start).resolve()
     if here.is_file():
         here = here.parent
     for candidate in (here, *here.parents):
         pyproject = candidate / "pyproject.toml"
         if pyproject.is_file():
-            return pyproject
-    return None
+            return load_config(pyproject)
+    return LintConfig()

@@ -1,4 +1,4 @@
-"""Cost-contract rules OPS301–OPS304 (`opass-verify`).
+"""Cost-contract rules OPS301–OPS303 (`opass-verify`).
 
 PRs 4–6 bought the hot paths their asymptotics — O(|path|) allocator
 updates, amortized-O(deg) CSR re-matching, lazy completion heaps — but
@@ -6,8 +6,8 @@ nothing *enforced* them: one innocent ``list(...)`` inside
 ``ComponentAllocator.solve`` silently reverts a 30× win, and only a
 noisy bench regression would notice.  This pass rides the same
 fixed-point summaries as OPS101–OPS103 and checks declared **cost
-contracts** (``cost-contracts`` in ``[tool.opass-lint]``, defaults in
-:mod:`repro.tools.config`) on the hot-path functions:
+contracts** (:data:`repro.tools.config.DEFAULT_COST_CONTRACTS`) on the
+hot-path functions:
 
 * **OPS301 — allocation over budget.**  A scaling allocation (container
   build, comprehension, ``np.*`` constructor, string concat in a loop)
@@ -27,29 +27,29 @@ contracts** (``cost-contracts`` in ``[tool.opass-lint]``, defaults in
   ``in``/``.index()``/``.remove()`` on list-typed parameters, repeated
   ``+=`` container/string growth, and nested iteration over the same
   axis.
-* **OPS304 — contract echo.**  ``python -m repro.tools.verify
-  --contracts-check BENCH_*.json`` reads the deterministic work counters
-  the bench harnesses emit and fails if measured work-per-event growth
-  across scales contradicts a declared bound (``contract-echo`` in the
-  config) — the static claim cross-checked by dynamic evidence.
+
+A contract whose key names this module but no function in it is itself
+an OPS301 finding at line 1: renaming a contracted function must not
+silently drop its budget.  A snippet placed in a module by a
+``# opass-lint: module=`` directive stands for part of that module, so
+it is not checked for stale contracts.
 
 The cost lattice is deliberately an *under*-approximation: cost comes
 only from allocation and call sites, loops over axes named in
-``small-axes`` charge O(deg) (so ``for f in component.flows`` is charged
+``small_axes`` charge O(deg) (so ``for f in component.flows`` is charged
 to the component, not the world), and a pure loop with neither
 allocations nor calls contributes nothing.  Fewer false positives; the
-bench echo (OPS304) backstops what the static side under-counts.
+deterministic work-counter growth test
+(``tests/test_work_counter_growth.py``) backstops what the static side
+under-counts.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .callgraph import FunctionDecl, ModuleDecl
-from .concurrency import _confident_targets
+from .callgraph import CallRef, FunctionDecl, ModuleDecl, ResolvedCall
 from .config import COST_BUDGET_LEVELS, LintConfig
 from .interproc import _package_of
 from .model import Violation
@@ -60,7 +60,6 @@ COST_RULES: dict[str, str] = {
     "OPS301": "scaling allocation exceeds the declared cost budget",
     "OPS302": "summarized callee cost exceeds the caller's per-iteration budget",
     "OPS303": "known quadratic shape inside a cost-contracted function",
-    "OPS304": "bench counter growth contradicts a declared cost contract",
 }
 
 #: Lattice level → rendered bound.  Nested composition sums levels, so
@@ -84,6 +83,17 @@ _SPECIAL_AXIS_LEVELS: dict[str, int] = {
     "<while>": 2,  # data-dependent trip count: assume linear
     "<unknown>": 2,  # cannot bound it: assume linear
 }
+
+
+def _confident_targets(ref: CallRef, rc: ResolvedCall) -> list[FunctionDecl]:
+    """Project targets excluding the dynamic-dispatch (bare-name) fallback.
+
+    Following the fallback would price ``conn.recv()`` at the worst
+    ``recv`` anywhere in the project.
+    """
+    if ref.kind == "method" and ref.recv_type is None:
+        return []
+    return rc.targets
 
 
 def axis_level(axis: str, config: LintConfig) -> int:
@@ -160,8 +170,7 @@ def resolve_costs(
                 if level > best.level:
                     best = Cost(level, _describe_site(site, config), (key,))
             resolved = summaries.resolved.get(key, [])
-            for i, (ref, rc) in enumerate(zip(local.calls, resolved)):
-                axes = local.call_axes[i] if i < len(local.call_axes) else ()
+            for ref, rc, axes in zip(local.calls, resolved, local.call_axes):
                 depth = _axes_level(axes, config)
                 for target in _confident_targets(ref, rc):
                     sub = costs.get(target.key)
@@ -327,13 +336,21 @@ def check_module_cost(
         site.lineno, site.col_offset = line, max(col - 1, 0)
         return site
 
+    if not decl.snippet and config.in_scope("OPS301", package):
+        for key, budget_str in sorted(config.own_contracts(decl.module).items()):
+            if key[len(decl.module) + 1 :] not in decl.functions:
+                violation(
+                    "OPS301",
+                    at(1, 1),
+                    f"stale cost contract: {key!r} ({budget_str}) names no "
+                    f"function in {decl.module}; update or drop the contract",
+                )
+
     for fn in decl.functions.values():
         budget_str = config.cost_contracts.get(fn.key)
         if budget_str is None:
             continue
-        budget = COST_BUDGET_LEVELS.get(budget_str)
-        if budget is None:
-            continue
+        budget = COST_BUDGET_LEVELS[budget_str]
         local = summaries.locals.get(fn.key)
         if local is None:
             continue
@@ -357,8 +374,7 @@ def check_module_cost(
 
         if config.in_scope("OPS302", package):
             resolved = summaries.resolved.get(fn.key, [])
-            for i, (ref, rc) in enumerate(zip(local.calls, resolved)):
-                axes = local.call_axes[i] if i < len(local.call_axes) else ()
+            for ref, rc, axes in zip(local.calls, resolved, local.call_axes):
                 depth = _axes_level(axes, config)
                 worst: tuple[int, str, Cost] | None = None
                 for target in _confident_targets(ref, rc):
@@ -389,88 +405,4 @@ def check_module_cost(
         if config.in_scope("OPS303", package):
             _check_quadratic_shapes(fn, budget_str, config, violation)
 
-    return out
-
-
-# ---- OPS304: contract echo against bench counters --------------------------
-
-
-def _echo_rows(data: object) -> list[dict]:
-    if isinstance(data, dict):
-        data = data.get("scales", [])
-    if not isinstance(data, list):
-        return []
-    return [row for row in data if isinstance(row, dict)]
-
-
-def check_contract_echo(
-    paths: list[str | Path], config: LintConfig | None = None
-) -> list[Violation]:
-    """OPS304: measured work growth vs the declared bounds.
-
-    Each ``contract-echo`` registry entry names a deterministic work
-    counter (``work``), an optional normalizer (``per``) and the maximum
-    tolerated growth of the per-unit value across bench scales
-    (``max-growth``, ratio of largest to smallest).  A file in which no
-    registry entry finds at least two usable rows is itself an error —
-    an echo that silently checks nothing is worse than none.
-    """
-    config = config if config is not None else LintConfig()
-    out: list[Violation] = []
-    for raw in paths:
-        path = str(raw)
-
-        def fail(message: str) -> None:
-            out.append(
-                Violation(file=path, line=1, col=1, rule="OPS304", message=message)
-            )
-
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            fail(f"cannot read bench counters: {exc}")
-            continue
-        rows = _echo_rows(data)
-        recognized = 0
-        for entry in config.contract_echo:
-            work = entry.get("work")
-            per = entry.get("per")
-            try:
-                bound = float(entry.get("max-growth"))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                continue
-            values: list[float] = []
-            for row in rows:
-                if work not in row:
-                    continue
-                value = float(row[work])  # type: ignore[index]
-                if per is not None:
-                    denom = float(row.get(per, 0) or 0)  # type: ignore[arg-type]
-                    if denom <= 0:
-                        continue
-                    value /= denom
-                values.append(value)
-            if len(values) < 2:
-                continue
-            recognized += 1
-            low, high = min(values), max(values)
-            if low <= 0:
-                growth = float("inf") if high > 0 else 1.0
-            else:
-                growth = high / low
-            if growth > bound:
-                unit = f"'{work}' per '{per}'" if per else f"'{work}'"
-                note = entry.get("note", "declared contract")
-                fail(
-                    f"work counter {unit} grows {growth:.2f}x across bench "
-                    f"scales ({low:.3g} -> {high:.3g}), exceeding the "
-                    f"{bound:.1f}x bound — {note}"
-                )
-        if recognized == 0:
-            fail(
-                "no contract-echo counters recognized (need >= 2 scale rows "
-                "carrying a registered 'work' counter); regenerate the bench "
-                "JSON or register the counters under [tool.opass-lint] "
-                "contract-echo"
-            )
     return out

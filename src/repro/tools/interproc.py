@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 
-from .astutils import ENTROPY_CALLS, root_name
+from .astutils import ENTROPY_CALLS
 from .callgraph import CallRef, FunctionDecl, ModuleDecl, ResolvedCall, build_call_ref
 from .config import LintConfig
 from .model import Violation

@@ -14,8 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .api import ALL_RULES, LintReport, lint_file, lint_paths
-from .config import ConfigError, LintConfig, find_pyproject, load_config
+from .api import ALL_RULES, LintReport, emit_report, lint_file, lint_paths
+from .config import ConfigError, config_near, load_config
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -41,18 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("human", "json", "sarif"),
         default="human",
         help="report format (default: human)",
-    )
-    parser.add_argument(
-        "--interprocedural",
-        action="store_true",
-        help="also run the OPS101-OPS103 project-wide rules "
-        "(same engine as python -m repro.tools.verify)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress violations recorded in this baseline file",
     )
     parser.add_argument(
         "--config",
@@ -87,8 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             config = load_config(args.config)
         else:
-            pyproject = find_pyproject(Path(args.paths[0]))
-            config = load_config(pyproject) if pyproject else LintConfig()
+            config = config_near(args.paths[0])
     except ConfigError as exc:
         print(f"opass-lint: config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -100,36 +87,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = lint_paths(list(args.paths), config=config)
-        if args.interprocedural:
-            from .verify import verify_paths
-
-            report.extend(verify_paths(list(args.paths), config=config))
-            report.files_checked //= 2  # same files, two passes
-            report.sort()
     except SyntaxError as exc:
         print(f"opass-lint: cannot parse {exc.filename}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    if args.baseline is not None:
-        from .baseline import apply_baseline
-
-        try:
-            apply_baseline(args.baseline, report)
-        except (OSError, ValueError) as exc:
-            print(f"opass-lint: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    if args.format == "sarif":
-        from .sarif import to_sarif_json
-
-        rendered = to_sarif_json(report)
-    elif args.format == "json":
-        rendered = report.to_json()
-    else:
-        rendered = report.render()
-    print(rendered)
-    if args.output is not None:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
+    emit_report(report, args.format, args.output)
     return EXIT_OK if report.ok else EXIT_VIOLATIONS
 
 

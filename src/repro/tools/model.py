@@ -225,24 +225,6 @@ def marker_lines(source: str, kind: str) -> set[int]:
     return index.markers.get(kind, set())
 
 
-def parse_reassoc_pragmas(
-    source: str, path: str
-) -> tuple[set[int], list[Violation]]:
-    """Back-compat view of the unified parser for ``reassoc-ok`` waivers.
-
-    Returns ``(lines, errors)`` where the errors are the marker-grammar
-    problems only (bare markers, unknown kinds) — suppression-id
-    validation is ``apply_suppressions``'s business.
-    """
-    index = parse_pragmas(source, path, None)
-    errors = [
-        e
-        for e in index.errors
-        if "pragma" in e.message  # marker-grammar errors, not ignore[...]
-    ]
-    return index.markers.get("reassoc-ok", set()), errors
-
-
 def module_directive(source: str) -> str | None:
     """The ``# opass-lint: module=...`` override, if present near the top."""
     for text in source.splitlines()[:10]:

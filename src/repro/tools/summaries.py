@@ -36,6 +36,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .astutils import (
+    ENTROPY_CALLS,
+    WALLCLOCK_CALLS,
     annotation_roots,
     dotted,
     parse_string_annotation,
@@ -185,7 +187,7 @@ def axis_of(expr: ast.expr) -> str:
     """The iteration axis token of an expression.
 
     A *name* token (``members``, ``_dirty_groups``) is classified
-    small/linear later against the configured ``small-axes``; the
+    small/linear later against the configured ``small_axes``; the
     special tokens are ``<const>`` (syntactically fixed size),
     ``<element>`` (one subscripted element of a container), ``<while>``
     (data-dependent trip count) and ``<unknown>``.
@@ -292,8 +294,6 @@ _GENERIC_TYPE_ROOTS = frozenset(
 
 def external_taint(target: str, nargs: int) -> frozenset[str]:
     """Taint kinds produced by calling an external dotted name."""
-    from .astutils import ENTROPY_CALLS, WALLCLOCK_CALLS
-
     if target in WALLCLOCK_CALLS or target in ENTROPY_CALLS:
         return frozenset({TAINT_ENTROPY})
     if target == "numpy.random.default_rng" or target == "random.Random":
@@ -363,18 +363,14 @@ class LocalSummary:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LocalSummary":
-        calls = [CallRef.from_dict(d) for d in data.get("calls", [])]
-        call_axes = [tuple(axes) for axes in data.get("call_axes", [])]
-        while len(call_axes) < len(calls):
-            call_axes.append(())
         return cls(
-            calls=calls,
+            calls=[CallRef.from_dict(d) for d in data.get("calls", [])],
             return_calls=set(data.get("return_calls", [])),
             return_params=set(data.get("return_params", [])),
             mutated_params=set(data.get("mutated_params", [])),
             return_unit_local=data.get("return_unit_local"),
             allocs=[AllocSite.from_dict(d) for d in data.get("allocs", [])],
-            call_axes=call_axes,
+            call_axes=[tuple(axes) for axes in data.get("call_axes", [])],
         )
 
 

@@ -1,32 +1,25 @@
 """``opass-verify``: interprocedural analysis front end.
 
 ``python -m repro.tools.verify [paths...]`` runs the OPS101–OPS103
-rules (determinism taint, unit checking, scheduler purity), the
-OPS203–OPS204 float-identity/async-blocking rules
-(:mod:`repro.tools.concurrency`) and the OPS301–OPS304 cost-contract
-rules (:mod:`repro.tools.costmodel`) over a whole tree at once, because
-unlike :mod:`repro.tools.checks` these rules need *project-wide*
-call-graph summaries: a violation may only be visible two or three call
-levels away from the code that commits it.
-
-``--contracts-check BENCH_sim.json BENCH_sched.json`` runs only the
-OPS304 contract echo: the bench JSONs' deterministic work counters are
-checked against the declared growth bounds, so a static cost claim that
-dynamic evidence contradicts fails CI.
+rules (determinism taint, unit checking, scheduler purity), the OPS203
+float-identity rule (:mod:`repro.tools.concurrency`) and the
+OPS301–OPS303 cost-contract rules (:mod:`repro.tools.costmodel`) over a
+whole tree at once, because unlike :mod:`repro.tools.checks` these rules
+need *project-wide* call-graph summaries: a violation may only be
+visible two or three call levels away from the code that commits it.
 
 The run is incremental.  Per-module summaries and per-module check
-results are cached in ``.opass-cache/`` under *partitioned* config
-fingerprints: summary bundles are keyed by content hash and
-:meth:`LintConfig.summary_fingerprint` (today config-independent — axis
-names are recorded raw and classified at check time), while check
-results additionally carry :meth:`LintConfig.check_fingerprint` and the
-per-module :meth:`LintConfig.contracts_signature`, plus the hash of the
-module's transitive import closure (see :mod:`repro.tools.cache`).
-Editing a cost-contract bound therefore re-checks exactly the module
-declaring that function; editing a lint-only knob re-checks nothing.  A
-warm run over an unchanged tree loads every summary and every check
-result from the cache and never parses a single module — the fast path
-goes straight from content hashes to the final report.
+results are cached in ``.opass-cache/``.  Summary bundles are keyed by
+content hash alone: summaries are config-independent (axis names are
+recorded raw and classified at check time).  Check results additionally
+carry :meth:`LintConfig.check_fingerprint`, the per-module
+:meth:`LintConfig.contracts_signature` and the hash of the module's
+transitive import closure (see :mod:`repro.tools.cache`).  Editing a
+cost-contract bound therefore re-checks exactly the module declaring
+that function; editing a lint-only knob re-checks nothing.  A warm run
+over an unchanged tree loads every summary and every check result from
+the cache and never parses a single module — the fast path goes
+straight from content hashes to the final report.
 
 Exit codes match ``opass-lint``: 0 clean, 1 violations, 2 usage error.
 """
@@ -34,7 +27,6 @@ Exit codes match ``opass-lint``: 0 clean, 1 violations, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -44,12 +36,13 @@ from .api import (
     LintReport,
     _iter_python_files,
     apply_suppressions,
+    emit_report,
 )
 from .cache import AnalysisCache, CacheStats, closure_signature, module_key
 from .callgraph import ModuleDecl, Project, parse_module
 from .concurrency import check_module_concurrency
-from .config import ConfigError, LintConfig, find_pyproject, load_config
-from .costmodel import check_contract_echo, check_module_cost, resolve_costs
+from .config import ConfigError, LintConfig, config_near, load_config
+from .costmodel import check_module_cost, resolve_costs
 from .interproc import check_module_interproc
 from .model import Violation, marker_lines
 from .summaries import LocalSummary, resolve_summaries, summarize_module
@@ -69,10 +62,10 @@ def _closure(
 ) -> set[str]:
     """Transitive deps of ``module`` among the analyzed set, incl. itself.
 
-    Mirrors :meth:`Project.closure_of` (with the same strip-one-component
-    retry for ``from repro.x import fn`` deps) but runs on a plain deps
-    mapping so the warm path can compute closure signatures without
-    parsing anything.
+    Runs on a plain deps mapping so the warm path can compute closure
+    signatures without parsing anything.  ``from . import fn`` records
+    the dep ``<package>.fn``, which names a function, not a module, so
+    an unknown dep is retried with its last component stripped.
     """
     out: set[str] = set()
     stack = [module]
@@ -120,12 +113,7 @@ def _closure_sigs(
     return sigs
 
 
-def _check_sig(
-    closure_sig: str,
-    config: LintConfig,
-    module: str,
-    function_locals: set[str],
-) -> str:
+def _check_sig(closure_sig: str, config: LintConfig, module: str) -> str:
     """Composite check-cache signature for one module.
 
     Closure signature (cross-module effects) + the digest of the
@@ -136,7 +124,7 @@ def _check_sig(
     """
     return (
         f"{closure_sig}-{config.check_fingerprint()}-"
-        f"{config.contracts_signature(module, function_locals)}"
+        f"{config.contracts_signature(module)}"
     )
 
 
@@ -148,14 +136,12 @@ def verify_paths(
 ) -> LintReport:
     """Run OPS101–OPS103 over files/directories as one project."""
     if config is None:
-        pyproject = find_pyproject(Path(paths[0]) if paths else Path.cwd())
-        config = load_config(pyproject) if pyproject else LintConfig()
+        config = config_near(paths[0] if paths else Path.cwd())
     if cache is None:
         cache = AnalysisCache(None)
 
-    # summaries are (today) config-independent: axis names, taints and
-    # call facts are recorded raw and classified at check time
-    summary_fp = config.summary_fingerprint()
+    # summaries are config-independent: axis names, taints and call
+    # facts are recorded raw and classified at check time
     entries: list[tuple[str, str, str]] = []  # (path, source, key)
     for raw in paths:
         p = Path(raw)
@@ -168,9 +154,7 @@ def verify_paths(
             ):
                 continue
             source = file.read_text(encoding="utf-8")
-            entries.append(
-                (str(file), source, module_key(source, summary_fp))
-            )
+            entries.append((str(file), source, module_key(source)))
 
     bundles = {path: cache.load_bundle(key) for path, _, key in entries}
 
@@ -185,13 +169,7 @@ def verify_paths(
         sigs = _closure_sigs(entries, mod_of, deps_of)
         checks_loaded = {
             path: cache.load_checks(
-                key,
-                _check_sig(
-                    sigs[path],
-                    config,
-                    mod_of[path],
-                    set(bundles[path]["functions"]),
-                ),
+                key, _check_sig(sigs[path], config, mod_of[path])
             )
             for path, _, key in entries
         }
@@ -237,7 +215,7 @@ def verify_paths(
     raw_by_path = {}
     for path, source, key in entries:
         decl = decls[path]
-        sig = _check_sig(sigs[path], config, decl.module, set(decl.functions))
+        sig = _check_sig(sigs[path], config, decl.module)
         if path in checks_loaded:  # already probed on the warm fast path
             cached = checks_loaded[path]
         else:
@@ -246,9 +224,7 @@ def verify_paths(
             raw_by_path[path] = [_decode_violation(d, path) for d in cached]
             continue
         raw = check_module_interproc(decl, project_summaries, config)
-        raw += check_module_concurrency(
-            decl, project_summaries, config, source=source
-        )
+        raw += check_module_concurrency(decl, config, source=source)
         raw += check_module_cost(decl, project_summaries, costs, config)
         cache.store_checks(key, sig, [v.as_dict() for v in raw])
         raw_by_path[path] = raw
@@ -289,7 +265,7 @@ def verify_source(
     summaries = resolve_summaries(project, local)
     costs = resolve_costs(summaries, config)
     raw = check_module_interproc(decl, summaries, config)
-    raw += check_module_concurrency(decl, summaries, config, source=source)
+    raw += check_module_concurrency(decl, config, source=source)
     raw += check_module_cost(decl, summaries, costs, config)
     return apply_suppressions(raw, source, path, tool=TOOL)
 
@@ -297,90 +273,20 @@ def verify_source(
 # ---- CLI -------------------------------------------------------------------
 
 
-def _changed_files(repo_root: Path) -> set[Path] | None:
-    """Files touched per git (worktree vs HEAD, plus untracked), resolved.
-
-    Robust on detached-HEAD and shallow checkouts (both still have a
-    resolvable HEAD) and on unborn-HEAD repos (no commit yet — there
-    every tracked file counts as changed, since CI clones in odd states
-    must not silently verify nothing).
-    """
-
-    def run(args: list[str]) -> list[str]:
-        proc = subprocess.run(
-            args,
-            cwd=repo_root,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        )
-        return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
-
-    out: set[Path] = set()
-    try:
-        head = subprocess.run(
-            ["git", "rev-parse", "--verify", "--quiet", "HEAD"],
-            cwd=repo_root,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        if head.returncode == 0:
-            names = run(["git", "diff", "--name-only", "HEAD"])
-        else:  # unborn HEAD: no baseline commit, everything staged is new
-            names = run(["git", "ls-files"])
-        names += run(["git", "ls-files", "--others", "--exclude-standard"])
-        for name in names:
-            out.add((repo_root / name).resolve())
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out
-
-
-def _git_root(start: Path) -> Path | None:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=start if start.is_dir() else start.parent,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=30,
-        )
-        return Path(proc.stdout.strip())
-    except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _filter_changed(report: LintReport, changed: set[Path]) -> None:
-    keep = lambda v: Path(v.file).resolve() in changed  # noqa: E731
-    report.violations = [v for v in report.violations if keep(v)]
-    report.suppressed = [v for v in report.suppressed if keep(v)]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.verify",
         description=(
             "opass-verify: interprocedural determinism-taint, unit, "
-            "scheduler-purity (OPS101-OPS103), float-identity/"
-            "async-blocking (OPS203-OPS204) and cost-contract "
-            "(OPS301-OPS304) analysis"
+            "scheduler-purity (OPS101-OPS103), float-identity (OPS203) "
+            "and cost-contract (OPS301-OPS303) analysis"
         ),
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src"],
-        help="files or directories to verify as one project (default: src); "
-        "with --contracts-check, bench counter JSON files instead",
-    )
-    parser.add_argument(
-        "--contracts-check",
-        action="store_true",
-        help="run only the OPS304 contract echo: check the bench JSONs' "
-        "work counters against the declared growth bounds",
+        help="files or directories to verify as one project (default: src)",
     )
     parser.add_argument(
         "--format",
@@ -401,18 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the report to FILE (useful for CI artifacts)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress violations recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record current violations as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=".opass-cache",
@@ -422,12 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="report only files changed per git (analysis still sees "
-        "the whole tree, so cross-module effects are not missed)",
     )
     parser.add_argument(
         "--stats",
@@ -454,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             config = load_config(args.config)
         else:
-            pyproject = find_pyproject(Path(args.paths[0]))
-            config = load_config(pyproject) if pyproject else LintConfig()
+            config = config_near(args.paths[0])
     except ConfigError as exc:
         print(f"{TOOL}: config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -468,58 +355,13 @@ def main(argv: list[str] | None = None) -> int:
     stats = CacheStats()
     cache = AnalysisCache(None if args.no_cache else args.cache_dir, stats)
     started = time.perf_counter()
-    if args.contracts_check:
-        report = LintReport(tool=TOOL, files_checked=len(args.paths))
-        report.violations.extend(check_contract_echo(list(args.paths), config))
-        report.sort()
-    else:
-        try:
-            report = verify_paths(list(args.paths), config=config, cache=cache)
-        except SyntaxError as exc:
-            print(
-                f"{TOOL}: cannot parse {exc.filename}: {exc}", file=sys.stderr
-            )
-            return EXIT_ERROR
+    try:
+        report = verify_paths(list(args.paths), config=config, cache=cache)
+    except SyntaxError as exc:
+        print(f"{TOOL}: cannot parse {exc.filename}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
-    if args.changed:
-        root = _git_root(Path(args.paths[0]))
-        changed = _changed_files(root) if root is not None else None
-        if changed is None:
-            print(f"{TOOL}: --changed requires a git checkout", file=sys.stderr)
-            return EXIT_ERROR
-        _filter_changed(report, changed)
-
-    if args.write_baseline is not None:
-        from .baseline import write_baseline
-
-        write_baseline(args.write_baseline, report)
-        print(
-            f"{TOOL}: wrote baseline with {len(report.violations)} "
-            f"violation(s) to {args.write_baseline}"
-        )
-        return EXIT_OK
-
-    if args.baseline is not None:
-        from .baseline import apply_baseline
-
-        try:
-            apply_baseline(args.baseline, report)
-        except (OSError, ValueError) as exc:
-            print(f"{TOOL}: cannot read baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    if args.format == "sarif":
-        from .sarif import to_sarif_json
-
-        rendered = to_sarif_json(report)
-    elif args.format == "json":
-        rendered = report.to_json()
-    else:
-        rendered = report.render()
-    print(rendered)
-    if args.output is not None:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
-
+    emit_report(report, args.format, args.output)
     if args.stats:
         elapsed = time.perf_counter() - started
         pairs = ", ".join(f"{k}={v}" for k, v in stats.as_dict().items())

@@ -12,6 +12,7 @@ import pytest
 
 from repro.tools.callgraph import build_project, parse_module
 from repro.tools.summaries import resolve_summaries, summarize_module
+from repro.tools.verify import _closure
 
 
 def project_of(*sources: tuple[str, str]):
@@ -142,7 +143,8 @@ class TestParsing:
                 ("repro/core/c.py", "def g():\n    return 1\n", "repro.core.c"),
             ]
         )
-        assert project.closure_of("repro.core.a") == {
+        deps_of = {name: decl.deps for name, decl in project.modules.items()}
+        assert _closure("repro.core.a", deps_of) == {
             "repro.core.a",
             "repro.core.b",
             "repro.core.c",

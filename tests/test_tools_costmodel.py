@@ -1,15 +1,13 @@
 """Tests for the OPS300 cost-contract pass (`opass-verify`).
 
 Fixture snippets live in ``tests/data/lint/`` as violating/clean pairs,
-same convention as OPS101–OPS103 and OPS203–OPS204.  The OPS302 bad
-fixture puts the expensive work two call levels below the contracted
-function, so only the interprocedural cost fixed point can price it.
-OPS304 has no source fixtures — it reads bench-counter JSON.
+same convention as OPS101–OPS103 and OPS203.  The OPS302 bad fixture
+puts the expensive work two call levels below the contracted function,
+so only the interprocedural cost fixed point can price it.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -17,25 +15,15 @@ import pytest
 from repro.tools.api import ALL_RULES, lint_file, lint_paths
 from repro.tools.callgraph import Project, parse_module
 from repro.tools.config import LintConfig
-from repro.tools.costmodel import (
-    COST_RULES,
-    axis_level,
-    check_contract_echo,
-    resolve_costs,
-)
+from repro.tools.costmodel import COST_RULES, axis_level, resolve_costs
 from repro.tools.model import marker_lines, parse_pragmas
 from repro.tools.summaries import resolve_summaries, summarize_module
-from repro.tools.verify import (
-    EXIT_OK,
-    EXIT_VIOLATIONS,
-    main,
-    verify_source,
-)
+from repro.tools.verify import verify_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "data" / "lint"
 
-COST_RULE_IDS = ("OPS301", "OPS302", "OPS303", "OPS304")
+COST_RULE_IDS = ("OPS301", "OPS302", "OPS303")
 
 
 def verify_fixture(name: str):
@@ -106,6 +94,41 @@ class TestInterproceduralDepth:
         assert v.line == 13
         assert "O(n) list() build" in v.message
         assert "O(deg) budget" in v.message
+
+
+class TestStaleContracts:
+    """A contract naming a function its module lacks fails loudly."""
+
+    CONTRACTS = {
+        "repro.simulate.components.ComponentAllocator.add": "O(deg)",
+        "repro.simulate.components._still_whole": "O(n)",
+        "repro.simulate.cascade.pair_key": "O(deg)",
+    }
+
+    def verify_as(self, module: str, path: str):
+        # without its directive the fixture stands for the whole module
+        source = (FIXTURES / "ops301_ok.py").read_text(encoding="utf-8")
+        source = source.split("\n", 1)[1]
+        config = LintConfig(cost_contracts=dict(self.CONTRACTS))
+        return verify_source(source, path=path, module=module, config=config)
+
+    def test_contract_for_a_missing_function_is_ops301(self):
+        report = self.verify_as("repro.simulate.components", "components.py")
+        [v] = report.violations
+        assert v.rule == "OPS301" and v.line == 1
+        assert "stale cost contract" in v.message
+        assert "'repro.simulate.components._still_whole'" in v.message
+
+    def test_package_does_not_own_its_submodules_contracts(self):
+        # repro.simulate.cascade.pair_key belongs to cascade, not to the
+        # repro.simulate package the source is verified as here
+        report = self.verify_as("repro.simulate", "simulate/__init__.py")
+        assert report.ok, report.render()
+
+    def test_directive_snippet_is_not_checked_for_stale_contracts(self):
+        # ops301_ok declares only ComponentAllocator.add of the many
+        # default contracts on repro.simulate.components
+        assert verify_fixture("ops301_ok").ok
 
 
 # -- the cost lattice itself -------------------------------------------------
@@ -215,86 +238,6 @@ class TestPragmaGrammar:
         assert marker_lines(src, "alloc-ok") == set()
         index = parse_pragmas(src, "snippet.py", None)
         assert [v.rule for v in index.errors] == ["OPS000"]
-
-
-# -- OPS304: contract echo against bench counters ----------------------------
-
-
-def write_bench(tmp_path: Path, name: str, rows: list[dict]) -> Path:
-    path = tmp_path / name
-    path.write_text(json.dumps({"scales": rows}), encoding="utf-8")
-    return path
-
-
-class TestContractEcho:
-    def test_committed_bench_counters_satisfy_the_contracts(self):
-        paths = [REPO_ROOT / "BENCH_sim.json", REPO_ROOT / "BENCH_sched.json"]
-        present = [p for p in paths if p.exists()]
-        assert present, "committed BENCH_*.json files are missing"
-        assert check_contract_echo(present) == []
-
-    def test_bounded_growth_passes(self, tmp_path):
-        path = write_bench(
-            tmp_path,
-            "bench_ok.json",
-            [
-                {"events": 100, "solve_iterations": 110},
-                {"events": 1000, "solve_iterations": 1300},
-            ],
-        )
-        assert check_contract_echo([path]) == []
-
-    def test_super_linear_growth_fails(self, tmp_path):
-        path = write_bench(
-            tmp_path,
-            "bench_bad.json",
-            [
-                {"events": 100, "solve_iterations": 100},
-                {"events": 1000, "solve_iterations": 5000},
-            ],
-        )
-        [v] = check_contract_echo([path])
-        assert v.rule == "OPS304"
-        assert "'solve_iterations' per 'events'" in v.message
-        assert "5.00x" in v.message
-
-    def test_file_recognizing_no_counters_is_an_error(self, tmp_path):
-        path = write_bench(
-            tmp_path, "bench_alien.json", [{"foo": 1}, {"foo": 2}]
-        )
-        [v] = check_contract_echo([path])
-        assert v.rule == "OPS304"
-        assert "no contract-echo counters recognized" in v.message
-
-    def test_unreadable_json_is_an_error(self, tmp_path):
-        path = tmp_path / "bench_broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        [v] = check_contract_echo([path])
-        assert v.rule == "OPS304"
-        assert "cannot read bench counters" in v.message
-
-    def test_cli_contracts_check_exit_codes(self, tmp_path, capsys):
-        good = write_bench(
-            tmp_path,
-            "bench_good.json",
-            [
-                {"events": 100, "solve_iterations": 110},
-                {"events": 1000, "solve_iterations": 1300},
-            ],
-        )
-        bad = write_bench(
-            tmp_path,
-            "bench_regress.json",
-            [
-                {"events": 100, "solve_iterations": 100},
-                {"events": 1000, "solve_iterations": 9000},
-            ],
-        )
-        assert main(["--contracts-check", str(good)]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["--contracts-check", str(bad)]) == EXIT_VIOLATIONS
-        out = capsys.readouterr().out
-        assert "OPS304" in out
 
 
 # -- relaxed lint profile over extra-paths -----------------------------------

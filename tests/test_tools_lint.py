@@ -206,9 +206,29 @@ class TestConfig:
         assert "repro.simulate.perf" in config.wallclock_allow
         assert "_alloc" in config.remove_allow
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            config_from_table({"wallclock-alow": ["x"]})
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "wallclock-alow",  # a typo
+            # knobs that live only in code: a pyproject still setting one
+            # fails and names the key instead of being silently ignored
+            "wallclock-allow",
+            "float-attrs",
+            "scopes",
+            "pure-modules",
+            "protected-types",
+            "decision-packages",
+            "kernel-modules",
+            "cost-contracts",
+            "small-axes",
+            "contract-echo",
+        ],
+    )
+    def test_unknown_key_rejected(self, key, tmp_path):
+        pyproject = tmp_path / "pyproject.toml"
+        pyproject.write_text(f"[tool.opass-lint]\n{key} = []\n")
+        with pytest.raises(ConfigError, match=f"unknown .*'{key}'"):
+            load_config(pyproject)
 
     def test_bad_layers_rejected(self):
         with pytest.raises(ConfigError, match="layers"):
@@ -224,13 +244,13 @@ class TestConfig:
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
             "[tool.opass-lint]\n"
-            'wallclock-allow = ["repro.simulate.bench"]\n'
+            'remove-allow = ["_registry"]\n'
             "[tool.opass-lint.layers]\n"
             "core = 1\n"
             "simulate = 2\n"
         )
         config = load_config(pyproject)
-        assert config.wallclock_allow == ("repro.simulate.bench",)
+        assert config.remove_allow == ("_registry",)
         assert config.layers == {"core": 1, "simulate": 2}
 
 

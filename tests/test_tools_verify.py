@@ -1,4 +1,4 @@
-"""Tests for `opass-verify` (OPS101–OPS103): rules, SARIF, baseline, CLI.
+"""Tests for `opass-verify` (OPS101–OPS103): rules, SARIF, CLI.
 
 Fixture snippets live in ``tests/data/lint/`` as violating/clean pairs,
 same convention as the intraprocedural rules.  Each bad fixture contains
@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.tools.api import ALL_RULES
-from repro.tools.baseline import apply_baseline, fingerprints, write_baseline
 from repro.tools.interproc import INTERPROC_RULES
 from repro.tools.sarif import to_sarif
 from repro.tools.verify import (
@@ -220,53 +219,6 @@ class TestSarif:
         assert json.loads(json.dumps(log)) == log
 
 
-class TestBaseline:
-    def test_roundtrip_drops_known_keeps_new(self, tmp_path):
-        report = verify_fixture("ops102_bad")
-        n = len(report.violations)
-        assert n > 0
-        base = tmp_path / "base.json"
-        write_baseline(base, report)
-
-        # same findings again → all dropped
-        again = verify_fixture("ops102_bad")
-        dropped = apply_baseline(base, again)
-        assert dropped == n and again.ok
-
-        # a different rule's findings are not masked
-        other = verify_fixture("ops103_bad")
-        dropped = apply_baseline(base, other)
-        assert dropped == 0 and not other.ok
-
-    def test_baseline_survives_line_shift(self, tmp_path):
-        # fingerprints hash the offending line's text, not its number, so
-        # prepending lines to the file must not resurface old findings
-        target = tmp_path / "mod.py"
-        source = (FIXTURES / "ops103_bad.py").read_text(encoding="utf-8")
-        target.write_text(source, encoding="utf-8")
-        base = tmp_path / "base.json"
-        write_baseline(base, verify_source(source, path=str(target)))
-
-        shifted = "# shim comment\n\n" + source
-        target.write_text(shifted, encoding="utf-8")
-        report = verify_source(shifted, path=str(target))
-        assert not report.ok
-        dropped = apply_baseline(base, report)
-        assert dropped > 0 and report.ok, report.render()
-
-    def test_fingerprints_count_duplicate_lines_separately(self):
-        report = verify_fixture("ops102_bad")
-        prints = fingerprints(report.violations)
-        assert len(prints) == len(set(prints))
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        report = verify_fixture("ops101_bad")
-        with pytest.raises(ValueError):
-            apply_baseline(bad, report)
-
-
 class TestCli:
     def test_clean_tree_exits_zero(self, capsys):
         code = main([str(REPO_ROOT / "src"), "--no-cache"])
@@ -304,12 +256,6 @@ class TestCli:
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["results"]
 
-    def test_baseline_flags(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        bad = str(FIXTURES / "ops101_bad.py")
-        assert main([bad, "--no-cache", "--write-baseline", str(base)]) == EXIT_OK
-        assert main([bad, "--no-cache", "--baseline", str(base)]) == EXIT_OK
-
     def test_stats_flag_reports_counters(self, tmp_path, capsys):
         code = main(
             [
@@ -324,22 +270,9 @@ class TestCli:
 
 
 class TestLintIntegration:
-    def test_lint_interprocedural_merges_rules(self, capsys):
-        from repro.tools.lint import main as lint_main
-
-        code = lint_main(
-            [str(FIXTURES / "ops101_bad.py"), "--interprocedural", "--format", "json"]
-        )
-        assert code == EXIT_VIOLATIONS
-        data = json.loads(capsys.readouterr().out)
-        found = {v["rule"] for v in data["violations"]}
-        assert "OPS101" in found
-        # the same fixture also trips the intraprocedural unseeded-RNG rule
-        assert "OPS001" in found
-
     def test_lint_does_not_flag_verify_pragmas(self):
-        # an OPS101 pragma in a file linted *without* --interprocedural
-        # must not be reported as an unknown rule id (OPS000)
+        # an OPS101 pragma in a file checked by plain opass-lint must
+        # not be reported as an unknown rule id (OPS000)
         from repro.tools.api import lint_source
 
         report = lint_source(

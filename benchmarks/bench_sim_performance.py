@@ -146,7 +146,6 @@ def _run_once(m: int, seed: int, want_trace: bool = False):
         "coalesced_events": snap["coalesced_events"],
         "vectorized_solves": snap["vectorized_solves"],
         "parallel_solves": snap["parallel_solves"],
-        "memo_hits": snap["memo_hits"],
         "fastforward_cascades": snap["fastforward_cascades"],
         "cascade_events": snap["cascade_events"],
         "solve_wall_s": snap["solve_wall"],
@@ -176,15 +175,14 @@ def print_rows(rows):
     print("\n=== simulator throughput (baseline runs, max contention) ===")
     print(format_table(
         ["nodes", "reads", "events", "wall (ms)", "events/s", "us/ev",
-         "solve%", "solves", "memo", "casc", "iters", "comps", "sz_max",
+         "solve%", "solves", "casc", "iters", "comps", "sz_max",
          "pushes", "stale"],
         [
             (r["nodes"], r["reads"], r["events"], r["wall_s"] * 1000,
              r["events_per_second"],
              "{:.1f}".format(r["wall_s"] / r["events"] * 1e6),
              "{:.3f}".format(r["solve_wall_s"] / r["wall_s"]),
-             r["solves"], r.get("memo_hits", 0),
-             r.get("fastforward_cascades", 0), r["solve_iterations"],
+             r["solves"], r.get("fastforward_cascades", 0), r["solve_iterations"],
              r["components"], r["component_size_max"], r["heap_pushes"],
              r["stale_pops"])
             for r in rows

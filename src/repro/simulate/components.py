@@ -22,14 +22,12 @@ start/finish/cancel only needs the rates of *its own component* re-solved.
   :meth:`solve` — classic union-find with lazy splitting;
 * **per-component rates are cached**: :meth:`solve` re-runs water-filling
   only for the dirty components (those whose flow membership changed),
-  each by the size-tiered flat kernels of
-  :mod:`repro.simulate.vectorized` (or, with ``kernel="reference"``, by
-  the reference :func:`~repro.simulate.flows.allocate_rates` on the
-  component's flows in active-list order).  Either way the rates are
-  *bit-for-bit* those of the reference allocator run on that component in
-  isolation (pinned by the differential property tests in
-  ``tests/test_properties_components.py`` and
-  ``tests/test_properties_vectorized.py``);
+  each directly by the size-tiered flat kernels of
+  :mod:`repro.simulate.vectorized`.  The rates are *bit-for-bit* those of
+  the reference :func:`~repro.simulate.flows.allocate_rates` run on that
+  component's flows, in active-list order, in isolation (pinned by the
+  differential property tests in ``tests/test_properties_components.py``
+  and ``tests/test_properties_vectorized.py``);
 * **changed flows are reported**: :attr:`last_changed` names slot ids
   whose rate was re-solved — every member of a re-solved component below
   ``VECTOR_MIN_FLOWS`` flows, and from a larger one only the new flows
@@ -63,8 +61,7 @@ import math
 
 import numpy as np
 
-from .cascade import SolveMemo, component_key, pair_key
-from .flows import Flow, allocate_rates
+from .flows import Flow
 from .resources import Resource
 from .vectorized import (
     VECTOR_MIN_FLOWS,
@@ -91,36 +88,9 @@ class ComponentAllocator:
     consume (:attr:`last_changed`, :attr:`component_count`, ...).
     """
 
-    def __init__(self, *, kernel: str = "auto") -> None:
-        """
-        Parameters
-        ----------
-        kernel:
-            ``"auto"`` (default) dispatches each dirty component to the
-            flat kernels in :mod:`repro.simulate.vectorized` — closed
-            form for singletons, fused pair and small scalar kernels
-            below :data:`~repro.simulate.vectorized.VECTOR_MIN_FLOWS`
-            flows, numpy on integer resource ids at and above it;
-            ``"reference"`` hands every component
-            to :func:`~repro.simulate.flows.allocate_rates` instead
-            (differential CI).
-        """
-        if kernel not in ("auto", "reference"):
-            raise ValueError(f"unknown kernel {kernel!r}")
-        self._kernel = kernel
-        #: canonical-shape memo over solved components of 2 to
-        #: ``VECTOR_MIN_FLOWS - 1`` flows (see :mod:`repro.simulate.cascade`);
-        #: sound because ``register`` never updates an existing capacity
-        #: entry.  Larger components never repeat a shape on the measured
-        #: workloads, so they skip the key and the memo.
-        self._memo = SolveMemo()
-        #: path tuple -> min capacity along the path (singleton closed
-        #: form before the rate cap) — same append-only soundness.
-        self._single_caps: dict[tuple[str, ...], float] = {}
-        #: resource name -> Resource (or plain float capacity); the dict
-        #: handed verbatim to the reference allocator.
-        self._resources: dict[str, Resource | float] = {}
-        #: resource name -> (capacity, penalty) floats for the kernels.
+    def __init__(self) -> None:
+        #: resource name -> (capacity, penalty) floats for the kernels;
+        #: append-only (``register`` rejects duplicates).
         self._res_caps: dict[str, tuple[float, float]] = {}
         #: the numpy kernel's id table over ``_res_caps`` (see
         #: :func:`~repro.simulate.vectorized.id_table`), built by the first
@@ -177,20 +147,18 @@ class ComponentAllocator:
         self.last_component_size_max = 0
         self.last_flows_resolved = 0
         self.last_vectorized_solves = 0
-        self.last_memo_hits = 0
 
     # -- resource registration ------------------------------------------------
 
     def register(self, name: str, resource: "Resource | float") -> None:
         """Declare a resource (engine calls this from ``add_resource``)."""
-        if name in self._resources:
+        if name in self._res_caps:
             raise ValueError(f"duplicate resource {name!r}")
-        self._resources[name] = resource
         self._res_caps[name] = res_entry(resource)
         self._ids = None
 
     def has_resource(self, name: str) -> bool:
-        return name in self._resources
+        return name in self._res_caps
 
     # -- flow lifecycle -------------------------------------------------------
 
@@ -209,10 +177,10 @@ class ComponentAllocator:
         # touches (insertion-ordered, deduped); nothing below mutates
         # until the whole path is known-good.
         hit: dict[int, None] = {}
-        resources = self._resources
+        res_caps = self._res_caps
         res_comp = self._res_comp
         for r in flow.path:
-            if r not in resources:
+            if r not in res_caps:
                 raise KeyError(f"flow crosses unknown resource {r!r}")
             cid_r = res_comp.get(r)
             if cid_r is not None:
@@ -498,15 +466,13 @@ class ComponentAllocator:
         """Max-min fair rates, re-solved only for the dirty components.
 
         Each dirty (and, if shrunk, freshly re-partitioned) component is
-        solved in isolation — by the flat kernels of
-        :mod:`repro.simulate.vectorized` (``kernel="auto"``) or by the
-        reference :func:`allocate_rates` (``kernel="reference"``); either way the
-        rates are bit-for-bit the reference's.  Clean components keep
-        their cached rates untouched.  :attr:`last_changed` lists the
-        reported slot ids: every member of a re-solved component below
-        ``VECTOR_MIN_FLOWS`` flows (and of every component under
-        ``kernel="reference"``), and of a larger one only the flows that
-        are new or whose rate changed.  With ``out`` (the engine's
+        solved in isolation by the flat kernels of
+        :mod:`repro.simulate.vectorized`, bit-for-bit the rates of the
+        reference :func:`~repro.simulate.flows.allocate_rates`.  Clean
+        components keep their cached rates untouched.  :attr:`last_changed`
+        lists the reported slot ids: every member of a re-solved component
+        below ``VECTOR_MIN_FLOWS`` flows, and of a larger one only the
+        flows that are new or whose rate changed.  With ``out`` (the engine's
         slot-indexed rate array) exactly the reported slots are written
         and ``None`` is returned; every other slot already holds its
         flow's rate.  Without ``out`` a Flow-keyed dict of *all* tracked
@@ -518,17 +484,13 @@ class ComponentAllocator:
         self.last_component_size_max = 0
         self.last_flows_resolved = 0
         self.last_vectorized_solves = 0
-        self.last_memo_hits = 0
         changed: list[int] = []
         if self._dirty:
             # The static lattice sums per-component work as if every dirty
             # component were the whole problem; the bound below counts the
             # dirty set, which is what the O(n log n) contract is about
             # (cross-checked by the solve_iterations/events growth test).
-            if self._kernel == "reference":
-                self._solve_reference(changed, out)  # opass: ignore[OPS302] -- amortized over the dirty set
-            else:
-                self._solve_kernels(changed, out)  # opass: ignore[OPS302] -- amortized over the dirty set
+            self._solve_kernels(changed, out)  # opass: ignore[OPS302] -- amortized over the dirty set
             self._dirty.clear()
             self._shrunk.clear()
         self.last_changed = changed
@@ -547,84 +509,29 @@ class ComponentAllocator:
                 gids.append(cid)
         return gids
 
-    def _solve_reference(
-        self, changed: list[int], out: "np.ndarray | None"
-    ) -> None:
-        """The pre-kernel solve loop: reference allocator per component."""
-        order = self._order
-        rate_at = self._rate_at
-        resources = self._resources
-        stats: dict[str, int] = {}
-        for gid in self._dirty_groups():
-            group = self._comp_flows[gid]
-            members = sorted(group, key=order.__getitem__)
-            rates = allocate_rates(members, resources, stats=stats)
-            self.last_iterations += stats["iterations"]
-            self.last_component_solves += 1
-            k = len(members)
-            if k > self.last_component_size_max:
-                self.last_component_size_max = k
-            self.last_flows_resolved += k
-            for f in members:
-                rate = rates[f]
-                fid = group[f]
-                rate_at[fid] = rate
-                if out is not None:
-                    out[fid] = rate
-                changed.append(fid)
-
-    def _solve_single_cached(self, f: Flow) -> float:
-        """Singleton closed form through the path-keyed capacity memo.
-
-        ``min(capacity along path)`` is order-independent float ``min``,
-        so caching it per path tuple and applying the rate cap after is
-        bit-identical to :func:`solve_single` — and the capacity table
-        is append-only, so the cached minimum can never go stale.
-        """
-        path = f.path
-        rate = self._single_caps.get(path)
-        if rate is None:
-            res_caps = self._res_caps
-            rate = math.inf
-            for r in path:
-                cap = res_caps[r][0]
-                if cap < rate:
-                    rate = cap
-            self._single_caps[path] = rate
-        rc = f.rate_cap
-        if rc is not None and rc < rate:
-            return rc
-        return rate
-
     def _solve_kernels(
         self, changed: list[int], out: "np.ndarray | None"
     ) -> None:
-        """Flat-kernel solve loop.
+        """The solve loop: one kernel run per dirty component.
 
-        Components of 2 to ``VECTOR_MIN_FLOWS - 1`` flows go through the
-        canonical-shape memo first (:mod:`repro.simulate.cascade`): a hit
-        replays the cached rates (and the iteration count, so
-        ``solve_iterations`` keeps measuring the represented water-filling
-        work); a miss runs the pair or small kernel and stores the
-        result.  These tiers write and report every member.  Larger
-        components go straight to the numpy kernel (on ``ingest-write``,
-        the one measured workload that forms them, every one of their memo
-        lookups missed, and their keys were the memo's bulk), in component
-        order, on the slot-cached integer resource ids; they write and
-        report only new flows and flows whose rate changed (83% of the
-        flows they re-solve there keep a bit-identical rate).
+        Singletons take the closed form, pairs the fused pair kernel and
+        components of 3 to ``VECTOR_MIN_FLOWS - 1`` flows the small scalar
+        kernel, members in active-list order; these tiers write and
+        report every member.  Larger components run the numpy kernel in
+        component order on the slot-cached integer resource ids, and
+        write and report only new flows and flows whose rate changed (83%
+        of the flows they re-solve on ``ingest-write`` keep a bit-identical
+        rate).
         """
         order = self._order
         rate_at = self._rate_at
         res_caps = self._res_caps
         comp_flows = self._comp_flows
-        memo = self._memo
         solves = 0
         size_max = self.last_component_size_max
         resolved = 0
         iterations = 0
         vectorized = 0
-        memo_hits = 0
         for gid in self._dirty_groups():
             group = comp_flows[gid]
             k = len(group)
@@ -634,7 +541,7 @@ class ComponentAllocator:
                 size_max = k
             if k == 1:
                 ((f, fid),) = group.items()
-                rate = self._solve_single_cached(f)
+                rate = solve_single(f, res_caps)
                 iterations += 1
                 rate_at[fid] = rate
                 if out is not None:
@@ -650,21 +557,11 @@ class ComponentAllocator:
                 if order[fa] > order[fb]:
                     fa, fb, ia, ib = fb, fa, ib, ia
                 fids = [ia, ib]
-                key = pair_key(fa, fb, res_caps)
+                rates, iters = solve_pair(fa, fb, res_caps)
             else:
                 members = sorted(group, key=order.__getitem__)
                 fids = [group[f] for f in members]
-                key = component_key(members, res_caps)
-            hit = memo.lookup(key)
-            if hit is not None:
-                rates, iters = hit
-                memo_hits += 1
-            else:
-                if k == 2:
-                    rates, iters = solve_pair(fa, fb, res_caps)
-                else:
-                    rates, iters = solve_small(members, res_caps)
-                memo.store(key, rates, iters)
+                rates, iters = solve_small(members, res_caps)
             iterations += iters
             if out is None:
                 for fid, rate in zip(fids, rates):
@@ -680,7 +577,6 @@ class ComponentAllocator:
         self.last_component_size_max = size_max
         self.last_flows_resolved += resolved
         self.last_vectorized_solves += vectorized
-        self.last_memo_hits += memo_hits
 
     def _solve_large(
         self,

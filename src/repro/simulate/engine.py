@@ -38,13 +38,16 @@ The hot path is O(affected component) end to end, and one fused loop
   superseded/finished entries are skipped lazily on pop.  Entries order
   by ``(time, flow_id)``, and candidates within a ≤1e-9-relative tie
   window of the top are re-predicted fresh and snapped to the minimal
-  ``flow_id`` — so simultaneous completions fire in ``flow_id`` order
-  (matching the retire sweep) regardless of float noise in the
-  predictions.  Tie candidates pulled out of the heap park in a **tie
-  group** side table (fid → fresh prediction) instead of being re-pushed,
-  so a wave of w simultaneous completions costs O(w) dict scans per event
-  rather than O(w log n) heap churn — the whole-wave pop/re-push cycle
-  per event is what collapsed throughput at 2048+ nodes;
+  ``flow_id``, and the retire sweep fires in ``flow_id`` order too.  The
+  tie contract: flows that finish at the same ``sim.now`` fire in
+  ``flow_id`` order.  That holds whatever their sizes, and flows whose
+  finishes lie within the window share an instant, so a flow one ulp
+  larger than another may fire first.  Tie candidates pulled out of
+  the heap park in a **tie group** side table (fid → fresh prediction)
+  instead of being re-pushed, so a wave of w simultaneous completions
+  costs O(w) dict scans per event rather than O(w log n) heap churn —
+  the whole-wave pop/re-push cycle per event is what collapsed
+  throughput at 2048+ nodes;
 * **timer waves coalesce**: all timers sharing the *exact* timestamp of
   the one being processed drain in a single settle/solve cycle when a
   conservative bound proves the replay is unchanged — every active
@@ -307,7 +310,6 @@ class Simulation:
         perf.component_solves += alloc.last_component_solves
         perf.component_flows_resolved += alloc.last_flows_resolved
         perf.vectorized_solves += alloc.last_vectorized_solves
-        perf.memo_hits += alloc.last_memo_hits
         if alloc.last_component_size_max > perf.component_size_max:
             perf.component_size_max = alloc.last_component_size_max
         n_comp = alloc.component_count
@@ -676,7 +678,6 @@ class Simulation:
         comp_solves = 0
         flows_resolved = 0
         vec_solves = 0
-        memo_acc = 0
         heap_pushes = 0
         stale_pops = 0
         flow_events = 0
@@ -706,7 +707,6 @@ class Simulation:
                         comp_solves += alloc.last_component_solves
                         flows_resolved += alloc.last_flows_resolved
                         vec_solves += alloc.last_vectorized_solves
-                        memo_acc += alloc.last_memo_hits
                         if alloc.last_component_size_max > size_max:
                             size_max = alloc.last_component_size_max
                         n_comp = alloc.component_count
@@ -889,7 +889,6 @@ class Simulation:
             perf.component_solves += comp_solves
             perf.component_flows_resolved += flows_resolved
             perf.vectorized_solves += vec_solves
-            perf.memo_hits += memo_acc
             perf.heap_pushes += heap_pushes
             perf.stale_pops += stale_pops
             perf.flow_events += flow_events

@@ -52,9 +52,6 @@ class SimPerf:
     #: component solves that ran the numpy water-filling kernel
     #: (components of ≥ VECTOR_MIN_FLOWS flows; see repro.simulate.vectorized)
     vectorized_solves: int = 0
-    #: multi-flow component solves answered by the canonical-shape memo
-    #: (see repro.simulate.cascade) instead of re-entering a kernel
-    memo_hits: int = 0
     #: completion cascades: maximal stretches of ≥ 2 consecutive
     #: completion events the engine loop processed with no timer between
     fastforward_cascades: int = 0
@@ -105,9 +102,10 @@ class SimPerf:
             ),
             "component_flows_resolved": self.component_flows_resolved,
             "vectorized_solves": self.vectorized_solves,
-            # no solve path dispatches in parallel; perfbench reads the key
+            # no solve path dispatches in parallel or replays a memoised
+            # solve; perfbench reads both keys
             "parallel_solves": 0,
-            "memo_hits": self.memo_hits,
+            "memo_hits": 0,
             "fastforward_cascades": self.fastforward_cascades,
             "cascade_events": self.cascade_events,
             "settles": self.settles,

@@ -30,9 +30,10 @@ class Resource:
     concurrency_penalty: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        # Negated so that NaN, which compares false, is rejected too.
+        if not self.capacity > 0:
             raise ValueError(f"resource {self.name!r} needs positive capacity")
-        if self.concurrency_penalty < 0:
+        if not self.concurrency_penalty >= 0:
             raise ValueError(f"resource {self.name!r} needs non-negative penalty")
 
     def effective_capacity(self, concurrency: int) -> BytesPerSec:

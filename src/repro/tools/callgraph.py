@@ -46,7 +46,9 @@ from .model import module_directive
 #: the fork-worker safety rule.
 #: v5: the async-blocking rule is gone, summary keys no longer carry a
 #: config digest, and cached ``call_axes`` must align with ``calls``.
-ANALYZER_VERSION = 5
+#: v6: verify reports contracts and pure-module entries whose module no
+#: analyzed file defines.
+ANALYZER_VERSION = 6
 
 
 @dataclass

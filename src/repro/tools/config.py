@@ -82,7 +82,6 @@ DEFAULT_PURE_MODULES: tuple[str, ...] = (
     "repro.core.mincostflow",
     "repro.core.multi_data",
     "repro.core.single_data",
-    "repro.simulate.cascade",
     "repro.simulate.components",
     "repro.simulate.flowtable",
     "repro.simulate.vectorized",
@@ -181,13 +180,6 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     "repro.simulate.flowtable.FlowTable.views": "O(1)",
     "repro.simulate.flowtable.FlowTable.settle": "O(n)",
     "repro.simulate.flowtable.FlowTable.sync_remaining": "O(n)",
-    # canonical solve-memo keys walk the member paths once; the memo
-    # itself is a dict probe either way (store's clear-on-full is
-    # amortized against max_entries inserts)
-    "repro.simulate.cascade.pair_key": "O(deg)",
-    "repro.simulate.cascade.component_key": "O(deg)",
-    "repro.simulate.cascade.SolveMemo.lookup": "O(1)",
-    "repro.simulate.cascade.SolveMemo.store": "O(1)",
 }
 
 #: Directories linted with the relaxed profile (OPS000/OPS001/OPS003,
@@ -274,24 +266,15 @@ class LintConfig:
         )
 
     def own_contracts(self, module: str) -> dict[str, str]:
-        """The cost contracts whose key names a function of ``module``.
-
-        A key is ``<module>.<function>`` or ``<module>.<Class>.<method>``.
-        A capitalised segment marks the class, which tells a method of a
-        package's own class from a function of its submodule
-        (``repro.simulate.cascade.pair_key`` belongs to ``cascade``, not
-        to the ``repro.simulate`` package).  Keys naming no existing
-        function are included: they are stale contracts.
+        """The cost contracts whose key names a function of ``module``
+        (see :func:`contract_module`).  Keys naming no existing function
+        are included: they are stale contracts.
         """
-        prefix = module + "."
-        out: dict[str, str] = {}
-        for key, budget in self.cost_contracts.items():
-            if not key.startswith(prefix):
-                continue
-            parts = key[len(prefix) :].split(".")
-            if len(parts) == 1 or (len(parts) == 2 and parts[0][:1].isupper()):
-                out[key] = budget
-        return out
+        return {
+            key: budget
+            for key, budget in self.cost_contracts.items()
+            if contract_module(key) == module
+        }
 
     def contracts_signature(self, module: str) -> str:
         """Digest of the contracts :meth:`own_contracts` gives ``module``.
@@ -300,6 +283,21 @@ class LintConfig:
         parsing required.
         """
         return self._digest(sorted(self.own_contracts(module).items()))
+
+
+def contract_module(key: str) -> str:
+    """The module a cost-contract key names.
+
+    A key is ``<module>.<function>`` or ``<module>.<Class>.<method>``.  A
+    capitalised segment marks the class, which tells a method of a
+    package's own class from a function of its submodule
+    (``repro.simulate.vectorized.solve_pair`` belongs to ``vectorized``,
+    not to the ``repro.simulate`` package).
+    """
+    parts = key.split(".")
+    if len(parts) >= 3 and parts[-2][:1].isupper():
+        return ".".join(parts[:-2])
+    return ".".join(parts[:-1])
 
 
 class ConfigError(ValueError):

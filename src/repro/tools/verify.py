@@ -21,6 +21,11 @@ over an unchanged tree loads every summary and every check result from
 the cache and never parses a single module — the fast path goes
 straight from content hashes to the final report.
 
+Both paths also report, uncached, each cost contract (OPS301) and
+``pure_modules`` entry (OPS103) naming a module that no analyzed file
+defines while its parent package is analyzed: deleting or renaming a
+contracted module fails the run instead of dropping its contracts.
+
 Exit codes match ``opass-lint``: 0 clean, 1 violations, 2 usage error.
 """
 
@@ -41,7 +46,13 @@ from .api import (
 from .cache import AnalysisCache, CacheStats, closure_signature, module_key
 from .callgraph import ModuleDecl, Project, parse_module
 from .concurrency import check_module_concurrency
-from .config import ConfigError, LintConfig, config_near, load_config
+from .config import (
+    ConfigError,
+    LintConfig,
+    config_near,
+    contract_module,
+    load_config,
+)
 from .costmodel import check_module_cost, resolve_costs
 from .interproc import check_module_interproc
 from .model import Violation, marker_lines
@@ -178,7 +189,7 @@ def verify_paths(
                 path: [_decode_violation(d, path) for d in checks_loaded[path]]
                 for path, _, _ in entries
             }
-            return _assemble(entries, raw_by_path)
+            return _assemble(entries, raw_by_path, mod_of, config)
 
     # ---- full path: parse everything, reuse whatever the cache has --------
     decls: dict[str, ModuleDecl] = {}
@@ -228,18 +239,47 @@ def verify_paths(
         raw += check_module_cost(decl, project_summaries, costs, config)
         cache.store_checks(key, sig, [v.as_dict() for v in raw])
         raw_by_path[path] = raw
-    return _assemble(entries, raw_by_path)
+    return _assemble(entries, raw_by_path, mod_of, config)
+
+
+def _orphaned_entries(
+    mod_of: dict[str, str], config: LintConfig
+) -> dict[str, list[Violation]]:
+    """Contracts and pure-module entries whose module is missing.
+
+    Each is reported at line 1 of its parent package's ``__init__.py``,
+    and only when that package is analyzed, so verifying one file never
+    flags another package's entries.
+    """
+    path_of = {module: path for path, module in mod_of.items()}
+    named = [
+        (contract_module(key), "OPS301", f"stale cost contract {key!r} ({budget})")
+        for key, budget in sorted(config.cost_contracts.items())
+    ]
+    named += [
+        (module, "OPS103", f"stale pure-module entry {module!r}")
+        for module in config.pure_modules
+    ]
+    out: dict[str, list[Violation]] = {}
+    for module, rule, what in named:
+        path = path_of.get(module.rpartition(".")[0])
+        if path is not None and module not in path_of:
+            message = f"{what} names {module}, which no analyzed file defines"
+            out.setdefault(path, []).append(Violation(path, 1, 1, rule, message))
+    return out
 
 
 def _assemble(
     entries: list[tuple[str, str, str]],
     raw_by_path: dict[str, list[Violation]],
+    mod_of: dict[str, str],
+    config: LintConfig,
 ) -> LintReport:
+    orphaned = _orphaned_entries(mod_of, config)
     report = LintReport(tool=TOOL)
     for path, source, _ in entries:
-        report.extend(
-            apply_suppressions(raw_by_path.get(path, []), source, path, tool=TOOL)
-        )
+        raw = raw_by_path.get(path, []) + orphaned.get(path, [])
+        report.extend(apply_suppressions(raw, source, path, tool=TOOL))
     report.sort()
     return report
 

@@ -13,6 +13,9 @@ completion heap, credit accounting, timer-wave coalescing):
 * after each event, every flow drained to ≤ ``REMAINING_EPS`` bytes
   retires, in ``flow_id`` order.
 
+The tie contract: flows that finish at the same ``sim.now`` fire in
+``flow_id`` order.
+
 ``tests/test_sim_fastforward.py`` and the engine differentials replay
 workloads through both engines and require the same event order with
 event times within 1e-9 relative (the component-sliced solves round the

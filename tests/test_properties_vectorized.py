@@ -9,9 +9,9 @@ components engineered to produce float ties, singleton components (the
 closed-form path), resources at the concurrency threshold, and sizes
 straddling the scalar/numpy dispatch cutoff.
 
-A second group pins the allocator-level contract: a
-``ComponentAllocator(kernel="auto")`` tracks ``kernel="reference"``
-exactly through add/remove churn.
+A second group pins the allocator-level contract: through add/remove
+churn, ``ComponentAllocator.solve()`` equals ``allocate_rates`` run once
+per brute-force component over its live flows in insertion order.
 """
 
 from __future__ import annotations
@@ -278,37 +278,60 @@ def _random_resources(rng: random.Random, n: int):
     return out
 
 
+def _oracle_rates(live, resources, stats=None):
+    """``allocate_rates`` once per brute-force component, each over its
+    live flows in insertion order (``live`` keeps that order); ``stats``
+    collects the summed ``iterations`` and the ``components`` count."""
+    rates: dict[Flow, float] = {}
+    comps = bruteforce_partition(live)
+    iterations = 0
+    for comp in comps:
+        one: dict[str, int] = {}
+        members = [f for f in live if f in comp]
+        rates.update(allocate_rates(members, resources, stats=one))
+        iterations += one["iterations"]
+    if stats is not None:
+        stats.update(iterations=iterations, components=len(comps))
+    return rates
+
+
+def _assert_fresh_solve_matches(live, resources):
+    """A new allocator over ``live`` solves every component once: its
+    rates, iteration count and solve count all match the oracle's."""
+    fresh = ComponentAllocator()
+    for name, r in resources.items():
+        fresh.register(name, r)
+    for f in live:
+        fresh.add(f)
+    stats: dict[str, int] = {}
+    assert fresh.solve() == _oracle_rates(live, resources, stats)
+    assert fresh.last_iterations == stats["iterations"]
+    assert fresh.last_component_solves == stats["components"]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_allocator_auto_vs_reference_kernel_churn(seed):
-    """Auto-kernel allocator == reference-kernel allocator through churn."""
+    """Allocator rates == the per-component reference through churn."""
     rng = random.Random(1000 + seed)
     resources = _random_resources(rng, 12)
     names = list(resources)
     auto = ComponentAllocator()
-    ref = ComponentAllocator(kernel="reference")
     for name, r in resources.items():
         auto.register(name, r)
-        ref.register(name, r)
     live: list[Flow] = []
     for step in range(120):
         if live and rng.random() < 0.35:
-            f = live.pop(rng.randrange(len(live)))
-            auto.remove(f)
-            ref.remove(f)
+            auto.remove(live.pop(rng.randrange(len(live))))
         else:
             path = tuple(rng.sample(names, rng.randint(1, 3)))
             cap = rng.choice([None, None, 1.0, 60e6])
             f = Flow(size=1.0, path=path, rate_cap=cap)
             live.append(f)
             auto.add(f)
-            ref.add(f)
         if rng.random() < 0.5:
-            got = auto.solve()
-            want = ref.solve()
-            assert got == want
-            assert auto.last_iterations == ref.last_iterations
-            assert auto.last_component_solves == ref.last_component_solves
-    assert auto.solve() == ref.solve()
+            assert auto.solve() == _oracle_rates(live, resources)
+    assert auto.solve() == _oracle_rates(live, resources)
+    _assert_fresh_solve_matches(live, resources)
 
 
 def _island_flow(rng, island, bridge=None):
@@ -339,27 +362,21 @@ def test_allocator_large_components_churn(seed):
     order = list(resources)
     rng.shuffle(order)
     auto = ComponentAllocator()
-    ref = ComponentAllocator(kernel="reference")
     for name in order:
         auto.register(name, resources[name])
-        ref.register(name, resources[name])
 
     live: list[Flow] = []
 
     def add(f):
         live.append(f)
         auto.add(f)
-        ref.add(f)
 
     def remove(f):
         live.remove(f)
         auto.remove(f)
-        ref.remove(f)
 
     def check():
-        assert auto.solve() == ref.solve()
-        assert auto.last_iterations == ref.last_iterations
-        assert auto.last_component_solves == ref.last_component_solves
+        assert auto.solve() == _oracle_rates(live, resources)
         assert {frozenset(c) for c in auto.components()} == bruteforce_partition(live)
 
     for isl in islands:
@@ -382,12 +399,9 @@ def test_allocator_large_components_churn(seed):
     assert auto.last_vectorized_solves == 1
     assert len(auto.components()) == 1
 
-    # A large solve alone never touches the memo.
-    memo_len = len(auto._memo)
     add(_island_flow(rng, islands[0]))
     check()
     assert auto.last_vectorized_solves == auto.last_component_solves == 1
-    assert len(auto._memo) == memo_len
 
     # Churn inside the merged component, solving as we go.
     for _ in range(40):
@@ -406,6 +420,7 @@ def test_allocator_large_components_churn(seed):
     parts = auto.components()
     assert len(parts) >= 3
     assert max(len(c) for c in parts) >= VECTOR_MIN_FLOWS // 2
+    _assert_fresh_solve_matches(live, resources)
 
 
 def _rebuilt_index(alloc, cid):
@@ -430,7 +445,7 @@ def test_allocator_large_component_index_fuzz(seed):
     below the cutoff and regrowing past it, and random churn.  After
     every operation each kept index equals one rebuilt from its
     component's members; at every solve the partition is the brute-force
-    one and the rates equal the reference kernel's."""
+    one and the rates equal the per-component reference's."""
     rng = random.Random(8000 + seed)
     islands = [[f"i{k}r{j}" for j in range(6)] for k in range(4)]
     bridges = ["b01", "b12", "b23"]
@@ -442,10 +457,8 @@ def test_allocator_large_component_index_fuzz(seed):
             concurrency_penalty=rng.choice([0.0, 0.02, 0.1]),
         )
     auto = ComponentAllocator()
-    ref = ComponentAllocator(kernel="reference")
     for name in resources:
         auto.register(name, resources[name])
-        ref.register(name, resources[name])
     live: list[Flow] = []
     of_island: dict[Flow, int] = {}
 
@@ -454,14 +467,12 @@ def test_allocator_large_component_index_fuzz(seed):
         if k is not None:
             of_island[f] = k
         auto.add(f)
-        ref.add(f)
         _assert_kept_indexes_exact(auto)
 
     def remove(f):
         live.remove(f)
         of_island.pop(f, None)
         auto.remove(f)
-        ref.remove(f)
         _assert_kept_indexes_exact(auto)
 
     def grow(k, n):
@@ -469,8 +480,7 @@ def test_allocator_large_component_index_fuzz(seed):
             add(_island_flow(rng, islands[k]), k)
 
     def check():
-        assert auto.solve() == ref.solve()
-        assert auto.last_iterations == ref.last_iterations
+        assert auto.solve() == _oracle_rates(live, resources)
         assert {frozenset(c) for c in auto.components()} == bruteforce_partition(live)
         _assert_kept_indexes_exact(auto)
         assert not auto._probes
@@ -548,6 +558,7 @@ def test_allocator_large_component_index_fuzz(seed):
         if rng.random() < 0.3:
             check()
     check()
+    _assert_fresh_solve_matches(live, resources)
 
 
 def test_allocator_counts_vectorized_solves():
@@ -558,8 +569,3 @@ def test_allocator_counts_vectorized_solves():
         alloc.add(Flow(size=1.0, path=("shared",)))
     alloc.solve()
     assert alloc.last_vectorized_solves == 1
-
-
-def test_allocator_rejects_unknown_kernel():
-    with pytest.raises(ValueError):
-        ComponentAllocator(kernel="simd")

@@ -1,8 +1,7 @@
 """Differential tests for the engine's fused event loop.
 
-The loop (:meth:`repro.simulate.engine.Simulation.run`) and the canonical
-solve memo (:mod:`repro.simulate.cascade`) are pinned two ways, over a
-scripted fuzz interleaving the hazards that could break them —
+The loop (:meth:`repro.simulate.engine.Simulation.run`) is pinned two
+ways, over a scripted fuzz interleaving the hazards that could break them —
 completion cascades, same-timestamp timer waves, flow starts/cancels
 *during* a cascade, and FlowTable slot recycling inside a cascade:
 
@@ -15,8 +14,7 @@ completion cascades, same-timestamp timer waves, flow starts/cancels
   full-scan prediction, ``flow_id``-ordered retires) must emit the same
   events in the same order, with times within 1e-9 relative.
 
-The memo's canonical keys (pair/general agreement, cap sensitivity) and
-the cascade telemetry counters are pinned directly.
+The cascade telemetry counters are pinned directly.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import random
 import pytest
 
 from repro.simulate import Simulation
-from repro.simulate.cascade import SolveMemo, component_key, pair_key
 from repro.simulate.flows import Flow
 from repro.simulate.resources import Resource
 from tests.reference_sim import ReferenceSimulation
@@ -199,61 +196,3 @@ class TestCascadeCounters:
         sim.run()
         assert done == [5.0]
 
-
-class TestSolveMemo:
-    CAPS = {"a": (10.0, 0.0), "b": (5.0, 0.0), "c": (7.0, 0.0)}
-
-    def test_pair_and_general_keys_never_collide(self):
-        fa = Flow(10, ("a", "b"))
-        fb = Flow(10, ("b", "c"))
-        kp = pair_key(fa, fb, self.CAPS)
-        kg = component_key([fa, fb], self.CAPS)
-        # Different key spaces for the same structure: the allocator
-        # always routes k==2 through pair_key, so the spaces must
-        # simply be disjoint (no false sharing).
-        assert kp != kg
-
-    def test_name_independence(self):
-        caps = {"x": (10.0, 0.0), "y": (5.0, 0.0), "z": (7.0, 0.0)}
-        k1 = pair_key(Flow(10, ("a", "b")), Flow(10, ("b", "c")), self.CAPS)
-        k2 = pair_key(Flow(10, ("x", "y")), Flow(10, ("y", "z")), caps)
-        assert k1 == k2
-
-    def test_capacity_sensitivity_is_exact(self):
-        caps2 = dict(self.CAPS)
-        caps2["b"] = (5.0 + 1e-12, 0.0)
-        k1 = pair_key(Flow(10, ("a", "b")), Flow(10, ("b", "c")), self.CAPS)
-        k2 = pair_key(Flow(10, ("a", "b")), Flow(10, ("b", "c")), caps2)
-        assert k1 != k2
-
-    def test_rate_cap_in_key(self):
-        k1 = pair_key(Flow(10, ("a", "b")), Flow(10, ("b", "c")), self.CAPS)
-        k2 = pair_key(
-            Flow(10, ("a", "b")), Flow(10, ("b", "c"), rate_cap=3.0), self.CAPS
-        )
-        assert k1 != k2
-
-    def test_lookup_store_roundtrip_and_bound(self):
-        memo = SolveMemo(max_entries=2)
-        memo.store("k1", [1.0], 3)
-        assert memo.lookup("k1") == ([1.0], 3)
-        assert memo.lookup("nope") is None
-        memo.store("k2", [2.0], 1)
-        assert len(memo) == 2
-        # Full: the next store clears, then inserts.
-        memo.store("k3", [3.0], 1)
-        assert len(memo) == 1
-        assert memo.lookup("k1") is None
-        assert memo.lookup("k3") == ([3.0], 1)
-
-    def test_memo_hits_counted_in_perf(self):
-        """Structurally identical remote-pair components hit the memo."""
-        sim = Simulation()
-        for i in range(8):
-            sim.add_resource(Resource(f"d{i}", 10.0))
-            sim.add_resource(Resource(f"n{i}", 20.0))
-        for i in range(0, 8, 2):
-            sim.start_flow(40.0, (f"d{i}", f"n{i}"), lambda f: None)
-            sim.start_flow(40.0, (f"d{i}", f"n{i + 1}"), lambda f: None)
-        sim.run()
-        assert sim.perf.memo_hits > 0

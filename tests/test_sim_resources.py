@@ -59,6 +59,14 @@ class TestResourceValidation:
         with pytest.raises(ValueError):
             Resource("x", 0)
 
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="positive capacity"):
+            Resource("x", float("nan"))
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             Resource("x", 1, concurrency_penalty=-1)
+
+    def test_nan_penalty_rejected(self):
+        with pytest.raises(ValueError, match="non-negative penalty"):
+            Resource("x", 1.0, concurrency_penalty=float("nan"))

@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 from repro.tools.api import ALL_RULES, lint_file, lint_paths
+from repro.tools.cache import AnalysisCache, CacheStats
 from repro.tools.callgraph import Project, parse_module
 from repro.tools.config import LintConfig
 from repro.tools.costmodel import COST_RULES, axis_level, resolve_costs
 from repro.tools.model import marker_lines, parse_pragmas
 from repro.tools.summaries import resolve_summaries, summarize_module
-from repro.tools.verify import verify_source
+from repro.tools.verify import verify_paths, verify_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "data" / "lint"
@@ -102,7 +103,7 @@ class TestStaleContracts:
     CONTRACTS = {
         "repro.simulate.components.ComponentAllocator.add": "O(deg)",
         "repro.simulate.components._still_whole": "O(n)",
-        "repro.simulate.cascade.pair_key": "O(deg)",
+        "repro.simulate.vectorized.solve_pair": "O(deg)",
     }
 
     def verify_as(self, module: str, path: str):
@@ -120,8 +121,8 @@ class TestStaleContracts:
         assert "'repro.simulate.components._still_whole'" in v.message
 
     def test_package_does_not_own_its_submodules_contracts(self):
-        # repro.simulate.cascade.pair_key belongs to cascade, not to the
-        # repro.simulate package the source is verified as here
+        # repro.simulate.vectorized.solve_pair belongs to vectorized, not
+        # to the repro.simulate package the source is verified as here
         report = self.verify_as("repro.simulate", "simulate/__init__.py")
         assert report.ok, report.render()
 
@@ -129,6 +130,63 @@ class TestStaleContracts:
         # ops301_ok declares only ComponentAllocator.add of the many
         # default contracts on repro.simulate.components
         assert verify_fixture("ops301_ok").ok
+
+
+class TestMissingModules:
+    """A contract or pure-module entry whose module no analyzed file
+    defines fails the project run, cold and warm."""
+
+    CONFIG = dict(
+        cost_contracts={
+            "repro.simulate.gone.solve": "O(deg)",
+            "repro.simulate.gone.Memo.lookup": "O(1)",
+            "repro.simulate.kept.solve": "O(deg)",
+            "repro.core.gone.match": "O(n)",
+        },
+        pure_modules=("repro.simulate.gone", "repro.simulate.kept", "repro.core.gone"),
+    )
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        pkg = tmp_path / "repro" / "simulate"
+        pkg.mkdir(parents=True)
+        (tmp_path / "repro" / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "kept.py").write_text("def solve(flows):\n    return len(flows)\n")
+        return tmp_path
+
+    def verify(self, paths, cache=None):
+        return verify_paths(paths, config=LintConfig(**self.CONFIG), cache=cache)
+
+    def test_missing_module_reported_on_parent_package(self, tree):
+        report = self.verify([tree / "repro" / "simulate"])
+        found = sorted(
+            (v.rule, v.line, Path(v.file).name, v.message) for v in report.violations
+        )
+        assert [f[:3] for f in found] == [
+            ("OPS103", 1, "__init__.py"),
+            ("OPS301", 1, "__init__.py"),
+            ("OPS301", 1, "__init__.py"),
+        ], report.render()
+        assert "'repro.simulate.gone'" in found[0][3]
+        assert "'repro.simulate.gone.Memo.lookup'" in found[1][3]
+        assert "'repro.simulate.gone.solve'" in found[2][3]
+        # repro.core is not analyzed, so its entries are not judged
+        assert "repro.core" not in report.render()
+
+    def test_single_file_flags_no_other_package(self, tree):
+        report = self.verify([tree / "repro" / "simulate" / "kept.py"])
+        assert report.ok, report.render()
+
+    def test_reported_on_the_warm_path(self, tree, tmp_path_factory):
+        stats = CacheStats()
+        cache = AnalysisCache(tmp_path_factory.mktemp("cache"), stats)
+        cold = self.verify([tree], cache)
+        stats.check_misses = 0
+        warm = self.verify([tree], cache)
+        assert stats.check_misses == 0
+        assert len(cold.violations) == 3
+        assert warm.violations == cold.violations
 
 
 # -- the cost lattice itself -------------------------------------------------

@@ -159,14 +159,13 @@ class LocalityGraph:
 
     @property
     def scratch(self) -> dict[object, object]:
-        """Per-graph memo for solver-derived structures (flow networks).
+        """Per-graph memo for solver results.
 
         The graph's edge data is immutable after construction, so anything
-        deterministically derived from it — e.g. the single-data flow
-        network for a given quota vector — can be cached here and reused
-        (after a :meth:`~repro.core.flownetwork.FlowNetwork.reset`) instead
-        of being rebuilt on every solve.  Keys are namespaced tuples chosen
-        by the solver module that owns the entry.
+        deterministically derived from it — e.g. the single-data max-flow
+        for a given quota vector and solver — can be cached here instead
+        of being recomputed on every solve.  Keys are namespaced tuples
+        chosen by the solver module that owns the entry.
         """
         if self._scratch is None:
             self._scratch = {}

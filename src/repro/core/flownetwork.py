@@ -25,41 +25,17 @@ augmentation) so augmenting paths — and therefore flows on every handle —
 are bit-for-bit unchanged.  ``adj`` remains available as a read-only view
 for tests and debugging.
 
-On graphs with at least :data:`VECTOR_MIN_VERTICES` vertices, Dinic's
-level BFS runs as a frontier-synchronous numpy kernel over a lazily
-built CSR mirror of the adjacency.  BFS levels are exact shortest
-distances, independent of queue order, so the kernel's levels — and
-therefore every downstream DFS decision — match the scalar FIFO BFS
-exactly.
+Every solve runs its solver from the current residual state: each Dinic
+phase builds its level graph with one FIFO BFS, and :meth:`max_flow`
+only dispatches by algorithm name.  Callers that re-solve an unchanged
+network keep the result themselves (``single_data`` memoises per graph).
 """
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 
-import numpy as np
-
 from .perf import SchedPerf
-
-#: Vertex count at and above which Dinic's level BFS runs on the numpy
-#: frontier kernel.  Below it the Python BFS wins (the arrays' fixed
-#: setup cost outweighs the per-edge savings on small graphs).
-VECTOR_MIN_VERTICES = 512
-
-
-def _sorted_unique(vs: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-D int64 array, as ``np.unique``.
-
-    ``np.unique`` checks for masked input through ``numpy.ma`` and so
-    imports it (about 12 ms) on its first call, inside the first large
-    solve; a sort and a neighbour mask give the same array without it.
-    """
-    out = np.sort(vs)
-    keep = np.empty(out.size, np.bool_)
-    keep[:1] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
 
 
 class _EdgeView:
@@ -101,13 +77,6 @@ class FlowNetwork:
         "_adj",
         "_level",
         "_it",
-        "_virgin",
-        "_virgin_levels",
-        "_virgin_solves",
-        "_csr_ptr",
-        "_csr_eids",
-        "_to_np",
-        "_orig_np",
     )
 
     def __init__(self, num_vertices: int) -> None:
@@ -121,24 +90,6 @@ class FlowNetwork:
         # Scratch buffers reused across solves (allocated once per network).
         self._level: list[int] = []
         self._it: list[int] = []
-        # True while every residual capacity equals its original value; the
-        # first BFS of a solve on a virgin network is a pure function of
-        # the topology, so its levels are memoised per (source, sink).
-        self._virgin = True
-        self._virgin_levels: dict[tuple[int, int], list[int]] = {}
-        # Full solve memo: the solvers are deterministic, so a solve that
-        # starts from the virgin state always ends with the same residual
-        # capacities and flow value.  max_flow() records that end state per
-        # (source, sink, algorithm) and replays it on repeat solves after a
-        # reset() — bit-identical to re-running the solver.
-        self._virgin_solves: dict[tuple[int, int, str], tuple[list[int], int]] = {}
-        # CSR mirror of the adjacency (built lazily, invalidated by edge
-        # adds) for the numpy frontier BFS on large graphs.
-        self._csr_ptr: "np.ndarray | None" = None
-        self._csr_eids: "np.ndarray | None" = None
-        self._to_np: "np.ndarray | None" = None
-        # Original capacities as numpy (rebuilt when edge adds grow _orig).
-        self._orig_np: "np.ndarray | None" = None
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.num_vertices:
@@ -163,9 +114,6 @@ class FlowNetwork:
         self._orig.append(0)
         self._adj[u].append(eid)
         self._adj[v].append(eid + 1)
-        self._virgin_levels.clear()
-        self._virgin_solves.clear()
-        self._csr_ptr = None
         return (u, len(self._adj[u]) - 1)
 
     def add_edges(
@@ -195,9 +143,6 @@ class FlowNetwork:
             cap.append(0)
             orig.append(0)
             eid += 2
-        self._virgin_levels.clear()
-        self._virgin_solves.clear()
-        self._csr_ptr = None
         return handles
 
     @property
@@ -228,52 +173,9 @@ class FlowNetwork:
             append(orig[eid] - cap[eid])
         return out
 
-    def edge_ids(self, handles: list[tuple[int, int]]) -> "np.ndarray":
-        """Resolve handles to internal edge ids (for bulk numpy queries).
-
-        Edge ids are stable for the life of the network, so callers that
-        query the same handles every solve resolve them once and reuse
-        the array with :meth:`flows_on_eids`.
-        """
-        adj = self._adj
-        return np.fromiter(
-            (adj[u][idx] for u, idx in handles), np.int64, len(handles)
-        )
-
-    def flows_on_eids(self, eids: "np.ndarray") -> "np.ndarray":
-        """Vectorized :meth:`flows_on` over pre-resolved edge ids."""
-        orig = self._orig_np
-        if orig is None or len(orig) != len(self._orig):
-            orig = self._orig_np = np.array(self._orig, dtype=np.int64)
-        cap = np.array(self._cap, dtype=np.int64)
-        return orig[eids] - cap[eids]
-
-    def flow_probe(self, handles: list[tuple[int, int]]):
-        """Build a reusable bulk-flow query for a fixed handle set.
-
-        Returns a zero-argument callable producing the same int64 array
-        as :meth:`flows_on_eids` over these handles' edge ids, but with
-        the handle resolution, original capacities, and residual-list
-        selector all precomputed — the per-call work is one C-speed
-        gather of the residuals.  Valid until edges are added (the
-        residual list object itself is never rebound, only mutated).
-        """
-        eids = self.edge_ids(handles)
-        if len(eids) == 0:
-            empty = np.zeros(0, np.int64)
-            return lambda: empty.copy()
-        orig_sel = np.array([self._orig[e] for e in eids], dtype=np.int64)
-        cap = self._cap
-        if len(eids) == 1:
-            e = int(eids[0])
-            return lambda: orig_sel - cap[e]
-        getter = operator.itemgetter(*eids.tolist())
-        return lambda: orig_sel - np.array(getter(cap), dtype=np.int64)
-
     def reset(self) -> None:
         """Zero all flow (restore residual capacities)."""
         self._cap[:] = self._orig
-        self._virgin = True
 
     # -- Edmonds–Karp ---------------------------------------------------------
 
@@ -319,85 +221,16 @@ class FlowNetwork:
                 cap[eid ^ 1] += bottleneck
                 v = to[eid ^ 1]
             flow += bottleneck
-            self._virgin = False
             if perf is not None:
                 perf.augmentations += 1
 
     # -- Dinic ---------------------------------------------------------------
-
-    def _ensure_csr(self) -> tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """CSR mirror of the adjacency for the numpy BFS (built lazily).
-
-        ``ptr``/``eids`` are the standard row-pointer/flat-edge-id pair;
-        ``to_np`` mirrors ``_to``.  All three are topology-only (residual
-        capacities are re-read each BFS), so the mirror stays valid until
-        the next edge add.
-        """
-        ptr = self._csr_ptr
-        if ptr is not None:
-            return ptr, self._csr_eids, self._to_np
-        adj = self._adj
-        counts = np.fromiter((len(row) for row in adj), np.int64, len(adj))
-        ptr = np.empty(len(adj) + 1, np.int64)
-        ptr[0] = 0
-        np.cumsum(counts, out=ptr[1:])
-        eids = np.fromiter(
-            (e for row in adj for e in row), np.int64, int(ptr[-1])
-        )
-        to_np = np.fromiter(self._to, np.int64, len(self._to))
-        self._csr_ptr, self._csr_eids, self._to_np = ptr, eids, to_np
-        return ptr, eids, to_np
-
-    def _bfs_levels_vec(
-        self, source: int, sink: int, level: list[int]
-    ) -> list[int] | None:
-        """Frontier-synchronous numpy BFS; levels identical to the FIFO BFS.
-
-        BFS levels are exact shortest-path distances in the admissible
-        (positive-residual) graph, and shortest distances do not depend on
-        the order vertices leave the queue — so expanding the whole
-        frontier at once assigns every vertex the same level the scalar
-        FIFO loop would.
-        """
-        ptr, eids, to_np = self._ensure_csr()
-        cap = np.fromiter(self._cap, np.int64, len(self._cap))
-        lvl = np.full(self.num_vertices, -1, np.int64)
-        lvl[source] = 0
-        frontier = np.array([source], np.int64)
-        depth = 0
-        while frontier.size:
-            depth += 1
-            starts = ptr[frontier]
-            counts = ptr[frontier + 1] - starts
-            total = int(counts.sum())  # opass: reassoc-ok -- int64 sum, exact
-            if total == 0:
-                break
-            # Gather every out-edge of the frontier in one shot: for each
-            # frontier vertex f, the slots [offsets, offsets+counts) of
-            # ``idx`` walk eids[starts[f] : starts[f]+counts[f]].
-            ends = np.cumsum(counts)
-            offsets = np.repeat(ends - counts, counts)
-            idx = np.arange(total, dtype=np.int64) - offsets
-            idx += np.repeat(starts, counts)
-            es = eids[idx]
-            es = es[cap[es] > 0]
-            vs = to_np[es]
-            vs = vs[lvl[vs] < 0]
-            if vs.size == 0:
-                break
-            fresh = _sorted_unique(vs)
-            lvl[fresh] = depth
-            frontier = fresh
-        level[:] = lvl.tolist()
-        return level if level[sink] >= 0 else None
 
     def _bfs_levels(self, source: int, sink: int) -> list[int] | None:
         n = self.num_vertices
         level = self._level
         if len(level) != n:
             level = self._level = [-1] * n
-        if n >= VECTOR_MIN_VERTICES:
-            return self._bfs_levels_vec(source, sink, level)
         # Slice-assignment resets at C speed (vs a Python loop).
         level[:] = [-1] * n
         level[source] = 0
@@ -414,21 +247,6 @@ class FlowNetwork:
                     level[v] = lu
                     push(v)
         return level if level[sink] >= 0 else None
-
-    def _first_phase_levels(self, source: int, sink: int) -> list[int] | None:
-        """Levels for a solve's first BFS, memoised while the network is
-        virgin (all residual capacities at their original values): they
-        are a pure function of the topology, so repeated reset()+solve
-        cycles on a reused network skip the pass entirely."""
-        if not self._virgin:
-            return self._bfs_levels(source, sink)
-        memo = self._virgin_levels
-        key = (source, sink)
-        if key in memo:
-            return memo[key]
-        level = self._bfs_levels(source, sink)
-        memo[key] = None if level is None else level.copy()
-        return memo[key]
 
     def dinic(
         self, source: int, sink: int, *, perf: SchedPerf | None = None
@@ -453,10 +271,7 @@ class FlowNetwork:
         phases = 0
         augmentations = 0
         while True:
-            # The first phase's BFS sees the virgin capacities, so its
-            # levels come from the per-(source, sink) memo; once flow is
-            # pushed _virgin drops and later phases BFS normally.
-            level = self._first_phase_levels(source, sink)
+            level = self._bfs_levels(source, sink)
             phases += 1
             if level is None:
                 if perf is not None:
@@ -497,7 +312,6 @@ class FlowNetwork:
                     cap[e ^ 1] += bottleneck
                 flow += bottleneck
                 augmentations += 1
-                self._virgin = False
                 # Restart from the source with iterators intact, exactly as
                 # the recursion unwinds after a positive push.
                 stack = [source]
@@ -510,37 +324,12 @@ class FlowNetwork:
         algorithm: str = "dinic",
         perf: SchedPerf | None = None,
     ) -> int:
-        """Dispatch to a solver by name ('dinic' or 'edmonds_karp').
-
-        Solves from the virgin state (fresh network, or reused after
-        :meth:`reset`) are memoised: the solvers are deterministic, so the
-        first virgin solve's final residual capacities and flow value are
-        recorded per (source, sink, algorithm) and replayed on repeats —
-        the residual state and every per-handle flow come out bit-for-bit
-        identical to re-running the solver.
-        """
-        if algorithm not in ("dinic", "edmonds_karp"):
-            raise ValueError(f"unknown max-flow algorithm {algorithm!r}")
-        virgin_at_start = self._virgin
-        if virgin_at_start:
-            memo = self._virgin_solves.get((source, sink, algorithm))
-            if memo is not None:
-                caps, flow = memo
-                self._cap[:] = caps
-                self._virgin = flow == 0
-                if perf is not None:
-                    perf.solve_replays += 1
-                return flow
+        """Dispatch to a solver by name ('dinic' or 'edmonds_karp')."""
         if algorithm == "dinic":
-            flow = self.dinic(source, sink, perf=perf)
-        else:
-            flow = self.edmonds_karp(source, sink, perf=perf)
-        if virgin_at_start:
-            self._virgin_solves[(source, sink, algorithm)] = (
-                self._cap.copy(),
-                flow,
-            )
-        return flow
+            return self.dinic(source, sink, perf=perf)
+        if algorithm == "edmonds_karp":
+            return self.edmonds_karp(source, sink, perf=perf)
+        raise ValueError(f"unknown max-flow algorithm {algorithm!r}")
 
     # -- Min cut ----------------------------------------------------------------
 
@@ -562,6 +351,3 @@ class FlowNetwork:
                     seen.add(v)
                     queue.append(v)
         return seen
-
-
-_INF = 1 << 62

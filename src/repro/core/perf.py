@@ -51,7 +51,8 @@ class SchedPerf:
     augmentations: int = 0
     #: Dinic level-graph (BFS phase) constructions
     bfs_phases: int = 0
-    #: max-flow solves answered by replaying a memoised virgin-state solve
+    #: single-data matchings answered from the per-graph flow memo (no
+    #: network build, no solver run)
     solve_replays: int = 0
     #: min-cost bootstraps by kind: Bellman–Ford (negative costs) vs the
     #: Dijkstra shortcut (all costs non-negative; identical distances)

@@ -195,15 +195,12 @@ def optimize_single_data(
 
     if capacity_mode not in ("unit", "bytes"):
         raise ValueError(f"unknown capacity_mode {capacity_mode!r}")
-    # The network is a pure function of (graph, mode, quotas), so repeated
-    # solves over a cached graph reuse it: reset() restores the original
-    # capacities and the solver replays bit-for-bit on the same arrays.
-    scratch_key = ("single_data_net", capacity_mode, tuple(quotas))
-    cached = graph.scratch.get(scratch_key)
-    if cached is not None:
-        net, handles, handle_list, harr = cached  # type: ignore[misc]
-        net.reset()
-    else:
+    # The graph is immutable and the solvers are deterministic, so the
+    # flows are a pure function of (graph, mode, quotas, algorithm): each
+    # graph keeps them per key, and a repeat call skips build and solve.
+    memo_key = ("single_data", capacity_mode, tuple(quotas), algorithm)
+    memo = graph.scratch.get(memo_key)
+    if memo is None:
         if capacity_mode == "unit":
             net, handles = _build_unit_network(graph, quotas)
         else:
@@ -214,23 +211,22 @@ def optimize_single_data(
             quota_sum = sum(quotas)
             quotas_bytes = [-(-total_bytes * q // quota_sum) for q in quotas]
             net, handles = _build_byte_network(graph, quotas_bytes)
-        handle_list = [h for _, _, h in handles]
-        # Handle metadata for the vectorized extraction: a precompiled
-        # bulk-flow probe plus flat rank/task arrays, built once per
-        # network and reused by every later solve.
-        harr = (
-            net.flow_probe(handle_list),
-            np.fromiter((r for r, _, _ in handles), np.int64, len(handles)),
-            np.fromiter((t for _, t, _ in handles), np.int64, len(handles)),
-        )
-        graph.scratch[scratch_key] = (net, handles, handle_list, harr)
-
-    s, t = 0, m + n + 1
-    t0 = wall_clock() if perf is not None else 0.0
-    max_flow = net.max_flow(s, t, algorithm=algorithm, perf=perf)
+        t0 = wall_clock() if perf is not None else 0.0
+        max_flow = net.max_flow(0, m + n + 1, algorithm=algorithm, perf=perf)
+        if perf is not None:
+            perf.solve_wall += wall_clock() - t0
+        # Keep the carrying edges only, in handle order, and drop the net.
+        flows = np.array(net.flows_on([h for _, _, h in handles]), np.int64)
+        ranks = np.fromiter((r for r, _, _ in handles), np.int64, len(handles))
+        tasks = np.fromiter((t for _, t, _ in handles), np.int64, len(handles))
+        pos = flows > 0
+        memo = (max_flow, ranks[pos], tasks[pos], flows[pos])
+        graph.scratch[memo_key] = memo
+    elif perf is not None:
+        perf.solve_replays += 1
     if perf is not None:
         perf.solves += 1
-        perf.solve_wall += wall_clock() - t0
+    max_flow, c_ranks, c_tasks, c_flows = memo  # type: ignore[misc]
 
     # Extract the integral assignment: a task is matched to the process
     # carrying (the most of) its flow.
@@ -244,11 +240,8 @@ def optimize_single_data(
         # rank (no colliding indices), grouped per rank by a stable sort
         # that preserves ascending task order, exactly the order the
         # scalar range(n) loop appends in.
-        probe, h_ranks, h_tasks = harr
-        flows_np = probe()
-        pos = flows_np > 0
         owner = np.full(n, -1, np.int64)
-        owner[h_tasks[pos]] = h_ranks[pos]
+        owner[c_tasks] = c_ranks
         matched_np = np.flatnonzero(owner >= 0)
         pending = np.flatnonzero(owner < 0).tolist()
         owners = owner[matched_np]
@@ -263,11 +256,11 @@ def optimize_single_data(
                 start += c
         matched = set(matched_np.tolist())
     else:
-        flows = net.flows_on(handle_list)
         flow_to: dict[int, list[tuple[int, int]]] = {}
-        for (rank, task_id, _), f in zip(handles, flows):
-            if f > 0:
-                flow_to.setdefault(task_id, []).append((f, rank))
+        for rank, task_id, f in zip(
+            c_ranks.tolist(), c_tasks.tolist(), c_flows.tolist()
+        ):
+            flow_to.setdefault(task_id, []).append((f, rank))
         for task_id in range(n):
             carriers = flow_to.get(task_id)
             if not carriers:

@@ -44,7 +44,13 @@ class ReadPlan:
 
 
 class DistributedFileSystem:
-    """An HDFS-like file system over a simulated cluster."""
+    """An HDFS-like file system over a simulated cluster.
+
+    A ``replication`` above the number of active nodes is accepted, as in
+    HDFS: each chunk is then stored under-replicated, on
+    ``min(replication, active nodes)`` distinct nodes (the placement
+    policies' rule).
+    """
 
     def __init__(
         self,

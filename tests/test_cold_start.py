@@ -58,9 +58,8 @@ DatasetIngest(
 mark("DatasetIngest")
 
 import numpy as np
-from repro.core.flownetwork import VECTOR_MIN_VERTICES, FlowNetwork
+from repro.core.flownetwork import FlowNetwork
 m, n = 20, 600
-assert m + n + 2 >= VECTOR_MIN_VERTICES
 net = FlowNetwork(m + n + 2)
 rng = np.random.default_rng(7)
 for r in range(m):
@@ -104,7 +103,7 @@ def test_scipy_loads_only_for_section3_analysis():
         "DatasetIngest",
     ):
         assert "scipy" not in loaded[stage], stage
-    # A Dinic solve this large takes the numpy frontier BFS.
+    # A large Dinic solve loads none of them either.
     assert loaded["dinic"] == []
     assert "scipy" in loaded["section3b_summary"]
     assert_pinned(out["section3b_summary"], GOLDEN["section3b_summary"])

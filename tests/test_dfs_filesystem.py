@@ -46,6 +46,21 @@ class TestPutDataset:
         with pytest.raises(ValueError):
             DistributedFileSystem(ClusterSpec.homogeneous(2), replication=0)
 
+    @pytest.mark.parametrize("replication", [3, 5, 8])
+    def test_replication_above_node_count_under_replicates(self, replication):
+        # HDFS accepts a replication factor above the node count and leaves
+        # the blocks under-replicated; so does this file system.
+        f = DistributedFileSystem(
+            ClusterSpec.homogeneous(3), replication=replication, seed=1
+        )
+        f.put_dataset(uniform_dataset("u", 10, chunk_size=MB))
+        layout = f.layout_snapshot()
+        assert len(layout) == 10
+        for cid, nodes in layout.items():
+            assert len(nodes) == len(set(nodes)) == min(replication, 3)
+            for n in nodes:
+                assert f.datanodes[n].holds(cid)
+
 
 class TestResolveRead:
     def test_local_preferred(self, fs):

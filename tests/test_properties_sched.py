@@ -5,7 +5,7 @@ Two layers keep the CSR/array rewrites honest:
 * randomized differential tests against :mod:`tests.reference_matching`
   (a frozen snapshot of the pre-PR dict/dataclass kernels) — every
   output must match bit-for-bit, including on the warm paths (cached
-  graph, reused network, replayed solve) that the reference never had;
+  graph, per-graph flow memo) that the reference never had;
 * golden-pin tests that re-derive the committed
   ``tests/data/golden_matching_*.json`` fixtures through the production
   entry points (the pytest twin of ``make_golden_matching.py --check``).
@@ -108,19 +108,41 @@ class TestSingleDataDifferential:
         placement = ProcessPlacement.one_per_node(8)
         graph = build_locality_graph(tasks, locations, sizes, placement)
         ref_graph = build_locality_graph_ref(tasks, locations, sizes, placement)
-        ref_asn, ref_flow, ref_matched, ref_pending = optimize_single_data_ref(
-            ref_graph, capacity_mode=mode, algorithm=algorithm, seed=seed
-        )
-        # Three rounds on one graph: cold build, scratch-network reuse,
-        # memoised solve replay.  All must equal the reference exactly.
-        for attempt in ("cold", "warm", "replayed"):
+        other = "edmonds_karp" if algorithm == "dinic" else "dinic"
+        # Even quotas (None) and an uneven vector with slack on rank 0.
+        uneven = [6, 4, 4, 4, 4, 4, 4, 4]
+        # Rounds on one graph that alternate the solver and the quota
+        # vector, so every memo key is first missed, then hit, with other
+        # keys solved in between.  Each round must equal the reference.
+        rounds = [
+            (algorithm, None, "cold"),
+            (other, None, "cold, other solver"),
+            (algorithm, uneven, "cold, other quotas"),
+            (algorithm, None, "hit"),
+            (other, uneven, "cold, other solver and quotas"),
+            (other, None, "hit, other solver"),
+            (algorithm, uneven, "hit, other quotas"),
+            (other, uneven, "hit, other solver and quotas"),
+        ]
+        perf = SchedPerf()
+        hits = 0
+        for solver, quotas, attempt in rounds:
+            ref_asn, ref_flow, ref_matched, ref_pending = (
+                optimize_single_data_ref(
+                    ref_graph, quotas=quotas, capacity_mode=mode,
+                    algorithm=solver, seed=seed,
+                )
+            )
             r = optimize_single_data(
-                graph, capacity_mode=mode, algorithm=algorithm, seed=seed
+                graph, quotas=quotas, capacity_mode=mode, algorithm=solver,
+                seed=seed, perf=perf,
             )
             assert r.max_flow == ref_flow, attempt
             assert _assignments_equal(r.assignment, ref_asn), attempt
             assert r.matched_tasks == ref_matched, attempt
             assert r.fallback_tasks == ref_pending, attempt
+            hits += attempt.startswith("hit")
+            assert perf.solve_replays == hits, attempt
 
     @pytest.mark.parametrize("fallback", ["random", "least_loaded"])
     def test_fallback_policies_match_reference(self, fallback):
@@ -168,7 +190,8 @@ class TestFlowNetworkDifferential:
             handles.append(h_new)
         ref_flow = ref.max_flow(0, n - 1, algorithm=algorithm)
         ref_flows = [ref.flow_on(h) for h in handles]
-        # Solve, reset, re-solve (replay path): flows identical each time.
+        # Solve, reset, re-solve from the restored capacities: the solver
+        # runs again each time, and its flows are identical each time.
         for _ in range(3):
             assert new.max_flow(0, n - 1, algorithm=algorithm) == ref_flow
             assert new.flows_on(handles) == ref_flows
@@ -240,15 +263,20 @@ class TestSchedPerfCounters:
         fs.put_dataset(data)
         tasks = tasks_from_dataset(data)
         placement = ProcessPlacement.one_per_node(8)
-        for _ in range(3):
+        for round_no in range(3):
             g = graph_from_filesystem(fs, tasks, placement, perf=perf)
             optimize_single_data(g, seed=0, perf=perf)
+            if round_no == 0:
+                first_augmentations = perf.augmentations
+                first_bfs_phases = perf.bfs_phases
         assert perf.graph_builds == 1
         assert perf.cache_misses == 1 and perf.cache_hits == 2
         assert perf.graph_edges == g.num_edges
         assert perf.solves == 3
-        # First solve runs Dinic; the other two replay the memoised state.
-        assert perf.augmentations > 0 and perf.bfs_phases > 0
+        # First solve runs Dinic; the other two hit the per-graph memo and
+        # run no solver, so the solver counters stay where round 1 left them.
+        assert perf.augmentations == first_augmentations > 0
+        assert perf.bfs_phases == first_bfs_phases > 0
         assert perf.solve_replays == 2
         assert perf.graph_build_wall > 0 and perf.solve_wall > 0
         clear_graph_cache()

@@ -113,11 +113,12 @@ class TestRealTree:
         assert report.ok, report.render()
 
     def test_kernel_reassoc_waivers_present(self):
-        # The water-filling kernels count with np.count_nonzero and need
-        # no waiver; their pragmas, if any, must still parse.
+        # Neither kernel module needs a waiver today: the water-filling
+        # kernels count with np.count_nonzero and the max-flow solvers sum
+        # nothing in numpy.  Their pragmas, if any, must still parse.
         for rel, required in (
             (("src", "repro", "simulate", "vectorized.py"), False),
-            (("src", "repro", "core", "flownetwork.py"), True),
+            (("src", "repro", "core", "flownetwork.py"), False),
         ):
             source = Path(REPO_ROOT, *rel).read_text(encoding="utf-8")
             index = parse_pragmas(source, str(Path(*rel)), frozenset(ALL_RULES))

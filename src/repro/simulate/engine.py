@@ -324,73 +324,6 @@ class Simulation:
 
     # -- event selection -----------------------------------------------------
 
-    def _drain_pending(self) -> None:
-        """Push a fresh heap entry for every flow the last solves re-rated.
-
-        Each gets one entry ``(settled_at + rem/rate, flow_id, fid,
-        seq)`` — the predicted *absolute* finish time, which stays valid
-        for as long as the rate does, however far the clock advances
-        meanwhile — plus its pessimistic retire bound.  A re-rated member
-        of the tie group goes back through the heap (its parked
-        prediction is superseded).  :meth:`run` inlines the scalar form
-        for drains of fewer than 8 flows and calls this vectorised form
-        for larger ones; numpy's elementwise divide/add round exactly
-        like the scalar forms, so the entries are bit-identical either
-        way.
-        """
-        pending = self._pending_push
-        t0 = wall_clock()
-        table = self._table
-        flow_at = table.flow_at
-        entry_seq = self._entry_seq
-        pess_seq = self._pess_seq
-        pess = self._pess
-        tie = self._tie
-        heap = self._heap
-        push = heapq.heappush
-        seq = self._push_seq
-        base = self._settled_at
-        alive: list[int] = []
-        for fid in pending:
-            if flow_at[fid] is None:
-                # Re-solved, then removed before the push drained; its
-                # entry_seq is already -1 (any recycled successor gets
-                # its own re-solve and push).
-                continue
-            if tie:
-                tie.pop(fid, None)
-            alive.append(fid)
-        pending.clear()
-        fids = np.array(alive, dtype=np.intp)
-        rem = table.rem.take(fids)
-        rate = table.rate.take(fids)
-        times = base + rem / rate
-        bounds = base + (rem - 1.0) / rate
-        for fid, t, b in zip(alive, times.tolist(), bounds.tolist()):
-            entry_seq[fid] = seq
-            pess_seq[fid] = seq
-            push(heap, (t, flow_at[fid].flow_id, fid, seq))
-            push(pess, (b, fid, seq))
-            seq += 1
-        self._push_seq = seq
-        self.perf.heap_pushes += len(alive)
-        # Compact when superseded entries dominate: every pop and push
-        # pays log(len) on garbage otherwise.  A heap rebuilt from only
-        # the live entries pops them in the same order (pop order is the
-        # sorted order of the keys, and the loop's root/children reads
-        # are arrangement-independent), so the replay is unchanged.
-        cap = (len(table.fid_of) << 1) + 64
-        if len(heap) > cap:
-            live = [e for e in heap if entry_seq[e[2]] == e[3]]
-            self.perf.stale_pops += len(heap) - len(live)
-            heap[:] = live
-            heapq.heapify(heap)
-        if len(pess) > cap:
-            live_p = [e for e in pess if pess_seq[e[1]] == e[2]]
-            pess[:] = live_p
-            heapq.heapify(pess)
-        self.perf.scan_wall += wall_clock() - t0
-
     def _peek_completion_heap(self) -> tuple[float, Flow] | None:
         """Pick the next completion out of a tie window (the loop's slow path).
 
@@ -450,21 +383,13 @@ class Simulation:
         # depend only on flow identity, matching the sweep's retire
         # order.
         t_min = math.inf
-        if len(cands) >= 8:
-            fids = np.array(cands, dtype=np.intp)
-            fresh = base + table.rem.take(fids) / table.rate.take(fids)
-            for fid, t_new in zip(cands, fresh.tolist()):
-                tie[fid] = t_new
-                if t_new < t_min:
-                    t_min = t_new
-        else:
-            rem_item = table.rem.item
-            rate_item = table.rate.item
-            for fid in cands:
-                t_new = base + rem_item(fid) / rate_item(fid)
-                tie[fid] = t_new
-                if t_new < t_min:
-                    t_min = t_new
+        rem_item = table.rem.item
+        rate_item = table.rate.item
+        for fid in cands:
+            t_new = base + rem_item(fid) / rate_item(fid)
+            tie[fid] = t_new
+            if t_new < t_min:
+                t_min = t_new
         best_t = math.inf
         best_id = -1
         best_fid = -1
@@ -718,46 +643,49 @@ class Simulation:
                     solves += 1
                     solve_wall += clock() - ts
                 if pending:
-                    # Scalar drain (the dominant shape: a handful of
-                    # re-rated flows per epoch); big drains take the
-                    # vectorised path in the method.  Both forms produce
-                    # bit-identical entries.
-                    if len(pending) >= 8:
-                        self._drain_pending()
-                    else:
-                        ts = clock()
-                        base = self._settled_at
-                        seq = self._push_seq
-                        rem_arr = table.rem
-                        rate_arr = table.rate
-                        npush = 0
-                        for fid in pending:
-                            f = flow_at[fid]
-                            if f is None:
-                                continue
-                            if tie:
-                                tie.pop(fid, None)
-                            rem = rem_arr.item(fid)
-                            rate = rate_arr.item(fid)
-                            entry_seq[fid] = seq
-                            pess_seq[fid] = seq
-                            heappush(heap, (base + rem / rate, f.flow_id, fid, seq))
-                            heappush(pess, (base + (rem - 1.0) / rate, fid, seq))
-                            seq += 1
-                            npush += 1
-                        pending.clear()
-                        self._push_seq = seq
-                        heap_pushes += npush
-                        cap = (len(fid_of) << 1) + 64
-                        if len(heap) > cap:
-                            live = [e for e in heap if entry_seq[e[2]] == e[3]]
-                            stale_pops += len(heap) - len(live)
-                            heap[:] = live
-                            heapify(heap)
-                        if len(pess) > cap:
-                            pess[:] = [e for e in pess if pess_seq[e[1]] == e[2]]
-                            heapify(pess)
-                        scan_wall += clock() - ts
+                    # Push a fresh entry ``(settled_at + rem/rate,
+                    # flow_id, fid, seq)`` for every re-rated flow — its
+                    # predicted *absolute* finish, valid for as long as
+                    # the rate holds — plus its pessimistic retire bound.
+                    # A re-rated tie-group member goes back through the
+                    # heap (its parked prediction is superseded).
+                    ts = clock()
+                    base = self._settled_at
+                    seq = self._push_seq
+                    rem_arr = table.rem
+                    rate_arr = table.rate
+                    npush = 0
+                    for fid in pending:
+                        f = flow_at[fid]
+                        if f is None:
+                            continue
+                        if tie:
+                            tie.pop(fid, None)
+                        rem = rem_arr.item(fid)
+                        rate = rate_arr.item(fid)
+                        entry_seq[fid] = seq
+                        pess_seq[fid] = seq
+                        heappush(heap, (base + rem / rate, f.flow_id, fid, seq))
+                        heappush(pess, (base + (rem - 1.0) / rate, fid, seq))
+                        seq += 1
+                        npush += 1
+                    pending.clear()
+                    self._push_seq = seq
+                    heap_pushes += npush
+                    # Compact when superseded entries dominate: every pop
+                    # and push pays log(len) on garbage otherwise.  A heap
+                    # rebuilt from only the live entries pops them in the
+                    # same order, so the replay is unchanged.
+                    cap = (len(fid_of) << 1) + 64
+                    if len(heap) > cap:
+                        live = [e for e in heap if entry_seq[e[2]] == e[3]]
+                        stale_pops += len(heap) - len(live)
+                        heap[:] = live
+                        heapify(heap)
+                    if len(pess) > cap:
+                        pess[:] = [e for e in pess if pess_seq[e[1]] == e[2]]
+                        heapify(pess)
+                    scan_wall += clock() - ts
                 # -- event selection -----------------------------------------
                 timer_t = timers[0][0] if timers else inf
                 n_stale = 0

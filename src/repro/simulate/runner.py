@@ -65,6 +65,7 @@ class StaticSource:
     """A fixed per-rank task list (static SPMD execution)."""
 
     def __init__(self, assignment: Assignment) -> None:
+        self.num_processes = assignment.num_processes
         self._queues = {
             rank: deque(tasks) for rank, tasks in assignment.tasks_of.items()
         }
@@ -196,6 +197,10 @@ class ParallelReadRun:
         """
         Parameters
         ----------
+        source:
+            Hands each idle rank its next task.  A :class:`StaticSource`
+            must hold one task list per placement process; any other
+            count raises ``ValueError``.
         compute_time:
             Per-task compute after its reads finish: a constant, a callable
             ``(rank, task_id, rng) → seconds``, or None for pure I/O.
@@ -219,6 +224,14 @@ class ParallelReadRun:
         """
         if barrier and not isinstance(source, StaticSource):
             raise ValueError("barrier mode requires a StaticSource")
+        if (
+            isinstance(source, StaticSource)
+            and source.num_processes != placement.num_processes
+        ):
+            raise ValueError(
+                f"assignment is for {source.num_processes} processes but the "
+                f"placement runs {placement.num_processes}"
+            )
         self.fs = fs
         self.placement = placement
         self.tasks = {t.task_id: t for t in tasks}

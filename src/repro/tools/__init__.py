@@ -11,7 +11,8 @@ enforces them statically, on every commit:
 * :mod:`repro.tools.verify` — the interprocedural front end
   (``python -m repro.tools.verify src/``, rules OPS101–OPS103:
   determinism taint, unit/dimension checking, scheduler purity; OPS203
-  float identity; OPS301–OPS303 cost contracts);
+  float identity; OPS301–OPS303 cost contracts), one uncached pass
+  over the whole tree per run;
 * :mod:`repro.tools.api` — the programmatic entry used by the test
   suite (``lint_source`` / ``lint_file`` / ``lint_paths``);
 * :mod:`repro.tools.checks` — the per-module AST rules (OPS001–OPS006);
@@ -20,8 +21,6 @@ enforces them statically, on every commit:
   dataflow-summary engine behind OPS101–OPS103;
 * :mod:`repro.tools.concurrency` / :mod:`repro.tools.costmodel` — the
   OPS203 and OPS301–OPS303 passes on that engine;
-* :mod:`repro.tools.cache` — the content-addressed incremental cache
-  (``.opass-cache/``);
 * :mod:`repro.tools.config` — ``[tool.opass-lint]`` configuration.
 
 ``repro.tools`` sits at the top of the package layering DAG and must not
@@ -29,7 +28,6 @@ be imported by any other ``repro`` package.
 """
 
 from .api import ALL_RULES, LintReport, lint_file, lint_paths, lint_source
-from .cache import AnalysisCache, CacheStats
 from .checks import RULES
 from .config import DEFAULT_LAYERS, LintConfig, load_config
 from .interproc import INTERPROC_RULES
@@ -47,8 +45,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisCache",
-    "CacheStats",
     "DEFAULT_LAYERS",
     "INTERPROC_RULES",
     "LintConfig",

@@ -8,8 +8,8 @@ the supporting index from nothing but ASTs:
   function/class declarations, and the repro modules it depends on;
 * :class:`Project` — the set of analyzed modules plus global lookup
   tables (dotted function names, class names for dynamic dispatch);
-* :class:`CallRef` — a call expression reduced to a symbolic,
-  serializable form (cached summaries survive re-runs without ASTs);
+* :class:`CallRef` — a call expression reduced to a symbolic form
+  (summaries hold no AST nodes);
 * :meth:`Project.resolve_ref` — resolution of a :class:`CallRef` to
   :class:`FunctionDecl` targets or an external dotted name.
 
@@ -22,34 +22,17 @@ union of every known class method with that name, so a mutation or
 taint in *any* candidate is assumed possible.
 
 ``if TYPE_CHECKING:`` imports bind names for annotations but are erased
-at runtime, so they create neither call targets nor dependency edges
-(cache invalidation ignores them too).
+at runtime, so they create neither call targets nor dependency edges.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .astutils import annotation_roots, dotted, iter_arguments
 from .model import module_directive
-
-#: Bump when the analysis or the cached-summary format changes.
-#: v2: LocalSummary gained ``global_writes``; the OPS200 concurrency pass
-#: contributes to cached per-module check results.
-#: v3: LocalSummary gained the cost lattice (``allocs``/``call_axes``);
-#: the OPS300 cost-contract pass contributes to cached check results,
-#: and check keys gained the check-config + per-module contract digests.
-#: v4: LocalSummary dropped ``global_writes`` along with its only reader,
-#: the fork-worker safety rule.
-#: v5: the async-blocking rule is gone, summary keys no longer carry a
-#: config digest, and cached ``call_axes`` must align with ``calls``.
-#: v6: verify reports contracts and pure-module entries whose module no
-#: analyzed file defines.
-ANALYZER_VERSION = 6
-
 
 @dataclass
 class FunctionDecl:
@@ -179,11 +162,6 @@ def _resolve_relative(
     return ".".join(base) if base else None
 
 
-def source_fingerprint(source: str) -> str:
-    """Content hash keying the per-module cache entries."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 def parse_module(
     source: str,
     *,
@@ -283,7 +261,7 @@ def parse_module(
 
 @dataclass
 class CallRef:
-    """A call expression in symbolic, serializable form.
+    """A call expression in symbolic form.
 
     ``kind`` is ``"dotted"`` (plain function, imported name, constructor,
     or explicit ``Cls.method`` — target is the alias-expanded dotted
@@ -309,39 +287,6 @@ class CallRef:
     arg_roots: list[int | None] = field(default_factory=list)
     kw_roots: dict[str, int | None] = field(default_factory=dict)
     nargs: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "module": self.module,
-            "line": self.line,
-            "col": self.col,
-            "recv_type": self.recv_type,
-            "recv_param": self.recv_param,
-            "arg_params": self.arg_params,
-            "kw_params": self.kw_params,
-            "arg_roots": self.arg_roots,
-            "kw_roots": self.kw_roots,
-            "nargs": self.nargs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallRef":
-        return cls(
-            kind=data["kind"],
-            target=data["target"],
-            module=data["module"],
-            line=data.get("line", 0),
-            col=data.get("col", 0),
-            recv_type=data.get("recv_type"),
-            recv_param=data.get("recv_param"),
-            arg_params=list(data.get("arg_params", [])),
-            kw_params=dict(data.get("kw_params", {})),
-            arg_roots=list(data.get("arg_roots", [])),
-            kw_roots=dict(data.get("kw_roots", {})),
-            nargs=data.get("nargs", 0),
-        )
 
 
 @dataclass

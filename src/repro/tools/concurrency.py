@@ -13,8 +13,7 @@ line carries an explicit waiver::
 
 A waiver without a reason is itself reported as OPS000.  Every
 violation is attributed to a concrete line in the module under check,
-so the per-line suppression pragmas and the per-module check cache
-work unchanged.
+so the per-line suppression pragmas work unchanged.
 """
 
 from __future__ import annotations

@@ -238,33 +238,6 @@ class LintConfig:
             return True
         return package is not None and package in scope
 
-    def _digest(self, payload: object) -> str:
-        import hashlib
-        import json
-
-        text = json.dumps(payload, sort_keys=True, default=list)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-    def check_fingerprint(self) -> str:
-        """Digest of the fields that affect per-module *check results*.
-
-        Deliberately excludes lint-only knobs (layers, float_attrs,
-        wallclock_allow, …) and the cost-contract registry — contracts
-        enter each module's cache key individually via
-        :meth:`contracts_signature`, so editing one bound invalidates
-        exactly the module that declares the contracted function.
-        """
-        return self._digest(
-            {
-                "scopes": self.scopes,
-                "pure_modules": self.pure_modules,
-                "protected_types": self.protected_types,
-                "decision_packages": self.decision_packages,
-                "kernel_modules": self.kernel_modules,
-                "small_axes": self.small_axes,
-            }
-        )
-
     def own_contracts(self, module: str) -> dict[str, str]:
         """The cost contracts whose key names a function of ``module``
         (see :func:`contract_module`).  Keys naming no existing function
@@ -275,14 +248,6 @@ class LintConfig:
             for key, budget in self.cost_contracts.items()
             if contract_module(key) == module
         }
-
-    def contracts_signature(self, module: str) -> str:
-        """Digest of the contracts :meth:`own_contracts` gives ``module``.
-
-        Computable on the warm path from the module name alone — no
-        parsing required.
-        """
-        return self._digest(sorted(self.own_contracts(module).items()))
 
 
 def contract_module(key: str) -> str:

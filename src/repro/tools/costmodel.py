@@ -314,7 +314,7 @@ def check_module_cost(
     ``costs`` is the project-wide fixed point from :func:`resolve_costs`
     — a violation in this module may be witnessed by an allocation two
     call levels away in another module, which is why this rides the
-    verify engine (and its import-closure cache keys), not plain lint.
+    verify engine, not plain lint.
     """
     config = config if config is not None else LintConfig()
     out: list[Violation] = []

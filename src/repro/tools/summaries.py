@@ -17,10 +17,8 @@ point:
   parameter and of the return value, combining ``Annotated`` hints,
   name conventions and forwarding inference.
 
-Local summaries are pure functions of one module's source, which makes
-them cacheable by content hash (:mod:`repro.tools.cache`); the fixed
-point itself is cheap and recomputed every run against fresh
-declaration tables.
+Local summaries are pure functions of one module's source; every run
+recomputes them and the fixed point against fresh declaration tables.
 
 Known, deliberate approximations (all favour *fewer* false positives):
 value flow only (no control-dependence taint), exact-name argument
@@ -242,26 +240,6 @@ class AllocSite:
     axes: tuple[str, ...]
     waived: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "kind": self.kind,
-            "own": list(self.own),
-            "axes": list(self.axes),
-            "waived": self.waived,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AllocSite":
-        return cls(
-            line=int(data.get("line", 1)),
-            col=int(data.get("col", 1)),
-            kind=str(data.get("kind", "")),
-            own=tuple(data.get("own", [])),
-            axes=tuple(data.get("axes", [])),
-            waived=bool(data.get("waived", False)),
-        )
 
 #: Type roots that never name a project class.
 _GENERIC_TYPE_ROOTS = frozenset(
@@ -349,29 +327,6 @@ class LocalSummary:
     allocs: list[AllocSite] = field(default_factory=list)
     #: per-call-site enclosing loop axes, aligned with ``calls``.
     call_axes: list[tuple[str, ...]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "calls": [ref.to_dict() for ref in self.calls],
-            "return_calls": sorted(self.return_calls),
-            "return_params": sorted(self.return_params),
-            "mutated_params": sorted(self.mutated_params),
-            "return_unit_local": self.return_unit_local,
-            "allocs": [site.to_dict() for site in self.allocs],
-            "call_axes": [list(axes) for axes in self.call_axes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LocalSummary":
-        return cls(
-            calls=[CallRef.from_dict(d) for d in data.get("calls", [])],
-            return_calls=set(data.get("return_calls", [])),
-            return_params=set(data.get("return_params", [])),
-            mutated_params=set(data.get("mutated_params", [])),
-            return_unit_local=data.get("return_unit_local"),
-            allocs=[AllocSite.from_dict(d) for d in data.get("allocs", [])],
-            call_axes=[tuple(axes) for axes in data.get("call_axes", [])],
-        )
 
 
 def infer_local_types(

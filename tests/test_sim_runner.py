@@ -41,6 +41,34 @@ class TestStaticSource:
         assert src.remaining(9) == 0
 
 
+class TestProcessCountMismatch:
+    """A static assignment sized for another placement fails at construction.
+
+    Unchecked, a 9-process assignment on 8 processes dropped rank 8's
+    tasks (14 of 16 completed) and a 4-process one left ranks 4-7 idle.
+    """
+
+    @pytest.fixture
+    def env8(self):
+        spec = ClusterSpec.homogeneous(8, seek_latency=0.0, remote_latency=0.0)
+        fs = DistributedFileSystem(spec, replication=2, seed=8)
+        ds = uniform_dataset("d", 16, chunk_size=10 * MB)
+        fs.put_dataset(ds)
+        return fs, ProcessPlacement.one_per_node(8), tasks_from_dataset(ds)
+
+    @pytest.mark.parametrize("processes", [9, 4])
+    def test_rejected_naming_both_counts(self, env8, processes):
+        fs, placement, tasks = env8
+        source = StaticSource(rank_interval_assignment(16, processes))
+        with pytest.raises(ValueError, match=rf"\b{processes} processes.* 8\b"):
+            ParallelReadRun(fs, placement, tasks, source)
+
+    def test_matching_count_runs_every_task(self, env8):
+        fs, placement, tasks = env8
+        source = StaticSource(rank_interval_assignment(16, 8))
+        assert ParallelReadRun(fs, placement, tasks, source).run().tasks_completed == 16
+
+
 class TestBasicRun:
     def test_all_tasks_complete(self, env):
         fs, placement, tasks = env

@@ -12,7 +12,6 @@ import pytest
 
 from repro.tools.callgraph import build_project, parse_module
 from repro.tools.summaries import resolve_summaries, summarize_module
-from repro.tools.verify import _closure
 
 
 def project_of(*sources: tuple[str, str]):
@@ -134,21 +133,6 @@ class TestParsing:
             path="src/repro/simulate/x.py",
         )
         assert "repro.dfs.cluster" in decl.deps
-
-    def test_closure_includes_transitive_deps(self):
-        project = build_project(
-            [
-                ("repro/core/a.py", "from repro.core.b import f\n", "repro.core.a"),
-                ("repro/core/b.py", "from repro.core.c import g\n", "repro.core.b"),
-                ("repro/core/c.py", "def g():\n    return 1\n", "repro.core.c"),
-            ]
-        )
-        deps_of = {name: decl.deps for name, decl in project.modules.items()}
-        assert _closure("repro.core.a", deps_of) == {
-            "repro.core.a",
-            "repro.core.b",
-            "repro.core.c",
-        }
 
 
 class TestSummaryFacts:

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.tools.api import ALL_RULES
-from repro.tools.cache import AnalysisCache, CacheStats
 from repro.tools.concurrency import CONCURRENCY_RULES
 from repro.tools.config import (
     DEFAULT_WALLCLOCK_ALLOW,
@@ -157,11 +156,6 @@ class TestConfig:
         report = verify_source(relocated, path="<s>", config=cfg)
         assert rules_in(report) == {"OPS203"}, report.render()
 
-    def test_registry_changes_alter_the_fingerprint(self):
-        base = LintConfig()
-        other = LintConfig(kernel_modules=("repro.other",))
-        assert base.check_fingerprint() != other.check_fingerprint()
-
     def test_scoping_can_disable_a_concurrency_rule(self):
         source = (FIXTURES / "ops203_bad.py").read_text(encoding="utf-8")
         scopes = {**LintConfig().scopes, "OPS203": ("nonexistent",)}
@@ -169,7 +163,7 @@ class TestConfig:
         assert report.ok, report.render()
 
 
-# -- outputs and cache -------------------------------------------------------
+# -- outputs -------------------------------------------------------------
 
 
 class TestOutputsAndCache:
@@ -191,36 +185,12 @@ class TestOutputsAndCache:
         for rule in CONCURRENCY_RULE_IDS:
             assert rule in out
 
-    def test_concurrency_findings_cached_and_replayed(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        for name in ("ops203_bad", "ops203_ok"):
-            (tree / f"{name}.py").write_text(
-                (FIXTURES / f"{name}.py").read_text(encoding="utf-8"),
-                encoding="utf-8",
-            )
-
-        cold_stats = CacheStats()
-        cold = verify_paths(
-            [tree], cache=AnalysisCache(tmp_path / "cache", cold_stats)
-        )
-        warm_stats = CacheStats()
-        warm = verify_paths(
-            [tree], cache=AnalysisCache(tmp_path / "cache", warm_stats)
-        )
-        assert cold_stats.check_misses == 2 and warm_stats.check_misses == 0
-        assert warm_stats.summary_misses == 0
-        assert [v.render() for v in warm.violations] == [
-            v.render() for v in cold.violations
-        ]
-        assert rules_in(warm) == {"OPS203"}
-
     def test_cli_exit_codes_cover_concurrency_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(
             (FIXTURES / "ops203_bad.py").read_text(encoding="utf-8"),
             encoding="utf-8",
         )
-        assert main([str(bad), "--no-cache", "--format", "json"]) == EXIT_VIOLATIONS
+        assert main([str(bad), "--format", "json"]) == EXIT_VIOLATIONS
         data = json.loads(capsys.readouterr().out)
         assert {v["rule"] for v in data["violations"]} == {"OPS203"}

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.tools.api import ALL_RULES, lint_file, lint_paths
-from repro.tools.cache import AnalysisCache, CacheStats
 from repro.tools.callgraph import Project, parse_module
 from repro.tools.config import LintConfig
 from repro.tools.costmodel import COST_RULES, axis_level, resolve_costs
@@ -134,7 +133,7 @@ class TestStaleContracts:
 
 class TestMissingModules:
     """A contract or pure-module entry whose module no analyzed file
-    defines fails the project run, cold and warm."""
+    defines fails the project run."""
 
     CONFIG = dict(
         cost_contracts={
@@ -155,8 +154,8 @@ class TestMissingModules:
         (pkg / "kept.py").write_text("def solve(flows):\n    return len(flows)\n")
         return tmp_path
 
-    def verify(self, paths, cache=None):
-        return verify_paths(paths, config=LintConfig(**self.CONFIG), cache=cache)
+    def verify(self, paths):
+        return verify_paths(paths, config=LintConfig(**self.CONFIG))
 
     def test_missing_module_reported_on_parent_package(self, tree):
         report = self.verify([tree / "repro" / "simulate"])
@@ -178,15 +177,9 @@ class TestMissingModules:
         report = self.verify([tree / "repro" / "simulate" / "kept.py"])
         assert report.ok, report.render()
 
-    def test_reported_on_the_warm_path(self, tree, tmp_path_factory):
-        stats = CacheStats()
-        cache = AnalysisCache(tmp_path_factory.mktemp("cache"), stats)
-        cold = self.verify([tree], cache)
-        stats.check_misses = 0
-        warm = self.verify([tree], cache)
-        assert stats.check_misses == 0
-        assert len(cold.violations) == 3
-        assert warm.violations == cold.violations
+    def test_reported_from_the_tree_root(self, tree):
+        report = self.verify([tree])
+        assert len(report.violations) == 3, report.render()
 
 
 # -- the cost lattice itself -------------------------------------------------

@@ -221,12 +221,12 @@ class TestSarif:
 
 class TestCli:
     def test_clean_tree_exits_zero(self, capsys):
-        code = main([str(REPO_ROOT / "src"), "--no-cache"])
+        code = main([str(REPO_ROOT / "src")])
         assert code == EXIT_OK
         assert "clean" in capsys.readouterr().out
 
     def test_violations_exit_one(self, capsys):
-        code = main([str(FIXTURES / "ops101_bad.py"), "--no-cache"])
+        code = main([str(FIXTURES / "ops101_bad.py")])
         assert code == EXIT_VIOLATIONS
         assert "OPS101" in capsys.readouterr().out
 
@@ -244,7 +244,6 @@ class TestCli:
         code = main(
             [
                 str(FIXTURES / "ops103_bad.py"),
-                "--no-cache",
                 "--format",
                 "sarif",
                 "--output",
@@ -256,17 +255,34 @@ class TestCli:
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["results"]
 
-    def test_stats_flag_reports_counters(self, tmp_path, capsys):
-        code = main(
-            [
-                str(FIXTURES / "ops102_ok.py"),
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--stats",
-            ]
+    def test_rerun_sees_an_edit_reached_by_dynamic_dispatch(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a.py calls tiebreak() on an untyped receiver, so the call
+        # resolves through the dynamic-dispatch fallback to b.py's method;
+        # a.py imports nothing from b.py.  Editing b.py alone must change
+        # a.py's findings on the next run.
+        monkeypatch.chdir(tmp_path)
+        core = tmp_path / "tree" / "repro" / "core"
+        apps = tmp_path / "tree" / "repro" / "apps"
+        core.mkdir(parents=True)
+        apps.mkdir(parents=True)
+        (core / "a.py").write_text(
+            "def pick(helper, nodes):\n"
+            "    return nodes[helper.tiebreak() % len(nodes)]\n"
         )
-        assert code == EXIT_OK
-        assert "summary_misses=1" in capsys.readouterr().err
+        helper = apps / "b.py"
+        helper.write_text("class Helper:\n    def tiebreak(self):\n        return 7\n")
+        assert main(["tree"]) == EXIT_OK
+        assert "2 file(s) clean" in capsys.readouterr().out
+
+        helper.write_text(
+            "class Helper:\n    def tiebreak(self):\n        return id(object())\n"
+        )
+        assert main(["tree"]) == EXIT_VIOLATIONS
+        out = capsys.readouterr().out
+        assert "a.py:2:18: OPS101" in out
+        assert "return value of repro.apps.b.Helper.tiebreak" in out
 
 
 class TestLintIntegration:

@@ -1,11 +1,11 @@
 """Ablation: Algorithm 1's unspecified process-selection order.
 
 The paper writes "while ∃ p_k : |T(p_x)| < n/m" without saying *which*
-deficient process proposes next.  This ablation resolves the
-nondeterminism three ways — round-robin (our default, matching Figure
-6(b)'s narration), stack (most-recently-deficient first) and seeded
-random — and measures the outcome quality.  The steal rule, not the visit
-order, drives the result: local-byte totals agree within a few percent.
+deficient process proposes next.  ``optimize_multi_data`` accepts three
+names for that choice (``"round_robin"``, ``"stack"``, ``"random"``), but
+every one takes the same seeded random draw over the deficient processes
+(the golden fixtures pin it), so the sweep's three rows are identical:
+one code path, not three orders.
 
 A second probe quantifies the greedy's optimality gap on *single-input*
 tasks, where the flow matching is provably optimal: Algorithm 1 run on

@@ -19,27 +19,38 @@ Each process considers each task at most once, so the loop runs at most
 it mirrors, the result is proposer-optimal: "our algorithm achieves the
 optimal matching value from the perspective of each process".
 
-Since PR 5 the per-process proposal sequence is produced lazily by
-:class:`_ProposalQueue` instead of materialising a sorted ``deque`` of
-all ``n`` tasks per process: only the process's locality edges are
-sorted (by descending matching value, ties by ascending id), and the
-zero-value tail — every other task, in ascending id — is walked with a
-pointer against the process's ascending edge-id row.  The sequence of
-proposals is unchanged element-for-element; setup drops from O(m·n log n)
-to O(E log deg + m).
+The loop is a flat-array kernel.  A process's proposal sequence is its
+positive-weight tasks by descending matching value (ties by ascending
+id), then every other task in ascending id; it is never materialised.
+The heads of all processes sit in one flat list, walked by a per-process
+cursor, and the zero-value tail is counted upward past the process's
+head ids (the same ids, ascending, in a second flat list).  Setup is
+O(E log deg + m).  ``owner_w[task]`` keeps the matching value of the
+holder's winning proposal, which is the holder's edge weight, so the
+steal test and ``local_bytes`` need no weight lookup.  The seeded draw
+of the next proposer is replayed from buffered raw words of the
+function's private generator (:func:`_bounded_draws`): the same values
+``Generator.integers`` returns, without a numpy call per proposal.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .assignment import Assignment, equal_quotas
 from .bipartite import LocalityGraph
 from .perf import SchedPerf, wall_clock
 
 logger = logging.getLogger(__name__)
+
+_MASK32 = 0xFFFFFFFF
+#: Raw 64-bit words pulled from the generator per refill (two draws each,
+#: short of a rejection).
+_RAW_BLOCK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,64 +63,40 @@ class MultiDataResult:
     proposals: int
 
 
-class _ProposalQueue:
-    """Lazy per-process proposal order: edge tasks best-first, then the rest.
+def _uint32_words(bit_generator: np.random.BitGenerator, block: int) -> Iterator[int]:
+    """A 64-bit bit generator's 32-bit outputs: each word's low, then high half."""
+    while True:
+        for word in bit_generator.random_raw(block).tolist():
+            yield word & _MASK32
+            yield word >> 32
 
-    Yields exactly ``sorted(range(n), key=lambda t: (-weight(t), t))`` —
-    positive-weight edge tasks in descending matching value (ties by id),
-    followed by every zero-value task in ascending id — without ever
-    building the full n-element list.  The tail is generated by counting
-    ``next_id`` upward and skipping ids present in the (sorted) positive
-    edge row.
+
+def _bounded_draws(
+    rng: np.random.Generator, block: int = _RAW_BLOCK
+) -> Callable[[int], int]:
+    """Return ``draw(k)``, equal to ``int(rng.integers(k))`` for ``1 <= k <= 2**32``.
+
+    numpy draws an integer below ``k <= 2**32`` by Lemire's multiply-shift
+    rejection over 32-bit outputs: ``k == 1`` consumes nothing; otherwise
+    ``m = u32 * k`` is redrawn while its low 32 bits fall below
+    ``(2**32 - k) % k``, and the draw is ``m >> 32``.  Replaying that from
+    ``block`` raw words at a time avoids a numpy call per draw.  The
+    prefetch advances ``rng``'s stream past the words drawn so far, so
+    only a generator that nothing else draws from may be passed.
     """
+    next_word = _uint32_words(rng.bit_generator, block).__next__
 
-    __slots__ = (
-        "_head", "_head_w", "_hi", "_skip", "_si", "_next_id", "_remaining",
-        "last_weight",
-    )
+    def draw(k: int) -> int:
+        if k == 1:
+            return 0
+        m = next_word() * k
+        if m & _MASK32 < k:
+            threshold = (_MASK32 - (k - 1)) % k
+            while m & _MASK32 < threshold:
+                m = next_word() * k
+        return m >> 32
 
-    def __init__(
-        self,
-        head: list[int],
-        head_w: list[int],
-        skip: list[int],
-        num_tasks: int,
-    ) -> None:
-        self._head = head  # positive-weight edge tasks, best first
-        self._head_w = head_w  # their matching values, same order
-        self._hi = 0
-        self._skip = skip  # the same ids, ascending (tail skip list)
-        self._si = 0
-        self._next_id = 0
-        self._remaining = num_tasks
-        #: matching value of the most recently popped task for THIS
-        #: process — the proposer side of the steal comparison, read off
-        #: the sorted head instead of a per-proposal edge_weight lookup.
-        #: Tail pops have no edge, so the value is 0 and no steal can
-        #: succeed against a non-negative holder.
-        self.last_weight = 0
-
-    def __bool__(self) -> bool:
-        return self._remaining > 0
-
-    def popleft(self) -> int:
-        if self._remaining <= 0:
-            raise IndexError("pop from an empty proposal queue")
-        self._remaining -= 1
-        hi = self._hi
-        if hi < len(self._head):
-            self._hi = hi + 1
-            self.last_weight = self._head_w[hi]
-            return self._head[hi]
-        self.last_weight = 0
-        skip, si = self._skip, self._si
-        nxt = self._next_id
-        while si < len(skip) and skip[si] == nxt:
-            si += 1
-            nxt += 1
-        self._si = si
-        self._next_id = nxt + 1
-        return nxt
+    return draw
 
 
 def optimize_multi_data(
@@ -127,18 +114,14 @@ def optimize_multi_data(
     terminates with every task assigned (a deficient process that reaches an
     unassigned task always takes it).
 
-    ``order`` resolves the paper's unspecified "∃ p_k": which deficient
-    process proposes next.  ``"round_robin"`` (default, matches Figure
-    6(b)'s narration), ``"stack"`` (most-recently-deficient first) or
-    ``"random"`` (seeded).  ``bench_ablation_order`` shows the outcome
-    quality is essentially order-insensitive — the steal rule, not the
-    visit order, drives the result.
+    ``order`` names a resolution of the paper's unspecified "∃ p_k" (which
+    deficient process proposes next): ``"round_robin"``, ``"stack"`` or
+    ``"random"``.  Every value takes the same seeded random draw over the
+    deficient processes, so all three give identical results; the golden
+    fixtures pin this.  ``order`` is validated and otherwise unused.
     """
-    import numpy as np
-
     if order not in ("round_robin", "stack", "random"):
         raise ValueError(f"unknown selection order {order!r}")
-    rng = np.random.default_rng(seed)
     m, n = graph.num_processes, graph.num_tasks
     if quotas is None:
         quotas = equal_quotas(n, m)
@@ -150,80 +133,83 @@ def optimize_multi_data(
         raise ValueError(f"total quota {sum(quotas)} < {n} tasks")
 
     t0 = wall_clock() if perf is not None else 0.0
+    draw = _bounded_draws(np.random.default_rng(seed))
 
     # Per-process proposal order: tasks by descending matching value.  Tasks
     # with no co-located data (no edge) have value 0 and come last, ordered
     # by id — the process will still take them when nothing better remains,
-    # which is how tasks outside the locality graph get owners.
+    # which is how tasks outside the locality graph get owners.  Process
+    # ``rank``'s head is ``head_task[row_start[rank]:row_end[rank]]``; the
+    # same slice of ``head_skip`` holds those ids ascending.
     csr = graph.csr
     ptr, row_task, row_weight = csr.proc_ptr, csr.proc_task, csr.proc_weight
-    order: dict[int, _ProposalQueue] = {}
+    head_task: list[int] = []
+    head_w: list[int] = []
+    head_skip: list[int] = []
+    row_start = [0] * m
+    row_end = [0] * m
     for rank in range(m):
-        lo, hi = ptr[rank], ptr[rank + 1]
-        pairs = [
-            (row_weight[j], row_task[j])
-            for j in range(lo, hi)
+        pairs = sorted(
+            (-row_weight[j], row_task[j])
+            for j in range(ptr[rank], ptr[rank + 1])
             if row_weight[j] > 0
-        ]
-        pairs.sort(key=lambda p: (-p[0], p[1]))
-        head = [t for _, t in pairs]
-        head_w = [w for w, _ in pairs]
-        skip = sorted(head)
-        order[rank] = _ProposalQueue(head, head_w, skip, n)
+        )
+        row_start[rank] = len(head_task)
+        head_task.extend([t for _, t in pairs])
+        head_w.extend([-w for w, _ in pairs])
+        head_skip.extend(sorted([t for _, t in pairs]))
+        row_end[rank] = len(head_task)
+    next_head = row_start[:]  # cursor into head_task / head_w
+    next_skip = row_start[:]  # cursor into head_skip
+    next_tail = [0] * m  # lowest tail id not yet proposed
+    remaining = [n] * m  # tasks not yet proposed to
 
-    owner: dict[int, int] = {}  # task -> rank
-    load = [0] * m
+    owner = [-1] * n  # task -> rank
+    owner_w = [0] * n  # task -> matching value of its holder
+    need = quotas[:]  # rank -> tasks short of its quota
     reassignments = 0
-    proposals = 0
-    # Deficient processes, served round-robin.  The paper's "∃ p_k" leaves
-    # the order unspecified; round-robin keeps the run deterministic and
-    # matches Figure 6(b)'s narration (p3 "begins to choose its first task"
-    # after p0..p2 made picks).
-    active = deque(rank for rank in range(m) if quotas[rank] > 0)
-
-    # ``order`` was rebound to the queue dict above, so the string
-    # comparisons of the historical mode dispatch (``order ==
-    # "round_robin"`` / ``"stack"``) can never match: every mode takes the
-    # seeded-random branch.  That quirk is pinned by the golden fixtures —
-    # the dispatch is resolved once here instead of twice per iteration.
-    integers = rng.integers
-    edge_weight = graph.edge_weight
-    owner_get = owner.get
-    active_append = active.append
+    # Deficient processes; the seeded draw picks which proposes next.
+    active = [rank for rank in range(m) if quotas[rank] > 0]
     while active:
-        idx = int(integers(len(active)))
-        rank = active[idx]
-        del active[idx]
-        queue = order[rank]
-        if load[rank] >= quotas[rank]:
-            continue
-        if not queue:
-            continue  # considered everything; stays deficient
-        task = queue.popleft()  # highest remaining matching value
-        proposals += 1
-        holder = owner_get(task, -1)
+        rank = active.pop(draw(len(active)))
+        if need[rank] <= 0 or not remaining[rank]:
+            continue  # full, or considered everything (stays deficient)
+        remaining[rank] -= 1
+        at = next_head[rank]
+        if at < row_end[rank]:
+            # highest remaining matching value
+            next_head[rank] = at + 1
+            task = head_task[at]
+            w = head_w[at]
+        else:
+            s, end, task = next_skip[rank], row_end[rank], next_tail[rank]
+            while s < end and head_skip[s] == task:
+                s += 1
+                task += 1
+            next_skip[rank] = s
+            next_tail[rank] = task + 1
+            w = 0
+        holder = owner[task]
         if holder < 0:
             owner[task] = rank
-            load[rank] += 1
-        else:
-            # queue.last_weight == edge_weight(rank, task) exactly (same
-            # CSR integer); a zero-weight (tail) proposal can never win a
-            # steal, so both edge-weight lookups are skipped for it.
-            w = queue.last_weight
-            if w > 0 and edge_weight(holder, task) < w:
-                owner[task] = rank
-                load[rank] += 1
-                load[holder] -= 1
-                reassignments += 1
-                if load[holder] < quotas[holder]:
-                    active_append(holder)
-        if load[rank] < quotas[rank] and queue:
-            active_append(rank)
+            owner_w[task] = w
+            need[rank] -= 1
+        elif owner_w[task] < w:
+            owner[task] = rank
+            owner_w[task] = w
+            need[rank] -= 1
+            need[holder] += 1
+            reassignments += 1
+            if need[holder] > 0:
+                active.append(holder)
+        if need[rank] > 0 and remaining[rank]:
+            active.append(rank)
+    proposals = m * n - sum(remaining)  # each proposal used up one candidate
 
-    if len(owner) != n:
+    if -1 in owner:
         # Unreachable when quota sum >= n (see module docstring); guard for
         # defensive clarity.
-        missing = sorted(set(range(n)) - set(owner))
+        missing = [t for t in range(n) if owner[t] < 0]
         raise RuntimeError(f"algorithm terminated with unassigned tasks {missing[:5]}")
 
     assignment = Assignment.empty(m)
@@ -231,7 +217,7 @@ def optimize_multi_data(
         assignment.assign(owner[task], task)
     assignment.validate(n, quotas=quotas)
 
-    local = sum(graph.edge_weight(rank, t) for t, rank in owner.items())
+    local = sum(owner_w)
     if perf is not None:
         perf.solves += 1
         perf.solve_wall += wall_clock() - t0

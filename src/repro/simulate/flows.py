@@ -68,9 +68,6 @@ class Flow:
         self.remaining = float(self.size)
         self.fid = -1
 
-    def __hash__(self) -> int:
-        return self.flow_id
-
 
 def allocate_rates(
     flows: list[Flow],
@@ -177,8 +174,9 @@ def allocate_rates(
                 break
         # Guard against float underflow stalling the loop.
         if not froze_any:
-            for f in list(unfrozen):  # opass: alloc-ok -- terminal guard, runs once
-                freeze(f, level)
+            for f in flows:
+                if f in unfrozen:
+                    freeze(f, level)
     if stats is not None:
         stats["iterations"] = iterations
     return rates

@@ -4,8 +4,8 @@ The interprocedural passes need to answer "which function does this call
 expression reach?" across the whole ``repro`` tree.  This module builds
 the supporting index from nothing but ASTs:
 
-* :class:`ModuleDecl` — one parsed module: its import alias table, its
-  function/class declarations, and the repro modules it depends on;
+* :class:`ModuleDecl` — one parsed module: its import alias table and
+  its function/class declarations;
 * :class:`Project` — the set of analyzed modules plus global lookup
   tables (dotted function names, class names for dynamic dispatch);
 * :class:`CallRef` — a call expression reduced to a symbolic form
@@ -21,8 +21,8 @@ return type); otherwise the **dynamic dispatch fallback** applies — the
 union of every known class method with that name, so a mutation or
 taint in *any* candidate is assumed possible.
 
-``if TYPE_CHECKING:`` imports bind names for annotations but are erased
-at runtime, so they create neither call targets nor dependency edges.
+``if TYPE_CHECKING:`` imports bind aliases like any other import, so
+annotations naming their types resolve.
 """
 
 from __future__ import annotations
@@ -71,23 +71,6 @@ class ClassDecl:
         return f"{self.module}.{self.name}"
 
 
-class _TypeCheckingFinder(ast.NodeVisitor):
-    """Collect line spans of ``if TYPE_CHECKING:`` blocks."""
-
-    def __init__(self) -> None:
-        self.spans: list[tuple[int, int]] = []
-
-    def visit_If(self, node: ast.If) -> None:
-        test = node.test
-        is_tc = (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
-            isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-        )
-        if is_tc and node.body:
-            end = max(getattr(n, "end_lineno", n.lineno) for n in node.body)
-            self.spans.append((node.body[0].lineno, end))
-        self.generic_visit(node)
-
-
 @dataclass
 class ModuleDecl:
     """Declarations extracted from one module's AST."""
@@ -98,8 +81,6 @@ class ModuleDecl:
     is_package: bool = False
     #: local binding → dotted import target (``np`` → ``numpy``).
     aliases: dict[str, str] = field(default_factory=dict)
-    #: repro modules this module imports at runtime (no TYPE_CHECKING).
-    deps: set[str] = field(default_factory=set)
     functions: dict[str, FunctionDecl] = field(default_factory=dict)
     classes: dict[str, ClassDecl] = field(default_factory=dict)
     #: module-level ``name = <dotted>`` aliases (``wall_clock = time.perf_counter``).
@@ -189,12 +170,6 @@ def parse_module(
         module=module, path=path, tree=tree, is_package=is_package, snippet=snippet
     )
 
-    finder = _TypeCheckingFinder()
-    finder.visit(tree)
-
-    def in_type_checking(node: ast.stmt) -> bool:
-        return any(lo <= node.lineno <= hi for lo, hi in finder.spans)
-
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -202,8 +177,6 @@ def parse_module(
                 decl.aliases[bound] = (
                     alias.name if alias.asname else alias.name.partition(".")[0]
                 )
-                if alias.name.split(".")[0] == "repro" and not in_type_checking(node):
-                    decl.deps.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
             target = _resolve_relative(module, is_package, node)
             if target is None:
@@ -211,12 +184,6 @@ def parse_module(
             for alias in node.names:
                 bound = alias.asname or alias.name
                 decl.aliases[bound] = f"{target}.{alias.name}"
-            if target.split(".")[0] == "repro" and not in_type_checking(node):
-                if node.module is None and node.level > 0:
-                    for alias in node.names:
-                        decl.deps.add(f"{target}.{alias.name}")
-                else:
-                    decl.deps.add(target)
 
     def add_function(
         node: ast.FunctionDef | ast.AsyncFunctionDef, class_name: str | None

@@ -1,11 +1,12 @@
 """Tests for Algorithm 1 — multi-data matching (§IV-C)."""
 
+import numpy as np
 import pytest
 
 from repro.core.assignment import equal_quotas, locality_fraction
 from repro.core.bipartite import ProcessPlacement, build_locality_graph, graph_from_filesystem
 from repro.core.baselines import rank_interval_assignment
-from repro.core.multi_data import optimize_multi_data
+from repro.core.multi_data import _bounded_draws, optimize_multi_data
 from repro.core.tasks import Task, tasks_from_datasets
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.dfs.chunk import MB, ChunkId
@@ -192,3 +193,49 @@ class TestSelectionOrder:
         a = optimize_multi_data(graph, order="random", seed=5).assignment.tasks_of
         b = optimize_multi_data(graph, order="random", seed=5).assignment.tasks_of
         assert a == b
+
+
+class TestDrawReplay:
+    """``_bounded_draws`` replays ``Generator.integers(k)`` from raw words."""
+
+    @staticmethod
+    def _bounds(seed, count):
+        """A mix of k = 1, small k and k in (2**31, 2**32]."""
+        pick = np.random.default_rng(seed + 1000)
+        bounds = []
+        for _ in range(count):
+            family = int(pick.integers(3))
+            if family == 0:
+                bounds.append(1)
+            elif family == 1:
+                bounds.append(int(pick.integers(2, 300)))
+            else:
+                bounds.append(int(pick.integers(2**31 + 1, 2**32 + 1)))
+        return bounds
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 424242])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_matches_generator_integers(self, seed, block):
+        # 3000 draws refill a block of 64 words ~30 times, of 1 word ~1500.
+        bounds = self._bounds(seed, 3000)
+        rng = np.random.default_rng(seed)
+        want = [int(rng.integers(k)) for k in bounds]
+        draw = _bounded_draws(np.random.default_rng(seed), block=block)
+        assert [draw(k) for k in bounds] == want
+
+    def test_rejection_fires_above_two_to_the_31(self):
+        k = 2**31 + 1  # about half of all 32-bit outputs are rejected
+        raw = np.random.default_rng(5).bit_generator.random_raw(100).tolist()
+        halves = [h for word in raw for h in (word & 0xFFFFFFFF, word >> 32)]
+        unrejected = [(u * k) >> 32 for u in halves[:100]]
+        rng = np.random.default_rng(5)
+        want = [int(rng.integers(k)) for _ in range(100)]
+        draw = _bounded_draws(np.random.default_rng(5), block=2)
+        assert [draw(k) for _ in range(100)] == want
+        assert want != unrejected
+
+    def test_bound_one_consumes_nothing(self):
+        draw = _bounded_draws(np.random.default_rng(8), block=1)
+        rng = np.random.default_rng(8)
+        assert [draw(1) for _ in range(5)] == [0] * 5
+        assert draw(1000) == int(rng.integers(1000))

@@ -31,6 +31,7 @@ from repro.core import (
     plan_remote_reads,
     tasks_from_dataset,
 )
+from repro.core.multi_data import _RAW_BLOCK
 from repro.core.tasks import Task
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.dfs.chunk import MB, ChunkId
@@ -155,22 +156,51 @@ class TestSingleDataDifferential:
         assert _assignments_equal(r.assignment, ref_asn)
 
 
+def _check_multi_data(num_nodes, num_tasks, layout_seed, seed, *, order="random",
+                      quotas=None):
+    """Run Algorithm 1 and the reference on one random layout; assert they agree."""
+    tasks, locations, sizes = _random_layout(num_nodes, num_tasks, layout_seed)
+    placement = ProcessPlacement.one_per_node(num_nodes)
+    graph = build_locality_graph(tasks, locations, sizes, placement)
+    ref_graph = build_locality_graph_ref(tasks, locations, sizes, placement)
+    ref_asn, ref_local, ref_re, ref_prop = optimize_multi_data_ref(
+        ref_graph, quotas=quotas, order=order, seed=seed
+    )
+    r = optimize_multi_data(graph, quotas=quotas, order=order, seed=seed)
+    assert _assignments_equal(r.assignment, ref_asn)
+    assert r.local_bytes == ref_local
+    assert r.reassignments == ref_re
+    assert r.proposals == ref_prop
+    return r
+
+
 class TestMultiDataDifferential:
     @pytest.mark.parametrize("seed", [0, 2, 9])
     @pytest.mark.parametrize("order", ["round_robin", "stack", "random"])
     def test_matches_reference(self, seed, order):
-        tasks, locations, sizes = _random_layout(7, 35, seed + 50)
-        placement = ProcessPlacement.one_per_node(7)
-        graph = build_locality_graph(tasks, locations, sizes, placement)
-        ref_graph = build_locality_graph_ref(tasks, locations, sizes, placement)
-        ref_asn, ref_local, ref_re, ref_prop = optimize_multi_data_ref(
-            ref_graph, order=order, seed=seed
-        )
-        r = optimize_multi_data(graph, order=order, seed=seed)
-        assert _assignments_equal(r.assignment, ref_asn)
-        assert r.local_bytes == ref_local
-        assert r.reassignments == ref_re
-        assert r.proposals == ref_prop
+        _check_multi_data(7, 35, seed + 50, seed, order=order)
+
+    @pytest.mark.parametrize("seed", [0, 3, 424242])
+    def test_draws_span_several_buffer_refills(self, seed):
+        # One draw per proposal and about two per raw word, so thousands of
+        # proposals run through several refills of the buffered words.
+        r = _check_multi_data(64, 640, seed + 70, seed)
+        assert r.proposals > 2 * 2 * _RAW_BLOCK
+        assert r.reassignments > 0
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_unequal_quotas_with_zero_quotas(self, seed):
+        quotas = [0, 3, 17, 9, 1, 0, 12, 8, 14, 6, 10, 10]
+        r = _check_multi_data(12, sum(quotas), seed + 90, seed, quotas=quotas)
+        assert r.assignment.tasks_of[0] == r.assignment.tasks_of[5] == []
+
+    @pytest.mark.parametrize(
+        "quotas", [[15] * 48, [0, 40] + [20] * 46], ids=["equal", "unequal"]
+    )
+    def test_quota_sum_above_task_count(self, quotas):
+        r = _check_multi_data(48, 480, 31, 7, quotas=quotas)
+        assert sum(quotas) > 480
+        assert r.proposals > 2 * 2 * _RAW_BLOCK
 
 
 class TestFlowNetworkDifferential:

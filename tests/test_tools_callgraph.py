@@ -106,7 +106,7 @@ class TestResolution:
 
 
 class TestParsing:
-    def test_type_checking_imports_are_not_runtime_deps(self):
+    def test_type_checking_imports_bind_aliases(self):
         decl = parse_module(
             "from typing import TYPE_CHECKING\n"
             "from repro.dfs.cluster import ClusterSpec\n"
@@ -116,9 +116,8 @@ class TestParsing:
             "    return e\n",
             path="src/repro/core/x.py",
         )
-        assert "repro.dfs.cluster" in decl.deps
-        assert not any(d.startswith("repro.simulate") for d in decl.deps)
-        # the alias still exists for annotation resolution
+        assert decl.resolve_local("ClusterSpec") == "repro.dfs.cluster.ClusterSpec"
+        # annotations resolve through the type-only import too
         assert decl.resolve_local("Engine") == "repro.simulate.engine.Engine"
 
     def test_module_directive_overrides_path(self):
@@ -132,7 +131,7 @@ class TestParsing:
             "from ..dfs.cluster import ClusterSpec\n",
             path="src/repro/simulate/x.py",
         )
-        assert "repro.dfs.cluster" in decl.deps
+        assert decl.aliases == {"ClusterSpec": "repro.dfs.cluster.ClusterSpec"}
 
 
 class TestSummaryFacts:

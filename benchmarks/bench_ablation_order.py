@@ -1,54 +1,27 @@
-"""Ablation: Algorithm 1's unspecified process-selection order.
+"""Ablation: Algorithm 1's optimality gap on single-input tasks.
 
 The paper writes "while ∃ p_k : |T(p_x)| < n/m" without saying *which*
-deficient process proposes next.  ``optimize_multi_data`` accepts three
-names for that choice (``"round_robin"``, ``"stack"``, ``"random"``), but
-every one takes the same seeded random draw over the deficient processes
-(the golden fixtures pin it), so the sweep's three rows are identical:
-one code path, not three orders.
+deficient process proposes next; ``optimize_multi_data`` draws it from
+its seeded generator, so there is no selection order to sweep.
 
-A second probe quantifies the greedy's optimality gap on *single-input*
+This probe quantifies the greedy's optimality gap on *single-input*
 tasks, where the flow matching is provably optimal: Algorithm 1 run on
 the same instances recovers almost all of the optimum — evidence the
 paper's two algorithms are consistent where their domains overlap.
 """
 
-import numpy as np
-
 from repro.core import (
     ProcessPlacement,
     fully_local_tasks,
     graph_from_filesystem,
-    locality_fraction,
     optimize_multi_data,
     optimize_single_data,
     tasks_from_dataset,
-    tasks_from_datasets,
 )
 from repro.dfs import ClusterSpec, DistributedFileSystem, uniform_dataset
 from repro.viz import format_table
-from repro.workloads import multi_input_datasets
 
 NODES = 32
-
-
-def run_order_sweep(seed: int = 0):
-    fs = DistributedFileSystem(ClusterSpec.homogeneous(NODES), seed=seed)
-    datasets = multi_input_datasets(NODES * 10)
-    for ds in datasets:
-        fs.put_dataset(ds)
-    placement = ProcessPlacement.one_per_node(NODES)
-    graph = graph_from_filesystem(fs, tasks_from_datasets(datasets), placement)
-    rows = []
-    for order in ("round_robin", "stack", "random"):
-        result = optimize_multi_data(graph, order=order, seed=seed)
-        rows.append((
-            order,
-            locality_fraction(result.assignment, graph),
-            result.reassignments,
-            result.proposals,
-        ))
-    return rows
 
 
 def run_greedy_gap(seed: int = 0):
@@ -66,20 +39,6 @@ def run_greedy_gap(seed: int = 0):
         greedy_local = len(fully_local_tasks(greedy.assignment, graph))
         gaps.append((opt_local, greedy_local))
     return gaps
-
-
-def test_ablation_selection_order(benchmark):
-    rows = benchmark.pedantic(lambda: run_order_sweep(seed=0), rounds=1, iterations=1)
-    print("\n=== Algorithm 1 selection-order ablation (multi-input, 32 nodes) ===")
-    print(format_table(
-        ["order", "locality", "reassignments", "proposals"],
-        rows, float_fmt="{:.3f}",
-    ))
-    localities = [r[1] for r in rows]
-    # Order-insensitive quality (within a few percent of each other).
-    assert max(localities) - min(localities) < 0.05
-    # Every order produces a complete, valid assignment (validated inside).
-    assert all(r[3] >= NODES * 10 for r in rows)
 
 
 def test_ablation_greedy_vs_optimal_gap(benchmark):

@@ -103,7 +103,6 @@ def optimize_multi_data(
     graph: LocalityGraph,
     *,
     quotas: list[int] | None = None,
-    order: str = "round_robin",
     seed: int = 0,
     perf: SchedPerf | None = None,
 ) -> MultiDataResult:
@@ -114,14 +113,10 @@ def optimize_multi_data(
     terminates with every task assigned (a deficient process that reaches an
     unassigned task always takes it).
 
-    ``order`` names a resolution of the paper's unspecified "∃ p_k" (which
-    deficient process proposes next): ``"round_robin"``, ``"stack"`` or
-    ``"random"``.  Every value takes the same seeded random draw over the
-    deficient processes, so all three give identical results; the golden
-    fixtures pin this.  ``order`` is validated and otherwise unused.
+    The paper leaves open which deficient process proposes next ("∃ p_k");
+    here it is a draw seeded by ``seed``, uniform over the deficient
+    processes.  The golden fixtures pin the result.
     """
-    if order not in ("round_robin", "stack", "random"):
-        raise ValueError(f"unknown selection order {order!r}")
     m, n = graph.num_processes, graph.num_tasks
     if quotas is None:
         quotas = equal_quotas(n, m)

@@ -28,14 +28,13 @@ start/finish/cancel only needs the rates of *its own component* re-solved.
   component's flows, in active-list order, in isolation (pinned by the
   differential property tests in ``tests/test_properties_components.py``
   and ``tests/test_properties_vectorized.py``);
-* **changed flows are reported**: :attr:`last_changed` names slot ids
-  whose rate was re-solved — every member of a re-solved component below
-  ``VECTOR_MIN_FLOWS`` flows, and from a larger one only the new flows
-  and those whose rate changed (``solve(out=...)`` writes exactly the
-  reported slots).  That is what lets the engine's lazy-invalidation
-  completion heap re-predict only those flows instead of scanning the
-  whole slot range every epoch: an entry stays valid while its flow's
-  rate holds;
+* **changed flows are reported**: :attr:`last_changed` names the slot
+  ids of a re-solved component whose rate is new or not bit-identical
+  to the last solve's, whatever the component's size
+  (``solve(out=...)`` writes exactly the reported slots).  That is what
+  lets the engine's lazy-invalidation completion heap re-predict only
+  those flows instead of scanning the whole slot range every epoch: an
+  entry stays valid while its flow's rate holds;
 * **large components keep a resource index**: a component that a full
   re-partition found whole at ``VECTOR_MIN_FLOWS`` or more flows keeps a
   resource -> flows index, maintained by ``add``/``remove``, so its next
@@ -58,6 +57,7 @@ interprocedurally by opass-verify rule OPS103; the module is registered in
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from .vectorized import (
     path_ids,
     res_entry,
     solve_large,
-    solve_pair,
     solve_single,
     solve_small,
 )
@@ -470,9 +469,8 @@ class ComponentAllocator:
         :mod:`repro.simulate.vectorized`, bit-for-bit the rates of the
         reference :func:`~repro.simulate.flows.allocate_rates`.  Clean
         components keep their cached rates untouched.  :attr:`last_changed`
-        lists the reported slot ids: every member of a re-solved component
-        below ``VECTOR_MIN_FLOWS`` flows, and of a larger one only the
-        flows that are new or whose rate changed.  With ``out`` (the engine's
+        lists the reported slot ids: the re-solved flows that are new or
+        whose rate changed.  With ``out`` (the engine's
         slot-indexed rate array) exactly the reported slots are written
         and ``None`` is returned; every other slot already holds its
         flow's rate.  Without ``out`` a Flow-keyed dict of *all* tracked
@@ -514,14 +512,14 @@ class ComponentAllocator:
     ) -> None:
         """The solve loop: one kernel run per dirty component.
 
-        Singletons take the closed form, pairs the fused pair kernel and
-        components of 3 to ``VECTOR_MIN_FLOWS - 1`` flows the small scalar
-        kernel, members in active-list order; these tiers write and
-        report every member.  Larger components run the numpy kernel in
-        component order on the slot-cached integer resource ids, and
-        write and report only new flows and flows whose rate changed (83%
-        of the flows they re-solve on ``ingest-write`` keep a bit-identical
-        rate).
+        Singletons take the closed form, components below
+        ``VECTOR_MIN_FLOWS`` flows the scalar kernel (members in
+        active-list order), and larger ones the numpy kernel (component
+        order, on the slot-cached integer resource ids).  Every tier
+        writes and reports only the slots whose rate is new or changed:
+        an unreported slot keeps an identical rate, so the engine's
+        completion-heap entry for it, which depends only on that rate,
+        stays valid.
         """
         order = self._order
         rate_at = self._rate_at
@@ -540,37 +538,27 @@ class ComponentAllocator:
             if k > size_max:
                 size_max = k
             if k == 1:
-                ((f, fid),) = group.items()
-                rate = solve_single(f, res_caps)
+                (f,) = group
+                fids: Iterable[int] = group.values()
+                rates = [solve_single(f, res_caps)]
                 iterations += 1
-                rate_at[fid] = rate
-                if out is not None:
-                    out[fid] = rate
-                changed.append(fid)
-                continue
-            if k >= VECTOR_MIN_FLOWS:
-                iterations += self._solve_large(group, changed, out)
-                vectorized += 1
-                continue
-            if k == 2:
-                (fa, ia), (fb, ib) = group.items()
-                if order[fa] > order[fb]:
-                    fa, fb, ia, ib = fb, fa, ib, ia
-                fids = [ia, ib]
-                rates, iters = solve_pair(fa, fb, res_caps)
-            else:
+            elif k < VECTOR_MIN_FLOWS:
                 members = sorted(group, key=order.__getitem__)
                 fids = [group[f] for f in members]
                 rates, iters = solve_small(members, res_caps)
-            iterations += iters
-            if out is None:
-                for fid, rate in zip(fids, rates):
-                    rate_at[fid] = rate
-                    changed.append(fid)
+                iterations += iters
             else:
-                for fid, rate in zip(fids, rates):
+                fids = group.values()
+                rates, iters = self._solve_large(group)
+                iterations += iters
+                vectorized += 1
+            for fid, rate in zip(fids, rates):
+                # Exact on purpose: an unreported slot must hold the very
+                # rate its completion-heap entry was predicted from.
+                if rate != rate_at[fid]:  # opass: ignore[OPS004] -- bit-identity is the reporting rule
                     rate_at[fid] = rate
-                    out[fid] = rate
+                    if out is not None:
+                        out[fid] = rate
                     changed.append(fid)
         self.last_iterations += iterations
         self.last_component_solves += solves
@@ -578,19 +566,12 @@ class ComponentAllocator:
         self.last_flows_resolved += resolved
         self.last_vectorized_solves += vectorized
 
-    def _solve_large(
-        self,
-        group: dict[Flow, int],
-        changed: list[int],
-        out: "np.ndarray | None",
-    ) -> int:
-        """Numpy-tier solve of one component; returns its iterations.
+    def _solve_large(self, group: dict[Flow, int]) -> tuple[list[float], int]:
+        """Numpy-tier solve of one component: rates in component order,
+        and iterations.
 
         Lowers each member from its slot's cached id tuple (no name
-        lookups, no ``Flow`` hashing) and writes and reports only the
-        slots whose rate is new or changed.  An unreported slot keeps an
-        identical rate, so the engine's completion-heap entry for it,
-        which depends only on that rate, stays valid.
+        lookups, no ``Flow`` hashing).
         """
         ids = self._ids
         if ids is None:
@@ -605,17 +586,7 @@ class ComponentAllocator:
                 p = cache[fid] = path_ids(f, res_id)
             paths.append(p)
             caps.append(f.rate_cap)
-        rates, iters = solve_large(paths, caps, cap_tbl, pen_tbl)
-        rate_at = self._rate_at
-        for fid, rate in zip(group.values(), rates):
-            # Exact on purpose: an unreported slot must hold the very
-            # rate its completion-heap entry was predicted from.
-            if rate != rate_at[fid]:  # opass: ignore[OPS004] -- bit-identity is the reporting rule
-                rate_at[fid] = rate
-                if out is not None:
-                    out[fid] = rate
-                changed.append(fid)
-        return iters
+        return solve_large(paths, caps, cap_tbl, pen_tbl)
 
 
 def _index_flow(adj: dict[str, dict[int, Flow]], flow: Flow, fid: int) -> None:

@@ -30,15 +30,14 @@ The hot path is O(affected component) end to end, and one fused loop
   predicted absolute finish time ``t = settled_at + remaining/rate`` is
   invariant while its rate holds (``remaining`` drains linearly at
   exactly that rate), so an entry pushed once stays valid until the
-  flow's rate changes.  ``solve()`` reports a superset of the flows whose
-  rate changed: every member of a re-solved component below
-  ``VECTOR_MIN_FLOWS`` flows, and from a larger one only its new flows
-  and those whose rate is not bit-identical to the last solve's.  Only
-  reported flows are re-pushed, each stamped with a sequence number, and
-  superseded/finished entries are skipped lazily on pop.  Entries order
-  by ``(time, flow_id)``, and candidates within a ≤1e-9-relative tie
-  window of the top are re-predicted fresh and snapped to the minimal
-  ``flow_id``, and the retire sweep fires in ``flow_id`` order too.  The
+  flow's rate changes.  ``solve()`` reports exactly the re-solved flows
+  that are new or whose rate is not bit-identical to the last solve's,
+  in every component tier.  Only reported flows are re-pushed, each
+  stamped with a sequence number, and superseded/finished entries are
+  skipped lazily on pop.  Entries order by ``(time, flow_id)``, and
+  candidates within a ≤1e-9-relative tie window of the top are
+  re-predicted fresh and snapped to the minimal ``flow_id``, and the
+  retire sweep fires in ``flow_id`` order too.  The
   tie contract: flows that finish at the same ``sim.now`` fire in
   ``flow_id`` order.  That holds whatever their sizes, and flows whose
   finishes lie within the window share an instant, so a flow one ulp

@@ -3,13 +3,13 @@
 :func:`~repro.simulate.flows.allocate_rates` is the semantic reference:
 progressive filling over a ``Flow``/``Resource`` object graph, one dict
 lookup and one attribute walk per touched resource per iteration.  The
-kernels here run the *same* decision sequence over flat data, tiered by
-component size (the dispatch :func:`solve_component` mirrors):
+kernels here run the *same* decision sequence over flat data, in three
+tiers by component size (the allocator's dispatch):
 
 * :func:`solve_single` — closed form for a singleton component;
-* :func:`solve_pair` — the two-flow component, fused per resource group;
-* :func:`solve_small` — scalar filling below :data:`VECTOR_MIN_FLOWS`
-  flows, lowered inline against a name-keyed capacity table;
+* :func:`solve_small` — scalar filling from two flows up to below
+  :data:`VECTOR_MIN_FLOWS`, lowered inline against a name-keyed
+  capacity table;
 * :func:`solve_large` — the numpy kernel at and above the cutoff.  It
   works on integer resource ids: the caller's :func:`id_table` maps each
   name to a row of two float arrays (capacity, penalty), each member
@@ -62,9 +62,7 @@ __all__ = [
     "id_table",
     "path_ids",
     "res_entry",
-    "solve_component",
     "solve_large",
-    "solve_pair",
     "solve_single",
     "solve_small",
 ]
@@ -126,127 +124,6 @@ def solve_single(
     if rc is not None and rc < rate:
         rate = rc
     return rate
-
-
-def solve_pair(
-    fa: "Flow", fb: "Flow", res_caps: dict[str, tuple[float, float]]
-) -> tuple[list[float], int]:
-    """Fused kernel for the ubiquitous two-flow component.
-
-    Resources partition into three groups — exclusive to ``fa``,
-    exclusive to ``fb``, shared — whose concurrency counts depend only
-    on which of the two flows is still unfrozen.  The iteration is the
-    reference loop with the per-resource bookkeeping specialised to
-    those groups: same deltas (float ``min`` over the same values),
-    same saturation thresholds, same freeze order, so the rates are
-    bit-for-bit the reference's.  (Path membership tests suffice for
-    the concurrency counts: :class:`Flow` rejects duplicate resources
-    in a path at construction.)
-    """
-    pa, pb = fa.path, fb.path
-    a_free: list[float] = []
-    a_thr: list[float] = []
-    b_free: list[float] = []
-    b_thr: list[float] = []
-    s_free: list[float] = []
-    s_thr: list[float] = []
-    for r in pa:
-        cap, pen = res_caps[r]
-        if r in pb:
-            e = cap / (1.0 + pen)
-            s_free.append(e)
-            s_thr.append(1e-9 * e)
-        else:
-            a_free.append(cap)
-            a_thr.append(1e-9 * cap)
-    for r in pb:
-        if r not in pa:
-            cap, pen = res_caps[r]
-            b_free.append(cap)
-            b_thr.append(1e-9 * cap)
-    ca = fa.rate_cap
-    cb = fb.rate_cap
-    ca = math.inf if ca is None else ca
-    cb = math.inf if cb is None else cb
-    # Stable cap-sorted freeze order over (fa, fb).
-    if cb < ca:
-        cap_order = ((cb, 1), (ca, 0))
-    else:
-        cap_order = ((ca, 0), (cb, 1))
-    live = [True, True]
-    rates = [0.0, 0.0]
-    level = 0.0
-    iterations = 0
-    while live[0] or live[1]:
-        iterations += 1
-        delta = math.inf
-        if live[0]:
-            for v in a_free:
-                if v < delta:
-                    delta = v
-        if live[1]:
-            for v in b_free:
-                if v < delta:
-                    delta = v
-        k = live[0] + live[1]
-        if s_free:
-            for v in s_free:
-                room = v / k
-                if room < delta:
-                    delta = room
-        for cap, fi in cap_order:
-            if live[fi]:
-                if cap != math.inf:
-                    room = cap - level
-                    if room < delta:
-                        delta = room
-                break
-        if delta < 0.0:
-            delta = 0.0
-        level += delta
-        froze_any = False
-        sat_a = sat_b = sat_s = False
-        if live[0] and a_free:
-            for i in range(len(a_free)):
-                a_free[i] -= delta
-                if a_free[i] <= a_thr[i]:
-                    sat_a = True
-        if live[1] and b_free:
-            for i in range(len(b_free)):
-                b_free[i] -= delta
-                if b_free[i] <= b_thr[i]:
-                    sat_b = True
-        if s_free:
-            d2 = delta * k
-            for i in range(len(s_free)):
-                s_free[i] -= d2
-                if s_free[i] <= s_thr[i]:
-                    sat_s = True
-        if live[0] and (sat_a or sat_s):
-            live[0] = False
-            rates[0] = level
-            froze_any = True
-        if live[1] and (sat_b or sat_s):
-            live[1] = False
-            rates[1] = level
-            froze_any = True
-        for cap, fi in cap_order:
-            if not live[fi]:
-                continue
-            if cap != math.inf and level >= cap - 1e-12:
-                live[fi] = False
-                rates[fi] = cap
-                froze_any = True
-            else:
-                break
-        if not froze_any:
-            if live[0]:
-                live[0] = False
-                rates[0] = level
-            if live[1]:
-                live[1] = False
-                rates[1] = level
-    return rates, iterations
 
 
 def solve_small(
@@ -356,34 +233,6 @@ def solve_small(
                     rates[fi] = level
             remaining = 0
     return rates, iterations
-
-
-def solve_component(
-    members: Sequence["Flow"], res_caps: dict[str, tuple[float, float]]
-) -> tuple[list[float], int]:
-    """Rates (member order) + iterations via the full kernel dispatch.
-
-    Mirrors :class:`~repro.simulate.components.ComponentAllocator`:
-    closed form for singletons, :func:`solve_pair` and
-    :func:`solve_small` below the cutoff, and at and above it
-    :func:`solve_large` over an :func:`id_table` of ``res_caps`` (the
-    allocator keeps its table, and each flow's :func:`path_ids`, across
-    solves instead).
-    """
-    k = len(members)
-    if k == 1:
-        return [solve_single(members[0], res_caps)], 1
-    if k == 2:
-        return solve_pair(members[0], members[1], res_caps)
-    if k < VECTOR_MIN_FLOWS:
-        return solve_small(members, res_caps)
-    res_id, cap_tbl, pen_tbl = id_table(res_caps)
-    return solve_large(
-        [path_ids(f, res_id) for f in members],
-        [f.rate_cap for f in members],
-        cap_tbl,
-        pen_tbl,
-    )
 
 
 def _capped_order(caps: list[float]) -> list[int]:

@@ -256,7 +256,7 @@ def contract_module(key: str) -> str:
     A key is ``<module>.<function>`` or ``<module>.<Class>.<method>``.  A
     capitalised segment marks the class, which tells a method of a
     package's own class from a function of its submodule
-    (``repro.simulate.vectorized.solve_pair`` belongs to ``vectorized``,
+    (``repro.simulate.vectorized.solve_small`` belongs to ``vectorized``,
     not to the ``repro.simulate`` package).
     """
     parts = key.split(".")

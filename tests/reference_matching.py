@@ -422,26 +422,22 @@ def optimize_single_data_ref(
     return assignment, max_flow, frozenset(matched), frozenset(pending)
 
 
-# -- multi-data optimizer (Algorithm 1, pre-CSR proposal orders) ---------------
+# -- multi-data optimizer (Algorithm 1, pre-CSR proposal queues) ---------------
 
 
-def optimize_multi_data_ref(graph, *, quotas=None, order: str = "round_robin",
-                            seed: int = 0):
+def optimize_multi_data_ref(graph, *, quotas=None, seed: int = 0):
     """The seed Algorithm-1 matcher; returns ``(assignment, local_bytes,
     reassignments, proposals)``.
 
-    Note: faithfully reproduces the seed's variable shadowing, where the
-    proposal-order dict rebinds ``order`` and every selection mode falls
-    through to the seeded random draw.
+    The next proposer is a seeded random draw over the deficient
+    processes.
     """
-    if order not in ("round_robin", "stack", "random"):
-        raise ValueError(f"unknown selection order {order!r}")
     rng = np.random.default_rng(seed)
     m, n = graph.num_processes, graph.num_tasks
     if quotas is None:
         quotas = equal_quotas(n, m)
 
-    order: dict[int, deque[int]] = {}  # noqa: F811 — deliberate seed shadowing
+    order: dict[int, deque[int]] = {}
     for rank in range(m):
         weights = graph.edges_of_process(rank)
         ranked = sorted(range(n), key=lambda t: (-weights.get(t, 0), t))
@@ -454,14 +450,9 @@ def optimize_multi_data_ref(graph, *, quotas=None, order: str = "round_robin",
     active = deque(rank for rank in range(m) if quotas[rank] > 0)
 
     while active:
-        if order == "round_robin":  # never true: order is the dict above
-            rank = active.popleft()
-        elif order == "stack":
-            rank = active.pop()
-        else:
-            idx = int(rng.integers(len(active)))
-            rank = active[idx]
-            del active[idx]
+        idx = int(rng.integers(len(active)))
+        rank = active[idx]
+        del active[idx]
         if load[rank] >= quotas[rank]:
             continue
         if not order[rank]:

@@ -161,37 +161,12 @@ class TestQuality:
 
 
 class TestSelectionOrder:
-    def test_all_orders_valid(self, genome_graph=None):
-        from repro.core import graph_from_filesystem, tasks_from_datasets
-        from repro.dfs import ClusterSpec, DistributedFileSystem
-        from repro.workloads import multi_input_datasets
-
-        fs = DistributedFileSystem(ClusterSpec.homogeneous(8), seed=83)
-        datasets = multi_input_datasets(24)
-        for ds in datasets:
-            fs.put_dataset(ds)
-        graph = graph_from_filesystem(
-            fs, tasks_from_datasets(datasets), ProcessPlacement.one_per_node(8)
-        )
-        results = {}
-        for order in ("round_robin", "stack", "random"):
-            r = optimize_multi_data(graph, order=order, seed=3)
-            r.assignment.validate(24, quotas=equal_quotas(24, 8), exact_quota=True)
-            results[order] = locality_fraction(r.assignment, graph)
-        # Quality is order-insensitive within a small tolerance.
-        assert max(results.values()) - min(results.values()) < 0.1
-
-    def test_unknown_order_rejected(self):
-        graph = _graph_from_weights({(0, 0): MB}, 1, 1)
-        with pytest.raises(ValueError, match="selection order"):
-            optimize_multi_data(graph, order="zigzag")
-
     def test_random_order_deterministic_by_seed(self):
         weights = {(r, t): ((r * 5 + t * 3) % 7 + 1) * MB
                    for r in range(4) for t in range(12)}
         graph = _graph_from_weights(weights, 12, 4)
-        a = optimize_multi_data(graph, order="random", seed=5).assignment.tasks_of
-        b = optimize_multi_data(graph, order="random", seed=5).assignment.tasks_of
+        a = optimize_multi_data(graph, seed=5).assignment.tasks_of
+        b = optimize_multi_data(graph, seed=5).assignment.tasks_of
         assert a == b
 
 

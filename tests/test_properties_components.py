@@ -308,19 +308,20 @@ def test_changed_slot_reporting_is_component_scoped():
     assert alloc.last_component_solves == 0
 
 
-def test_large_component_reports_only_rerated_slots():
-    """A component of VECTOR_MIN_FLOWS or more flows writes and reports
-    only its new flows and the flows whose rate changed; every other slot
-    keeps what it held, which the engine's completion heap relies on."""
+def _check_reports_only_rerated_slots(n):
+    """A component of ``n + 2`` flows writes and reports only its new
+    flows and the flows whose rate changed; every other slot keeps what
+    it held, which the engine's completion heap relies on.  The rule is
+    the same on every tier; only the numpy tier counts as vectorized."""
     import numpy as np
 
     from repro.simulate.vectorized import VECTOR_MIN_FLOWS
 
+    vectorized = int(n + 2 >= VECTOR_MIN_FLOWS)
     # Each flow is bound by its own disk (small integer capacities, so
     # every water level is exact); the hub joins them into one component
     # without binding anyone.  "s" is shared by fx and fy only, and
     # binds both.
-    n = VECTOR_MIN_FLOWS + 8
     resources = {
         "hub": 1000.0, "s": 4.0, "dy": 8.0, "dz": 3.0, "dw": 5.0,
         **{f"d{i}": float(i % 8 + 1) for i in range(n)},
@@ -334,18 +335,19 @@ def test_large_component_reports_only_rerated_slots():
         slots[f] = alloc.add(f, fid=len(slots))
     out = np.full(len(slots) + 4, -1.0)
     alloc.solve(out=out)
-    assert alloc.last_vectorized_solves == 1
+    assert alloc.last_vectorized_solves == vectorized
     assert sorted(alloc.last_changed) == sorted(slots.values())
     before = allocate_rates(list(slots), resources)
     assert all(out[slot] == before[f] for f, slot in slots.items())
 
-    # Flow 0's resources bind nobody else: the component is re-solved on
-    # the numpy tier, but no rate moves, so nothing is reported or written.
+    # Flow 0's resources bind nobody else: the component is re-solved,
+    # but no rate moves, so nothing is reported or written.
     alloc.remove(flows[0])
     del slots[flows[0]]
     out[:] = -1.0
     alloc.solve(out=out)
-    assert alloc.last_vectorized_solves == alloc.last_component_solves == 1
+    assert alloc.last_component_solves == 1
+    assert alloc.last_vectorized_solves == vectorized
     assert alloc.last_changed == []
     assert (out == -1.0).all()
 
@@ -355,7 +357,7 @@ def test_large_component_reports_only_rerated_slots():
     fz = Flow(100.0, ("hub", "dz"))
     slots[fz] = alloc.add(fz, fid=len(out) - 1)
     alloc.solve(out=out)
-    assert alloc.last_vectorized_solves == 1
+    assert alloc.last_vectorized_solves == vectorized
     changed = sorted(alloc.last_changed)
     assert changed == sorted([slots[fy], slots[fz]])
     assert np.flatnonzero(out != -1.0).tolist() == changed
@@ -388,6 +390,16 @@ def test_large_component_reports_only_rerated_slots():
     fl = Flow(100.0, ("hub", "late"))
     slots[fl] = alloc.add(fl, fid=len(out) - 2)
     rates = alloc.solve()
-    assert alloc.last_vectorized_solves == 1
+    assert alloc.last_vectorized_solves == vectorized
     assert rates == allocate_rates(list(slots), resources)
     assert rates[fl] == 7.0
+
+
+def test_large_component_reports_only_rerated_slots():
+    """The changed-slot rule on the numpy tier (40 + 2 flows)."""
+    _check_reports_only_rerated_slots(40)
+
+
+def test_small_component_reports_only_rerated_slots():
+    """The same rule on the scalar tier (8 + 2 flows)."""
+    _check_reports_only_rerated_slots(8)

@@ -28,9 +28,9 @@ from repro.simulate.vectorized import (
     id_table,
     path_ids,
     res_entry,
-    solve_component,
     solve_large,
     solve_single,
+    solve_small,
 )
 
 from .test_properties_components import bruteforce_partition
@@ -40,9 +40,21 @@ def _res_caps(resources):
     return {name: res_entry(r) for name, r in resources.items()}
 
 
-def _kernel_rates(flows, resources):
-    """Rates + iterations via the same dispatch ComponentAllocator uses."""
-    return solve_component(flows, _res_caps(resources))
+def solve_component(members, resources):
+    """Rates (member order) + iterations via the allocator's dispatch.
+
+    Mirrors :class:`~repro.simulate.components.ComponentAllocator`: the
+    closed form for singletons, :func:`solve_small` below the cutoff
+    (pairs included), and at and above it :func:`solve_large` over an
+    :func:`id_table` of the capacities (the allocator keeps its table,
+    and each flow's :func:`path_ids`, across solves instead).
+    """
+    res_caps = _res_caps(resources)
+    if len(members) == 1:
+        return [solve_single(members[0], res_caps)], 1
+    if len(members) < VECTOR_MIN_FLOWS:
+        return solve_small(members, res_caps)
+    return _solve_large_on(members, id_table(res_caps))
 
 
 def _reference_rates(flows, resources):
@@ -71,7 +83,7 @@ def _solve_large_on(flows, id_tbl):
 
 
 def _assert_identical(flows, resources):
-    got, got_iters = _kernel_rates(flows, resources)
+    got, got_iters = solve_component(flows, resources)
     want, want_iters = _reference_rates(flows, resources)
     assert got == want
     assert got_iters == want_iters
@@ -131,7 +143,8 @@ def test_dispatch_cutoff_straddle(nflows):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_pair_kernel_fuzz(seed):
-    """Two-flow components: shared, disjoint, capped, tied, degenerate."""
+    """Two-flow components (run through ``solve_small``): shared,
+    disjoint, capped, tied, degenerate."""
     rng = random.Random(9000 + seed)
     flows, resources = _random_component(rng, 2)
     _assert_identical(flows, resources)
@@ -243,7 +256,7 @@ def test_underflow_stall_freezes_survivors_at_the_level(extra):
     flows.append(Flow(size=1.0, path=("u",)))
     flows += [Flow(size=1.0, path=("v",)) for _ in range(extra)]
     _assert_identical(flows, resources)
-    rates, iters = _kernel_rates(flows, resources)
+    rates, iters = solve_component(flows, resources)
     assert iters == 2
     assert set(rates) == {6 * ulp}
 

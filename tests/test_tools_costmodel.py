@@ -102,7 +102,7 @@ class TestStaleContracts:
     CONTRACTS = {
         "repro.simulate.components.ComponentAllocator.add": "O(deg)",
         "repro.simulate.components._still_whole": "O(n)",
-        "repro.simulate.vectorized.solve_pair": "O(deg)",
+        "repro.simulate.vectorized.solve_small": "O(deg)",
     }
 
     def verify_as(self, module: str, path: str):
@@ -120,7 +120,7 @@ class TestStaleContracts:
         assert "'repro.simulate.components._still_whole'" in v.message
 
     def test_package_does_not_own_its_submodules_contracts(self):
-        # repro.simulate.vectorized.solve_pair belongs to vectorized, not
+        # repro.simulate.vectorized.solve_small belongs to vectorized, not
         # to the repro.simulate package the source is verified as here
         report = self.verify_as("repro.simulate", "simulate/__init__.py")
         assert report.ok, report.render()

@@ -13,15 +13,6 @@ matching-based assignment ``A*`` and uses it as a *guideline*:
 
 Step 3 preserves load balance in heterogeneous settings while losing as
 little locality as possible.
-
-Dispatching dynamically also means *remote* reads surface in batches (a
-worker discovers its next task's inputs only when it receives the task).
-:meth:`DynamicPlan.plan_remote_serving` keeps the Opass+ balanced-serving
-extension live across those batches: each call feeds the newly remote
-chunks to a standing :class:`~repro.core.remote_balance.RemoteBalancePlanner`,
-which re-plans by augmenting the previous min-cost flow
-(:meth:`~repro.core.mincostflow.MinCostFlowNetwork.resolve`) instead of
-solving from scratch.
 """
 
 from __future__ import annotations
@@ -29,11 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..dfs.chunk import ChunkId
 from .assignment import Assignment
 from .bipartite import LocalityGraph
-from .perf import SchedPerf
-from .remote_balance import RemoteBalancePlanner, RemoteBalanceResult
 
 
 @dataclass
@@ -45,9 +33,6 @@ class DynamicPlan:
     steals: int = 0
     dispatched: int = 0
     _dispatched_local_bytes: int = field(default=0, repr=False)
-    _remote_planner: RemoteBalancePlanner | None = field(
-        default=None, repr=False
-    )
 
     @property
     def remaining(self) -> int:
@@ -87,29 +72,6 @@ class DynamicPlan:
     def dispatched_local_bytes(self) -> int:
         """Co-located bytes across all (worker, task) dispatches so far."""
         return self._dispatched_local_bytes
-
-    def plan_remote_serving(
-        self,
-        chunk_ids: list[ChunkId],
-        locations: dict[ChunkId, tuple[int, ...]],
-        *,
-        perf: SchedPerf | None = None,
-    ) -> RemoteBalanceResult:
-        """Extend the balanced remote-serving plan with newly remote chunks.
-
-        The first call fixes the node universe to the plan's placement
-        nodes and solves the serving flow; later calls augment it from the
-        previous optimum, so a stream of dispatch-time batches costs one
-        delta re-solve each instead of a from-scratch plan.  Returns the
-        cumulative plan over every chunk seen so far.
-        """
-        if self._remote_planner is None:
-            self._remote_planner = RemoteBalancePlanner(
-                list(self.graph.placement.nodes), perf=perf
-            )
-        elif perf is not None:
-            self._remote_planner.perf = perf
-        return self._remote_planner.extend(chunk_ids, locations)
 
 
 def plan_dynamic(

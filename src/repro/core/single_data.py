@@ -51,10 +51,6 @@ class SingleDataResult:
     matched_tasks: frozenset[int]
     fallback_tasks: frozenset[int]
 
-    @property
-    def num_matched(self) -> int:
-        return len(self.matched_tasks)
-
 
 def _build_unit_network(
     graph: LocalityGraph, quotas: list[int]

@@ -20,21 +20,24 @@ start/finish/cancel only needs the rates of *its own component* re-solved.
   a flow marks its component *shrunk*, and the possible split is handled
   by a lazy BFS re-partition of shrunk components at the next
   :meth:`solve` — classic union-find with lazy splitting;
-* **per-component rates are cached**: :meth:`solve` re-runs water-filling
-  only for the dirty components (those whose flow membership changed),
+* **only dirty components are re-solved**: :meth:`solve` re-runs
+  water-filling only for the components whose flow membership changed,
   each directly by the size-tiered flat kernels of
   :mod:`repro.simulate.vectorized`.  The rates are *bit-for-bit* those of
   the reference :func:`~repro.simulate.flows.allocate_rates` run on that
-  component's flows, in active-list order, in isolation (pinned by the
-  differential property tests in ``tests/test_properties_components.py``
-  and ``tests/test_properties_vectorized.py``);
-* **changed flows are reported**: :attr:`last_changed` names the slot
-  ids of a re-solved component whose rate is new or not bit-identical
-  to the last solve's, whatever the component's size
-  (``solve(out=...)`` writes exactly the reported slots).  That is what
-  lets the engine's lazy-invalidation completion heap re-predict only
-  those flows instead of scanning the whole slot range every epoch: an
-  entry stays valid while its flow's rate holds;
+  component's flows, in active-list (``flow_id``) order, in isolation
+  (pinned by the differential property tests in
+  ``tests/test_properties_components.py`` and
+  ``tests/test_properties_vectorized.py``);
+* **rates live in the caller's slot array**: flows are tracked under the
+  engine's :class:`~repro.simulate.flowtable.FlowTable` slot ids, and
+  ``solve(out)`` writes, and names in :attr:`last_changed`, exactly the
+  re-solved slots whose rate is not bit-identical to ``out[fid]``, on
+  every tier.  A new tenant's slot holds 0.0 from ``FlowTable.acquire``
+  and a rate that is not positive raises, so a new flow is always
+  reported.  That lets the engine's lazy-invalidation completion heap
+  re-predict only those flows instead of scanning the whole slot range
+  every epoch: an entry stays valid while its flow's rate holds;
 * **large components keep a resource index**: a component that a full
   re-partition found whole at ``VECTOR_MIN_FLOWS`` or more flows keeps a
   resource -> flows index, maintained by ``add``/``remove``, so its next
@@ -48,15 +51,15 @@ end-to-end deviation is ≤ 1e-9 relative — also pinned by the property
 suite.
 
 Purity contract: the solve path reads :class:`Resource` capacities and
-``Flow`` paths and mutates only this allocator's private bookkeeping —
-never ``Cluster``/``NameNode``/``DataNode`` state (enforced
-interprocedurally by opass-verify rule OPS103; the module is registered in
-``repro.tools.config.DEFAULT_PURE_MODULES``).
+``Flow`` paths and mutates only this allocator's private bookkeeping and
+the rate array it is handed — never ``Cluster``/``NameNode``/``DataNode``
+state (enforced interprocedurally by opass-verify rule OPS103; the module
+is registered in ``repro.tools.config.DEFAULT_PURE_MODULES``).
 """
 
 from __future__ import annotations
 
-import math
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -75,16 +78,20 @@ from .vectorized import (
 
 __all__ = ["ComponentAllocator"]
 
+#: Sort key for active-list order: ``flow_id`` order is the order in which
+#: the engine adds flows, since it builds each Flow just before ``add``.
+_flow_id = attrgetter("flow_id")
+
 
 class ComponentAllocator:
     """Persistent per-component water-filling with O(affected component)
     re-solve.
 
     The engine's only allocator: ``register``/``add``/``remove``/``solve``
-    (without ``out``, ``solve`` returns the Flow-keyed dict of
-    :func:`~repro.simulate.flows.allocate_rates`), plus the component
-    introspection the engine's lazy completion heap and the perf counters
-    consume (:attr:`last_changed`, :attr:`component_count`, ...).
+    over the engine's FlowTable slot ids and rate array, plus the
+    component introspection the engine's lazy completion heap and the
+    perf counters consume (:attr:`last_changed`, :attr:`component_count`,
+    ...).
     """
 
     def __init__(self) -> None:
@@ -126,18 +133,6 @@ class ComponentAllocator:
         #: split, so only these pay the BFS re-partition at solve time.
         self._shrunk: dict[int, None] = {}
         self._next_comp = 0
-        # flow ids (engine slot ids when supplied, internal otherwise)
-        self._id_of: dict[Flow, int] = {}
-        self._free_ids: list[int] = []
-        self._next_fid = 0
-        self._external_ids = False
-        #: global insertion order — the reference allocator's active-list
-        #: order, which fixes the stable sort of rate-capped flows.
-        self._order: dict[Flow, int] = {}
-        self._next_order = 0
-        #: solved rate per slot id (valid for clean components; NaN from
-        #: ``add`` until the flow's first solve, so it reads as changed).
-        self._rate_at: list[float] = []
         #: results of the last :meth:`solve` (instrumentation + the
         #: engine's lazy-heap feed)
         self.last_iterations = 0
@@ -156,21 +151,19 @@ class ComponentAllocator:
         self._res_caps[name] = res_entry(resource)
         self._ids = None
 
-    def has_resource(self, name: str) -> bool:
-        return name in self._res_caps
-
     # -- flow lifecycle -------------------------------------------------------
 
-    def add(self, flow: Flow, fid: int | None = None) -> int:
-        """Start tracking ``flow``; raises ``KeyError`` on unknown resources.
+    def add(self, flow: Flow, fid: int) -> None:
+        """Start tracking ``flow`` in slot ``fid``; raises ``KeyError`` on
+        unknown resources.
 
-        Unions the components of the path's resources (the flow may bridge
-        several) and marks the resulting component dirty.  O(|path| +
-        size of the smaller merged components).  The caller may supply the
-        slot id (the engine shares its ids so ``solve(out=...)`` writes
-        rates straight into the engine's array).
+        ``fid`` is the flow's FlowTable slot, the index its rate takes in
+        the array :meth:`solve` writes.  Unions the components of the
+        path's resources (the flow may bridge several) and marks the
+        resulting component dirty.  O(|path| + size of the smaller merged
+        components).
         """
-        if flow in self._id_of:
+        if flow in self._comp_of:
             raise ValueError("flow already tracked")
         # One pass validates the path AND collects the components it
         # touches (insertion-ordered, deduped); nothing below mutates
@@ -184,18 +177,6 @@ class ComponentAllocator:
             cid_r = res_comp.get(r)
             if cid_r is not None:
                 hit[cid_r] = None
-        if fid is not None:
-            self._external_ids = True
-        elif self._free_ids:
-            fid = self._free_ids.pop()
-        else:
-            fid = self._next_fid
-            self._next_fid += 1
-        self._id_of[flow] = fid
-        rate_at = self._rate_at
-        if fid >= len(rate_at):
-            self._grow(fid)  # extends rate_at in place
-        rate_at[fid] = math.nan
         if not hit:
             cid = self._next_comp
             self._next_comp += 1
@@ -221,14 +202,6 @@ class ComponentAllocator:
             if adj is not None:
                 _index_flow(adj, flow, fid)
         self._dirty[cid] = None
-        self._order[flow] = self._next_order
-        self._next_order += 1
-        return fid
-
-    def _grow(self, fid: int) -> None:
-        """Extend the slot-indexed rates to cover ``fid`` (amortized)."""
-        rate_at = self._rate_at
-        rate_at.extend([math.nan] * max(fid + 1 - len(rate_at), len(rate_at)))
 
     def _absorb(self, target: int, other: int) -> None:
         """Merge component ``other`` into ``target`` (union by size)."""
@@ -275,14 +248,10 @@ class ComponentAllocator:
         component may now be disconnected, which the next :meth:`solve`
         resolves by lazy re-partition.
         """
-        fid = self._id_of.pop(flow, None)
-        if fid is None:
+        cid = self._comp_of.pop(flow, None)
+        if cid is None:
             raise KeyError("flow is not tracked")
-        if not self._external_ids:
-            self._free_ids.append(fid)
-        cid = self._comp_of.pop(flow)
-        del self._comp_flows[cid][flow]
-        del self._order[flow]
+        fid = self._comp_flows[cid].pop(flow)
         if self._path_ids:
             self._path_ids.pop(fid, None)
         comp_res = self._comp_res[cid]
@@ -323,10 +292,6 @@ class ComponentAllocator:
     # -- introspection --------------------------------------------------------
 
     @property
-    def active_flows(self) -> int:
-        return len(self._id_of)
-
-    @property
     def component_count(self) -> int:
         """Number of tracked components (exact only after a solve —
         dirty-shrunk components may still be awaiting re-partition)."""
@@ -337,16 +302,16 @@ class ComponentAllocator:
         return self._res_users.get(name, 0)
 
     def components(self) -> list[list[Flow]]:
-        """The current partition, each component in active-list order.
+        """The current partition, each component in active-list
+        (``flow_id``) order.
 
         After a :meth:`solve` this is exactly the connected-component
         partition of the flow–resource graph; between a remove and the
         next solve a component may temporarily be a coarsening (the union
         of the true components it will split into).
         """
-        order = self._order
         return [
-            sorted(members, key=order.__getitem__)
+            sorted(members, key=_flow_id)
             for _, members in sorted(self._comp_flows.items())
         ]
 
@@ -461,21 +426,20 @@ class ComponentAllocator:
             out.append(gid)
         return out
 
-    def solve(self, out: "np.ndarray | None" = None) -> dict[Flow, float] | None:
-        """Max-min fair rates, re-solved only for the dirty components.
+    def solve(self, out: np.ndarray) -> None:
+        """Max-min fair rates into ``out``, re-solved only for the dirty
+        components.
 
-        Each dirty (and, if shrunk, freshly re-partitioned) component is
-        solved in isolation by the flat kernels of
-        :mod:`repro.simulate.vectorized`, bit-for-bit the rates of the
-        reference :func:`~repro.simulate.flows.allocate_rates`.  Clean
-        components keep their cached rates untouched.  :attr:`last_changed`
-        lists the reported slot ids: the re-solved flows that are new or
-        whose rate changed.  With ``out`` (the engine's
-        slot-indexed rate array) exactly the reported slots are written
-        and ``None`` is returned; every other slot already holds its
-        flow's rate.  Without ``out`` a Flow-keyed dict of *all* tracked
-        flows is returned (the reference-compatible API the property
-        tests consume).
+        ``out`` is the engine's slot-indexed rate array
+        (``FlowTable.rate``).  Each dirty (and, if shrunk, freshly
+        re-partitioned) component is solved in isolation by the flat
+        kernels of :mod:`repro.simulate.vectorized`, bit-for-bit the rates
+        of the reference :func:`~repro.simulate.flows.allocate_rates`.  A
+        re-solved slot is written, and listed in :attr:`last_changed`,
+        exactly when its rate is not bit-identical to what ``out`` holds;
+        clean components' slots are not touched.  Raises ``ValueError``
+        when a solved rate is not positive (or NaN): such a flow could
+        never finish.
         """
         self.last_iterations = 0
         self.last_component_solves = 0
@@ -492,10 +456,6 @@ class ComponentAllocator:
             self._dirty.clear()
             self._shrunk.clear()
         self.last_changed = changed
-        if out is not None:
-            return None
-        rate_at = self._rate_at
-        return {f: rate_at[fid] for f, fid in self._id_of.items()}
 
     def _dirty_groups(self) -> list[int]:
         """Dirty component ids, with shrunk components re-partitioned."""
@@ -507,22 +467,19 @@ class ComponentAllocator:
                 gids.append(cid)
         return gids
 
-    def _solve_kernels(
-        self, changed: list[int], out: "np.ndarray | None"
-    ) -> None:
+    def _solve_kernels(self, changed: list[int], out: np.ndarray) -> None:
         """The solve loop: one kernel run per dirty component.
 
         Singletons take the closed form, components below
         ``VECTOR_MIN_FLOWS`` flows the scalar kernel (members in
-        active-list order), and larger ones the numpy kernel (component
+        ``flow_id`` order), and larger ones the numpy kernel (component
         order, on the slot-cached integer resource ids).  Every tier
-        writes and reports only the slots whose rate is new or changed:
-        an unreported slot keeps an identical rate, so the engine's
-        completion-heap entry for it, which depends only on that rate,
-        stays valid.
+        writes and reports only the slots whose rate differs from
+        ``out``'s: an unreported slot keeps an identical rate, so the
+        engine's completion-heap entry for it, which depends only on that
+        rate, stays valid.
         """
-        order = self._order
-        rate_at = self._rate_at
+        out_item = out.item
         res_caps = self._res_caps
         comp_flows = self._comp_flows
         solves = 0
@@ -543,7 +500,7 @@ class ComponentAllocator:
                 rates = [solve_single(f, res_caps)]
                 iterations += 1
             elif k < VECTOR_MIN_FLOWS:
-                members = sorted(group, key=order.__getitem__)
+                members = sorted(group, key=_flow_id)
                 fids = [group[f] for f in members]
                 rates, iters = solve_small(members, res_caps)
                 iterations += iters
@@ -553,12 +510,12 @@ class ComponentAllocator:
                 iterations += iters
                 vectorized += 1
             for fid, rate in zip(fids, rates):
+                if not rate > 0.0:
+                    raise _not_positive(group, fid, rate)
                 # Exact on purpose: an unreported slot must hold the very
                 # rate its completion-heap entry was predicted from.
-                if rate != rate_at[fid]:  # opass: ignore[OPS004] -- bit-identity is the reporting rule
-                    rate_at[fid] = rate
-                    if out is not None:
-                        out[fid] = rate
+                if rate != out_item(fid):  # opass: ignore[OPS004] -- bit-identity is the reporting rule
+                    out[fid] = rate
                     changed.append(fid)
         self.last_iterations += iterations
         self.last_component_solves += solves
@@ -587,6 +544,15 @@ class ComponentAllocator:
             paths.append(p)
             caps.append(f.rate_cap)
         return solve_large(paths, caps, cap_tbl, pen_tbl)
+
+
+def _not_positive(group: dict[Flow, int], fid: int, rate: float) -> ValueError:
+    """The error for a solved rate that is not positive (or is NaN)."""
+    flow = next(f for f, i in group.items() if i == fid)
+    return ValueError(
+        f"flow {flow.flow_id} on path {flow.path!r} solved to rate "
+        f"{rate!r}; a flow needs a positive rate to finish"
+    )
 
 
 def _index_flow(adj: dict[str, dict[int, Flow]], flow: Flow, fid: int) -> None:

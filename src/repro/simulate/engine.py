@@ -17,10 +17,12 @@ The hot path is O(affected component) end to end, and one fused loop
 (:meth:`Simulation.run`) drives every run, bounded or not:
 
 * flow state lives in a structure-of-arrays
-  :class:`~repro.simulate.flowtable.FlowTable` (remaining/rate/start-epoch
-  slot arrays with free-list recycling and 64-bit generation stamps), so
-  the settle pass and the bulk completion predictions are whole-array
-  kernels instead of per-Flow attribute walks;
+  :class:`~repro.simulate.flowtable.FlowTable` (remaining/rate slot
+  arrays with free-list recycling), so the settle pass and the bulk
+  completion predictions are whole-array kernels instead of per-Flow
+  attribute walks.  Each fact about a flow has one owner: its table slot
+  is its only id, ``FlowTable.rate`` its only rate, and
+  ``Simulation._flows`` the only registry of active flows;
 * rates come from a persistent :class:`~repro.simulate.components.
   ComponentAllocator` that tracks the connected components of the
   flow–resource graph and re-runs water-filling only for the components
@@ -118,15 +120,16 @@ class Simulation:
         self._seq = count()
         self._resources: dict[str, Resource] = {}
         self._alloc = ComponentAllocator()
-        #: O(1) registry: flow -> completion callback, insertion-ordered.
+        #: the active set: flow -> completion callback, insertion-ordered.
         self._flows: dict[Flow, Callable[[Flow], None]] = {}
         self._dirty = True
         self.completed_flows = 0
         self.events_processed = 0
-        #: dense slot arrays for the active flow set (shared with the
-        #: allocator, so solve() scatters rates straight into the rate
-        #: array).  See :mod:`repro.simulate.flowtable` for the layout,
-        #: the free-list recycling and the generation-stamp contract.
+        #: dense slot arrays for the active flow set.  The allocator
+        #: tracks flows under the table's slot ids and solve() writes
+        #: rates straight into its rate array, the rates' only copy.  See
+        #: :mod:`repro.simulate.flowtable` for the layout and the
+        #: free-list recycling.
         self._table = FlowTable()
         #: simulated time all slots' ``remaining`` values refer to
         self._settled_at = 0.0
@@ -217,7 +220,7 @@ class Simulation:
             if r not in resources:
                 raise KeyError(f"unknown resource {r!r}")
         self._flows[flow] = on_complete
-        fid = self._table.acquire(flow, self.now)
+        fid = self._table.acquire(flow)
         entry_seq = self._entry_seq
         if fid == len(entry_seq):
             entry_seq.append(-1)
@@ -255,9 +258,9 @@ class Simulation:
 
         A flow that is no longer active (finished or cancelled) reports
         0.0 without touching the solver — its old slot may already have
-        been recycled by a younger flow (the table's generation stamp
-        will have moved on), so the rate arrays must not be consulted
-        for it (and a query must not trigger a spurious re-solve).
+        been recycled by a younger flow, so the rate array must not be
+        consulted for it (and a query must not trigger a spurious
+        re-solve).  Membership in the active set is the guard.
         """
         if flow not in self._flows:
             return 0.0
@@ -303,7 +306,7 @@ class Simulation:
         self._settle_all()
         t0 = wall_clock()
         alloc = self._alloc
-        alloc.solve(out=self._table.rate)
+        alloc.solve(self._table.rate)
         perf = self.perf
         perf.solve_iterations += alloc.last_iterations
         perf.component_solves += alloc.last_component_solves
@@ -435,9 +438,9 @@ class Simulation:
             thresh = 1.0
         if floor - drain > thresh + 1e-9 * (floor + drain):
             return True
-        table = self._table
-        if not table.fid_of:
+        if not self._flows:
             return True
+        table = self._table
         dt = self.now - self._settled_at
         rem, rate, scratch = table.views()
         if dt > 0.0:
@@ -463,9 +466,9 @@ class Simulation:
         remaining (their rate is unchanged — a re-rate would have
         superseded the entry).  Retirements fire in ``flow_id`` order.
         """
-        table = self._table
-        if not table.fid_of:
+        if not self._flows:
             return
+        table = self._table
         now = self.now
         pess = self._pess
         flow_at = table.flow_at
@@ -551,9 +554,9 @@ class Simulation:
           pessimistic bound has come due.
 
         Only structures whose identity is stable across callbacks are
-        cached (the table's lists/dicts, the heaps, the timer list);
-        the slot *arrays* are re-fetched wherever they are read because
-        ``FlowTable.acquire`` replaces them on growth.  The loop also
+        cached (the table's lists, the registry, the heaps, the timer
+        list); the slot *arrays* are re-fetched wherever they are read
+        because ``FlowTable.acquire`` replaces them on growth.  The loop also
         maintains the cascade telemetry (``fastforward_cascades``,
         ``cascade_events``) and flushes all counters, even when a
         callback raises.
@@ -575,7 +578,6 @@ class Simulation:
         tie = self._tie
         pending = self._pending_push
         flow_at = table.flow_at
-        fid_of = table.fid_of
         flows = self._flows
         # The allocator's dirty-component set (identity-stable: cleared
         # in place by solve()).  Empty means the last flow event removed
@@ -626,7 +628,7 @@ class Simulation:
                         settle_wall += clock() - ts
                     ts = clock()
                     if alloc_dirty:
-                        alloc.solve(out=table.rate)
+                        alloc.solve(table.rate)
                         iters_acc += alloc.last_iterations
                         comp_solves += alloc.last_component_solves
                         flows_resolved += alloc.last_flows_resolved
@@ -675,7 +677,7 @@ class Simulation:
                     # and push pays log(len) on garbage otherwise.  A heap
                     # rebuilt from only the live entries pops them in the
                     # same order, so the replay is unchanged.
-                    cap = (len(fid_of) << 1) + 64
+                    cap = (len(flows) << 1) + 64
                     if len(heap) > cap:
                         live = [e for e in heap if entry_seq[e[2]] == e[3]]
                         stale_pops += len(heap) - len(live)
@@ -785,7 +787,7 @@ class Simulation:
                         casc_events += run_len - 1
                     run_len = 0
                 # -- sweep (the nothing-due peek inline) ---------------------
-                if fid_of:
+                if flows:
                     now = self.now
                     while pess:
                         e = pess[0]
@@ -829,5 +831,5 @@ class Simulation:
             if comp_peak > perf.components:
                 perf.components = comp_peak
             perf.run_wall += clock() - t0
-        table.sync_remaining(self.now - self._settled_at)
+        table.sync_remaining(flows, self.now - self._settled_at)
         return self.now

@@ -7,22 +7,21 @@ flat float64 arrays indexed by slot id, the settle pass is one fused
 ``remaining -= rate * dt`` over the full range, and the component
 allocator scatters solved rates straight into the ``rate`` array.
 
-:class:`FlowTable` owns that layout:
+The slot is a flow's only id (stashed on the flow as ``Flow.fid``, and
+the id the allocator tracks it under), and ``rate`` is its rate's only
+copy.  The table keeps no Flow-keyed registry: the engine's
+``Simulation._flows`` is the active set, and :meth:`sync_remaining`
+walks it.  :class:`FlowTable` owns the layout:
 
 * **slot recycling** — freed slot ids return through a free list, so the
   arrays stay dense however many flows have come and gone.  Freed slots
   hold the sentinels ``remaining = inf, rate = 1``: a hole's predicted
   completion is ``+inf`` and its remaining never drains, so the
   vectorised settle/sweep/prediction passes run over the whole range
-  without masking;
-* **generation stamps** — a 64-bit per-slot generation counter, bumped
-  every time a slot is released.  A ``(fid, generation)`` pair names one
-  specific tenancy of the slot; any reader holding a stale pair detects
-  the recycle instead of silently reading the younger flow's state
-  (pinned by ``tests/test_sim_flowtable.py``);
-* **start epochs** — the simulated time each slot's flow was admitted,
-  kept as an array so diagnostics and age-based policies never walk the
-  Flow objects;
+  without masking.  A recycled slot holds no trace of its old tenant;
+  the engine recognises the old tenant's parked heap entries by their
+  per-slot sequence numbers, and answers queries about a finished flow
+  from its registry, never from the slot;
 * **cached length-n views** — ``views()`` returns length-n slices of the
   remaining/rate/scratch arrays, rebuilt only when the slot count grows
   (the only time the backing arrays can reallocate).
@@ -37,6 +36,8 @@ whole-range kernels ``settle`` and ``sync_remaining``).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -53,13 +54,10 @@ class FlowTable:
 
     __slots__ = (
         "flow_at",
-        "fid_of",
         "free_ids",
         "rem",
         "rate",
         "scratch",
-        "start_epoch",
-        "generation",
         "_nview",
         "_rem_v",
         "_rate_v",
@@ -69,8 +67,6 @@ class FlowTable:
     def __init__(self) -> None:
         #: slot id -> Flow (None while the slot is free)
         self.flow_at: list[Flow | None] = []
-        #: Flow -> slot id (insertion-ordered, the active registry order)
-        self.fid_of: dict[Flow, int] = {}
         #: recycled slot ids, LIFO
         self.free_ids: list[int] = []
         self.rem = np.full(_GROW, np.inf)
@@ -78,11 +74,6 @@ class FlowTable:
         #: scratch buffer for the settle/sweep passes (same capacity as
         #: the slot arrays) so the per-event array math allocates nothing
         self.scratch = np.empty(_GROW)
-        #: simulated time each slot's flow was admitted
-        self.start_epoch = np.zeros(_GROW)
-        #: per-slot tenancy stamp; bumped on every release, so a stale
-        #: (fid, generation) pair never silently reads a recycled slot
-        self.generation = np.zeros(_GROW, dtype=np.int64)
         # cached length-n views of rem/rate/scratch; rebuilt when the
         # slot count changes (the only time the arrays can reallocate)
         self._nview = -1
@@ -91,15 +82,6 @@ class FlowTable:
         self._scr_v = self.scratch[:0]
 
     # -- sizing ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Active flow count."""
-        return len(self.fid_of)
-
-    @property
-    def slots(self) -> int:
-        """Allocated slot count (active + free)."""
-        return len(self.flow_at)
 
     def views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Length-n views of the remaining/rate/scratch arrays (cached)."""
@@ -113,12 +95,13 @@ class FlowTable:
 
     # -- slot lifecycle -------------------------------------------------------
 
-    def acquire(self, flow: Flow, now: float) -> int:
+    def acquire(self, flow: Flow) -> int:
         """Admit ``flow``, returning its slot id.
 
         The slot starts at the flow's full ``remaining`` with rate 0 —
         the settle pass covering the instant of creation must not move
-        a flow the allocator has not rated yet.
+        a flow the allocator has not rated yet, and every solved rate
+        differs from 0, so the allocator reports the new tenant.
         """
         if self.free_ids:
             fid = self.free_ids.pop()
@@ -129,40 +112,23 @@ class FlowTable:
                 grow = len(self.rem)
                 self.rem = np.concatenate([self.rem, np.full(grow, np.inf)])  # opass: alloc-ok -- capacity doubling, amortized O(1)/acquire
                 self.rate = np.concatenate([self.rate, np.ones(grow)])  # opass: alloc-ok -- capacity doubling, amortized O(1)/acquire
-                self.start_epoch = np.concatenate(
-                    [self.start_epoch, np.zeros(grow)]  # opass: alloc-ok -- capacity doubling, amortized O(1)/acquire
-                )
-                self.generation = np.concatenate(
-                    [self.generation, np.zeros(grow, dtype=np.int64)]  # opass: alloc-ok -- capacity doubling, amortized O(1)/acquire
-                )
                 self.scratch = np.empty(len(self.rem))  # opass: alloc-ok -- capacity doubling, amortized O(1)/acquire
                 self._nview = -1
-        self.fid_of[flow] = fid
         self.flow_at[fid] = flow
         flow.fid = fid
         self.rem[fid] = flow.remaining
         self.rate[fid] = 0.0
-        self.start_epoch[fid] = now
         return fid
 
     def release(self, flow: Flow) -> int:
-        """Return the flow's slot to the free list, restoring sentinels.
-
-        Bumps the slot's generation stamp: any ``(fid, generation)``
-        pair taken before this release is now verifiably stale.
-        """
-        fid = self.fid_of.pop(flow)
+        """Return the flow's slot to the free list, restoring sentinels."""
+        fid = flow.fid
         self.flow_at[fid] = None
         flow.fid = -1
         self.rem[fid] = np.inf
         self.rate[fid] = 1.0
-        self.generation[fid] += 1
         self.free_ids.append(fid)
         return fid
-
-    def gen_of(self, fid: int) -> int:
-        """The slot's current generation stamp (see :meth:`release`)."""
-        return int(self.generation[fid])
 
     # -- whole-range kernels --------------------------------------------------
 
@@ -178,13 +144,15 @@ class FlowTable:
         np.multiply(rate, dt, out=scratch)
         np.subtract(rem, scratch, out=rem)
         np.maximum(rem, 0.0, out=rem)
-        return len(self.fid_of)
+        return len(self.flow_at) - len(self.free_ids)
 
-    def sync_remaining(self, dt: float = 0.0) -> None:
-        """Write each slot's ``remaining``, drained ``dt`` seconds further,
-        onto its Flow object: ``max(0, rem - rate*dt)``, the settle's own
-        arithmetic, without changing the slot (``dt = 0`` copies ``rem``)."""
+    def sync_remaining(self, flows: Iterable[Flow], dt: float = 0.0) -> None:
+        """Write each of ``flows``' slot ``remaining``, drained ``dt``
+        seconds further, onto the Flow object: ``max(0, rem - rate*dt)``,
+        the settle's own arithmetic, without changing the slot (``dt = 0``
+        copies ``rem``).  ``flows`` are active flows of this table."""
         rem_item = self.rem.item
         rate_item = self.rate.item
-        for f, fid in self.fid_of.items():
+        for f in flows:
+            fid = f.fid
             f.remaining = max(0.0, rem_item(fid) - rate_item(fid) * dt)

@@ -142,14 +142,6 @@ class RunResult:
             out[node] = b
         return out
 
-    def served_stats_mb(self, num_nodes: int) -> dict[str, float]:
-        served = self.served_bytes_array(num_nodes) / 1e6
-        return {
-            "avg": float(served.mean()),
-            "max": float(served.max()),
-            "min": float(served.min()),
-        }
-
     @property
     def locality_fraction(self) -> float:
         total = self.local_bytes + self.remote_bytes

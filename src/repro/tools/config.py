@@ -176,7 +176,6 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     # solve-boundary kernels may touch the whole slot range
     "repro.simulate.flowtable.FlowTable.acquire": "O(deg)",
     "repro.simulate.flowtable.FlowTable.release": "O(deg)",
-    "repro.simulate.flowtable.FlowTable.gen_of": "O(1)",
     "repro.simulate.flowtable.FlowTable.views": "O(1)",
     "repro.simulate.flowtable.FlowTable.settle": "O(n)",
     "repro.simulate.flowtable.FlowTable.sync_remaining": "O(n)",

@@ -31,9 +31,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulate.components import ComponentAllocator
 from repro.simulate.flows import Flow, allocate_rates
 from repro.simulate.resources import Resource
+
+from tests.table_allocator import TableAllocator
 
 
 @st.composite
@@ -92,7 +93,7 @@ def bruteforce_partition(active):
 
 
 def build(resources):
-    alloc = ComponentAllocator()
+    alloc = TableAllocator()
     for name, res in resources.items():
         alloc.register(name, res)
     return alloc
@@ -275,27 +276,25 @@ def test_rate_capped_flows_freeze_exactly():
 
 
 def test_changed_slot_reporting_is_component_scoped():
-    """solve(out=...) must write and report only the dirty components'
-    slots — the lazy heap's correctness depends on the changed list
-    covering every rate that moved."""
-    import numpy as np
-
+    """solve() must write and report only the dirty components' slots —
+    the lazy heap's correctness depends on the changed list covering
+    every rate that moved."""
     resources = {"a": 10.0, "b": 10.0}
     alloc = build(resources)
+    out = alloc.table.rate
     fa = Flow(100.0, ("a",))
     fb = Flow(100.0, ("b",))
-    ia = alloc.add(fa, fid=0)
-    ib = alloc.add(fb, fid=1)
-    out = np.zeros(4)
-    alloc.solve(out=out)
+    ia = alloc.add(fa)
+    ib = alloc.add(fb)
+    alloc.solve()
     assert sorted(alloc.last_changed) == [ia, ib]
     assert out[ia] == 10.0 and out[ib] == 10.0
 
     # A second flow on "a" dirties only a's component.
     fa2 = Flow(100.0, ("a",))
-    ia2 = alloc.add(fa2, fid=2)
+    ia2 = alloc.add(fa2)
     out[ib] = -1.0  # sentinel: b's slot must not be rewritten
-    alloc.solve(out=out)
+    alloc.solve()
     assert sorted(alloc.last_changed) == sorted([ia, ia2])
     assert out[ib] == -1.0
     assert out[ia] == out[ia2] == 5.0
@@ -303,7 +302,7 @@ def test_changed_slot_reporting_is_component_scoped():
     assert alloc.last_component_size_max == 2
 
     # Nothing dirty: no work, nothing reported.
-    alloc.solve(out=out)
+    alloc.solve()
     assert alloc.last_changed == []
     assert alloc.last_component_solves == 0
 
@@ -327,14 +326,12 @@ def _check_reports_only_rerated_slots(n):
         **{f"d{i}": float(i % 8 + 1) for i in range(n)},
     }
     alloc = build(resources)
+    out = alloc.table.rate  # the table never outgrows its first arrays here
     flows = [Flow(100.0, ("hub", f"d{i}")) for i in range(n)]
     fx = Flow(100.0, ("hub", "s"))
     fy = Flow(100.0, ("hub", "s", "dy"))
-    slots = {}
-    for f in [*flows, fx, fy]:
-        slots[f] = alloc.add(f, fid=len(slots))
-    out = np.full(len(slots) + 4, -1.0)
-    alloc.solve(out=out)
+    slots = {f: alloc.add(f) for f in [*flows, fx, fy]}
+    alloc.solve()
     assert alloc.last_vectorized_solves == vectorized
     assert sorted(alloc.last_changed) == sorted(slots.values())
     before = allocate_rates(list(slots), resources)
@@ -344,23 +341,25 @@ def _check_reports_only_rerated_slots(n):
     # but no rate moves, so nothing is reported or written.
     alloc.remove(flows[0])
     del slots[flows[0]]
-    out[:] = -1.0
-    alloc.solve(out=out)
+    held = out.copy()
+    alloc.solve()
     assert alloc.last_component_solves == 1
     assert alloc.last_vectorized_solves == vectorized
     assert alloc.last_changed == []
-    assert (out == -1.0).all()
+    assert (out == held).all()
 
-    # fx leaves "s" to fy (re-rated), fz is new; nothing else moves.
+    # fx leaves "s" to fy (re-rated), fz is new in fx's recycled slot;
+    # nothing else moves.
     alloc.remove(fx)
-    del slots[fx]
     fz = Flow(100.0, ("hub", "dz"))
-    slots[fz] = alloc.add(fz, fid=len(out) - 1)
-    alloc.solve(out=out)
+    slots[fz] = alloc.add(fz)
+    assert slots[fz] == slots.pop(fx)
+    held = out.copy()
+    alloc.solve()
     assert alloc.last_vectorized_solves == vectorized
     changed = sorted(alloc.last_changed)
     assert changed == sorted([slots[fy], slots[fz]])
-    assert np.flatnonzero(out != -1.0).tolist() == changed
+    assert np.flatnonzero(out != held).tolist() == changed
     after = allocate_rates(list(slots), resources)
     assert after[fy] != before[fy]
     for f, slot in slots.items():
@@ -375,11 +374,10 @@ def _check_reports_only_rerated_slots(n):
     fu = Flow(100.0, ("hub", "d1"))  # same path and rate as flows[1]
     fw = Flow(100.0, ("hub", "dw"))  # flows[2] ran at 3.0 on d2
     for old, new in ((flows[1], fu), (flows[2], fw)):
-        slot = slots.pop(old)
         alloc.remove(old)
-        slots[new] = alloc.add(new, fid=slot)
-    out[:] = -1.0
-    alloc.solve(out=out)
+        slots[new] = alloc.add(new)
+        assert slots[new] == slots.pop(old)
+    alloc.solve()
     assert sorted(alloc.last_changed) == [1, 2]
     assert out[1] == 2.0 and out[2] == 5.0
 
@@ -388,7 +386,7 @@ def _check_reports_only_rerated_slots(n):
     resources["late"] = 7.0
     alloc.register("late", 7.0)
     fl = Flow(100.0, ("hub", "late"))
-    slots[fl] = alloc.add(fl, fid=len(out) - 2)
+    slots[fl] = alloc.add(fl)
     rates = alloc.solve()
     assert alloc.last_vectorized_solves == vectorized
     assert rates == allocate_rates(list(slots), resources)

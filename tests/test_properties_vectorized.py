@@ -10,8 +10,10 @@ closed-form path), resources at the concurrency threshold, and sizes
 straddling the scalar/numpy dispatch cutoff.
 
 A second group pins the allocator-level contract: through add/remove
-churn, ``ComponentAllocator.solve()`` equals ``allocate_rates`` run once
-per brute-force component over its live flows in insertion order.
+churn, the ``ComponentAllocator``'s rates (read back through the
+FlowTable-backed ``tests/table_allocator.py``) equal ``allocate_rates``
+run once per brute-force component over its live flows in insertion
+order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import random
 
 import pytest
 
-from repro.simulate.components import ComponentAllocator
 from repro.simulate.flows import Flow, allocate_rates
 from repro.simulate.resources import Resource
 from repro.simulate.vectorized import (
@@ -33,6 +34,7 @@ from repro.simulate.vectorized import (
     solve_small,
 )
 
+from .table_allocator import TableAllocator
 from .test_properties_components import bruteforce_partition
 
 
@@ -311,7 +313,7 @@ def _oracle_rates(live, resources, stats=None):
 def _assert_fresh_solve_matches(live, resources):
     """A new allocator over ``live`` solves every component once: its
     rates, iteration count and solve count all match the oracle's."""
-    fresh = ComponentAllocator()
+    fresh = TableAllocator()
     for name, r in resources.items():
         fresh.register(name, r)
     for f in live:
@@ -328,7 +330,7 @@ def test_allocator_auto_vs_reference_kernel_churn(seed):
     rng = random.Random(1000 + seed)
     resources = _random_resources(rng, 12)
     names = list(resources)
-    auto = ComponentAllocator()
+    auto = TableAllocator()
     for name, r in resources.items():
         auto.register(name, r)
     live: list[Flow] = []
@@ -374,7 +376,7 @@ def test_allocator_large_components_churn(seed):
         )
     order = list(resources)
     rng.shuffle(order)
-    auto = ComponentAllocator()
+    auto = TableAllocator()
     for name in order:
         auto.register(name, resources[name])
 
@@ -469,7 +471,7 @@ def test_allocator_large_component_index_fuzz(seed):
             capacity=rng.choice([20.0, 40.0, 125.0]),
             concurrency_penalty=rng.choice([0.0, 0.02, 0.1]),
         )
-    auto = ComponentAllocator()
+    auto = TableAllocator()
     for name in resources:
         auto.register(name, resources[name])
     live: list[Flow] = []
@@ -575,7 +577,7 @@ def test_allocator_large_component_index_fuzz(seed):
 
 
 def test_allocator_counts_vectorized_solves():
-    alloc = ComponentAllocator()
+    alloc = TableAllocator()
     alloc.register("shared", Resource(name="shared", capacity=100.0,
                                       concurrency_penalty=0.1))
     for _ in range(VECTOR_MIN_FLOWS):

@@ -2,19 +2,22 @@
 
 Its bookkeeping errors, and on single-component networks *bit-for-bit*
 the rates of the pure reference :func:`repro.simulate.flows.allocate_rates`
-— exact ``==`` assertions throughout, no ``approx``.  Multi-component
-agreement is pinned by ``tests/test_properties_components.py``.
+— exact ``==`` assertions throughout, no ``approx``.  The allocator runs
+over a FlowTable of its own (``tests/table_allocator.py``), as it does
+inside the engine.  Multi-component agreement is pinned by
+``tests/test_properties_components.py``.
 """
 
 import pytest
 
-from repro.simulate.components import ComponentAllocator
 from repro.simulate.flows import Flow, allocate_rates, verify_allocation
 from repro.simulate.resources import Resource
 
+from tests.table_allocator import TableAllocator
+
 
 def make_alloc(**capacities):
-    alloc = ComponentAllocator()
+    alloc = TableAllocator()
     for name, cap in capacities.items():
         alloc.register(name, cap)
     return alloc
@@ -103,7 +106,7 @@ class TestExactEquivalence:
 
     def test_concurrency_penalty_resources(self):
         res = Resource("d", 100.0, concurrency_penalty=0.5)
-        alloc = ComponentAllocator()
+        alloc = TableAllocator()
         alloc.register("d", res)
         flows = [Flow(10, ("d",)) for _ in range(3)]
         for f in flows:

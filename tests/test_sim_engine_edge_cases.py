@@ -118,3 +118,14 @@ class TestRateDynamics:
         # capped: 2/s -> done at 2.0.  free: 8/s for 2 s (16 moved) -> also 2.0.
         assert ends["capped"] == pytest.approx(2.0)
         assert ends["free"] == pytest.approx(2.0)
+
+    def test_rate_that_underflows_to_zero_fails_loudly(self):
+        """A resource whose shared capacity underflows to 0.0 can never
+        finish its flows; the solve says so instead of dividing by zero
+        or leaving them silently unfinished."""
+        sim = Simulation()
+        sim.add_resource(Resource("r", 1e-300, concurrency_penalty=1e300))
+        for _ in range(2):
+            sim.start_flow(1.0, ["r"], lambda f: None)
+        with pytest.raises(ValueError, match=r"path \('r',\) solved to rate 0\.0"):
+            sim.run()

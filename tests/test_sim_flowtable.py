@@ -1,15 +1,14 @@
-"""FlowTable slot recycling under generation stamps.
+"""FlowTable slot recycling.
 
 Extends the PR 4 stale-slot regression (``current_rate`` after cancel)
 to the structure-of-arrays table itself: slots are recycled through a
-free list, and the per-slot 64-bit generation stamp is what lets any
-holder of a ``(fid, generation)`` pair detect that its slot has been
-re-tenanted instead of silently reading the younger flow's state.
+free list, so a finished flow's old slot may hold a younger flow's
+state, and nothing may read it on the finished flow's behalf.
 
 The fuzz test drives a live :class:`Simulation` through random
 start/cancel/finish interleavings and checks, after every step, that
 ``current_rate`` answers from the querying flow's own tenancy — never
-from a recycled slot — and that every release bumps the stamp.
+from a recycled slot.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class TestSlotLifecycle:
     def test_acquire_stashes_fid_and_release_clears_it(self):
         table = FlowTable()
         f = make_flow()
-        fid = table.acquire(f, now=0.0)
+        fid = table.acquire(f)
         assert f.fid == fid
         assert table.flow_at[fid] is f
         assert table.rem[fid] == f.remaining
@@ -43,43 +42,18 @@ class TestSlotLifecycle:
     def test_release_restores_sentinels(self):
         table = FlowTable()
         f = make_flow(size=42.0)
-        fid = table.acquire(f, now=1.0)
+        fid = table.acquire(f)
         table.rate[fid] = 7.0
         table.release(f)
         # A hole must predict completion at +inf and never drain.
         assert table.rem[fid] == np.inf
         assert table.rate[fid] == 1.0
 
-    def test_generation_bumps_on_every_release(self):
-        table = FlowTable()
-        f = make_flow()
-        fid = table.acquire(f, now=0.0)
-        gen0 = table.gen_of(fid)
-        table.release(f)
-        assert table.gen_of(fid) == gen0 + 1
-        g = make_flow()
-        assert table.acquire(g, now=0.0) == fid  # LIFO recycle
-        assert table.gen_of(fid) == gen0 + 1  # acquire does not bump
-        table.release(g)
-        assert table.gen_of(fid) == gen0 + 2
-
-    def test_stale_pair_detects_recycle(self):
-        table = FlowTable()
-        f = make_flow()
-        fid = table.acquire(f, now=0.0)
-        pair = (fid, table.gen_of(fid))
-        table.release(f)
-        g = make_flow()
-        assert table.acquire(g, now=0.0) == fid
-        # The old tenancy's pair no longer matches: a reader holding it
-        # must not interpret the slot's arrays as f's state.
-        assert table.gen_of(pair[0]) != pair[1]
-
     def test_views_track_growth(self):
         table = FlowTable()
         flows = [make_flow() for _ in range(3)]
         for f in flows:
-            table.acquire(f, now=0.0)
+            table.acquire(f)
         rem, rate, scratch = table.views()
         assert len(rem) == len(rate) == len(scratch) == 3
         assert rem.base is table.rem
@@ -87,8 +61,8 @@ class TestSlotLifecycle:
     def test_settle_spares_free_slots(self):
         table = FlowTable()
         f, g = make_flow(size=10.0), make_flow(size=10.0)
-        table.acquire(f, now=0.0)
-        fid_g = table.acquire(g, now=0.0)
+        table.acquire(f)
+        fid_g = table.acquire(g)
         table.rate[:2] = 2.0
         table.release(g)
         table.settle(1.0)
@@ -113,22 +87,19 @@ class TestRecyclingFuzz:
         sim = self._make_sim()
         table = sim._table
         live: list = []
-        dead: list[tuple] = []  # (flow, fid, generation) at death
-        gen_floor: dict[int, int] = {}
+        dead: list[tuple] = []  # (flow, fid) at death
 
         def on_finish(flow):
             live.remove(flow)
-            dead.append((flow, death_fid[flow.flow_id], death_gen[flow.flow_id]))
+            dead.append((flow, death_fid[flow.flow_id]))
 
-        # fid/gen must be captured *before* the engine releases the slot;
-        # the finish callback runs after, so stash them at start/step time.
+        # The fid must be captured *before* the engine releases the slot;
+        # the finish callback runs after, so stash it at start/step time.
         death_fid: dict[int, int] = {}
-        death_gen: dict[int, int] = {}
 
         for _ in range(self.STEPS):
             for f in live:
                 death_fid[f.flow_id] = f.fid
-                death_gen[f.flow_id] = table.gen_of(f.fid)
             op = rng.integers(3)
             if op == 0 or not live:
                 size = float(rng.integers(5, 200))
@@ -140,10 +111,8 @@ class TestRecyclingFuzz:
             elif op == 1:
                 victim = live.pop(int(rng.integers(len(live))))
                 death_fid[victim.flow_id] = victim.fid
-                death_gen[victim.flow_id] = table.gen_of(victim.fid)
                 sim.cancel_flow(victim)
-                dead.append((victim, death_fid[victim.flow_id],
-                             death_gen[victim.flow_id]))
+                dead.append((victim, death_fid[victim.flow_id]))
             else:
                 sim.run(until=sim.now + float(rng.uniform(0.1, 3.0)))
 
@@ -153,17 +122,11 @@ class TestRecyclingFuzz:
             for f in live:
                 assert table.flow_at[f.fid] is f
                 assert sim.current_rate(f) == float(table.rate[f.fid])
-            for f, fid, gen in dead:
+            for f, fid in dead:
                 assert f.fid == -1
                 assert sim.current_rate(f) == 0.0
-                # The death-time pair is verifiably stale: the release
-                # itself bumped the stamp.
-                assert table.gen_of(fid) > gen
-            # Generations only move forward.
-            for fid in range(table.slots):
-                g = table.gen_of(fid)
-                assert g >= gen_floor.get(fid, 0)
-                gen_floor[fid] = g
+                # The death-time slot is free or holds another tenant.
+                assert table.flow_at[fid] is not f
 
         sim.run()
         assert not live

@@ -7,8 +7,6 @@ claim: Opass's locality and per-chunk I/O time stay flat as the ratio
 sweeps from 2 to 40 chunks per process.
 """
 
-import numpy as np
-
 from repro.core import ProcessPlacement, tasks_from_dataset
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.parallel import run_opass_single, run_rank_interval

@@ -9,10 +9,8 @@ simulator.
 
 import numpy as np
 
-from repro.analysis import empirical_max_served, expected_max_served, hotspot_summary
+from repro.analysis import empirical_max_served, hotspot_summary
 from repro.viz import paper_vs_measured
-
-from conftest import run_single_data_comparison
 
 
 def test_ext_hotspot_prediction(benchmark, sweep_results):

@@ -6,8 +6,6 @@ remote replicas (locality dips by ≈ 1/m), in-flight reads retry, and the
 run still completes every task.
 """
 
-import numpy as np
-
 from repro.core import ProcessPlacement, opass_single_data, tasks_from_dataset
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.simulate import FaultPlan, ParallelReadRun, StaticSource

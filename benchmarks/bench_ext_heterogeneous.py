@@ -7,8 +7,6 @@ speed-weighted matching (quotas ∝ disk bandwidth) shortens the makespan
 while keeping reads local.
 """
 
-import numpy as np
-
 from repro.core import (
     ProcessPlacement,
     graph_from_filesystem,

@@ -10,8 +10,6 @@ Scenario: a skewed layout (half the nodes empty, as after node addition),
 where even the optimal matching leaves ~50 % of reads remote.
 """
 
-import numpy as np
-
 from repro.core import (
     ProcessPlacement,
     graph_from_filesystem,

@@ -7,8 +7,6 @@ for instance node-43, serve more than 6 chunks while some node serve none"
 and the resulting read times "vary greatly".
 """
 
-import numpy as np
-
 from repro.experiments import run_motivating_experiment
 from repro.metrics import imbalance_factor
 from repro.viz import format_histogram, paper_vs_measured

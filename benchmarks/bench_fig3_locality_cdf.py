@@ -38,7 +38,7 @@ def test_fig3_cdf_series(benchmark):
     print()
     print(paper_vs_measured(rows, title="§III-A percentages (paper's r=1 arithmetic)"))
     corr = {r.num_nodes: r.prob_more_than_5 for r in corrected}
-    print(f"\n(Corrected r=3 values per the paper's own formula: "
+    print("\n(Corrected r=3 values per the paper's own formula: "
           + ", ".join(f"m={m}: {corr[m]:.2%}" for m in (64, 128, 256, 512)) + ")")
 
     # The printed numbers must match the paper to 4 decimal places

@@ -89,7 +89,6 @@ def expected_server_bound(
     remote bytes by *some* replica holder — spread optimally, the best any
     schedule can hope for is total-remote / aggregate disk bandwidth, with
     per-node local service as a floor."""
-    m = graph.num_processes
     local_served = np.zeros(spec.num_nodes)
     total_remote = 0.0
     for rank, tasks in assignment.tasks_of.items():

@@ -79,8 +79,8 @@ def _single_data_section(cfg: ReportConfig) -> str:
              "locality", "max MB/node", "min MB/node"],
             rows,
         )
-        + f"\n\nPaper: Opass flat ~0.9 s and ideal-share serving; baseline "
-        + f"max/min grows with cluster size.  Measured improvement: "
+        + "\n\nPaper: Opass flat ~0.9 s and ideal-share serving; baseline "
+        + "max/min grows with cluster size.  Measured improvement: "
         + f"{b['avg'] / o['avg']:.1f}× avg I/O.\n"
     )
 
@@ -100,7 +100,7 @@ def _multi_data_section(cfg: ReportConfig) -> str:
                  f"{cmp.opass.result.locality_fraction:.0%}"],
             ],
         )
-        + f"\n\nPaper: ~2× improvement, partial locality.  Measured: "
+        + "\n\nPaper: ~2× improvement, partial locality.  Measured: "
         + f"{cmp.io_improvement:.1f}×.\n"
     )
 

@@ -38,11 +38,11 @@ start/finish/cancel only needs the rates of *its own component* re-solved.
   reported.  That lets the engine's lazy-invalidation completion heap
   re-predict only those flows instead of scanning the whole slot range
   every epoch: an entry stays valid while its flow's rate holds;
-* **large components keep a resource index**: a component that a full
-  re-partition found whole at ``VECTOR_MIN_FLOWS`` or more flows keeps a
-  resource -> flows index, maintained by ``add``/``remove``, so its next
-  re-partition proves it whole by a short search instead of rebuilding
-  one.
+* **large components are lowered once**: a component of
+  ``VECTOR_MIN_FLOWS`` or more flows keeps one :class:`_Lowered` form,
+  kept current by ``add``/``remove``/``_absorb``, so the numpy kernel
+  only fills, and a re-partition proves the component whole by a short
+  search over the form's rows (:func:`_still_whole`).
 
 End-to-end rates can differ from one *global* reference solve in the last
 ulp (the global water level interleaves freeze deltas across components,
@@ -68,8 +68,6 @@ from .flows import Flow
 from .resources import Resource
 from .vectorized import (
     VECTOR_MIN_FLOWS,
-    id_table,
-    path_ids,
     res_entry,
     solve_large,
     solve_single,
@@ -98,16 +96,6 @@ class ComponentAllocator:
         #: resource name -> (capacity, penalty) floats for the kernels;
         #: append-only (``register`` rejects duplicates).
         self._res_caps: dict[str, tuple[float, float]] = {}
-        #: the numpy kernel's id table over ``_res_caps`` (see
-        #: :func:`~repro.simulate.vectorized.id_table`), built by the first
-        #: large solve after a ``register``; runs that never form a large
-        #: component never build it.
-        self._ids: tuple[dict[str, int], np.ndarray, np.ndarray] | None = None
-        #: slot id -> its flow's path as id-table ids, filled by large
-        #: solves and dropped by ``remove``, so an entry always belongs to
-        #: the slot's current flow.  A rebuilt table keeps every id
-        #: (``register`` only appends), so entries outlive rebuilds.
-        self._path_ids: dict[int, tuple[int, ...]] = {}
         #: active-flow count per resource (only resources with ≥ 1 flow).
         self._res_users: dict[str, int] = {}
         #: resource name -> component id (only active resources).
@@ -117,15 +105,9 @@ class ComponentAllocator:
         #: iteration order is deterministic).
         self._comp_flows: dict[int, dict[Flow, int]] = {}
         self._comp_res: dict[int, dict[str, None]] = {}
-        #: resource -> slot id -> flow, kept only for components that a
-        #: full re-partition found whole at ``VECTOR_MIN_FLOWS`` or more
-        #: flows; ``add``/``remove`` maintain it so a re-partition can
-        #: prove such a component whole without rebuilding an index.
-        self._adj: dict[int, dict[str, dict[int, Flow]]] = {}
-        #: per component in ``_adj``: path resources of flows removed
-        #: since the last solve that still have users — every piece a
-        #: split could leave holds one of them (see :func:`_still_whole`).
-        self._probes: dict[int, dict[str, None]] = {}
+        #: component id -> its lowered form, from its first numpy-tier solve
+        #: until it splits, shrinks below the cutoff or absorbs a shrunk one.
+        self._forms: dict[int, _Lowered] = {}
         self._comp_of: dict[Flow, int] = {}
         #: components whose membership changed since the last solve.
         self._dirty: dict[int, None] = {}
@@ -149,7 +131,6 @@ class ComponentAllocator:
         if name in self._res_caps:
             raise ValueError(f"duplicate resource {name!r}")
         self._res_caps[name] = res_entry(resource)
-        self._ids = None
 
     # -- flow lifecycle -------------------------------------------------------
 
@@ -197,10 +178,10 @@ class ComponentAllocator:
             res_users[r] = res_users.get(r, 0) + 1
             res_comp[r] = cid
             comp_res[r] = None
-        if self._adj:
-            adj = self._adj.get(cid)
-            if adj is not None:
-                _index_flow(adj, flow, fid)
+        if self._forms:
+            form = self._forms.get(cid)
+            if form is not None:
+                form.enter(flow, fid, res_caps)
         self._dirty[cid] = None
 
     def _absorb(self, target: int, other: int) -> None:
@@ -223,23 +204,17 @@ class ComponentAllocator:
         if shrunk:
             del self._shrunk[other]
             self._shrunk[target] = None
-        if self._adj:
-            self._probes.pop(other, None)
-            other_adj = self._adj.pop(other, None)
-            adj = self._adj.get(target)
-            if adj is not None:
+        if self._forms:
+            self._forms.pop(other, None)
+            form = self._forms.get(target)
+            if form is not None:
                 if shrunk:
-                    # Its probes do not cover the absorbed component's
-                    # pieces: fall back to the full re-partition.
-                    del self._adj[target]
-                    self._probes.pop(target, None)
-                elif other_adj is not None:
-                    # Components never share a resource, so the two
-                    # indexes have disjoint keys.
-                    adj.update(other_adj)
+                    # Its probes would not cover the absorbed component's
+                    # pieces: re-lower after a full re-partition.
+                    del self._forms[target]
                 else:
                     for f, fid in other_flows.items():
-                        _index_flow(adj, f, fid)
+                        form.enter(f, fid, self._res_caps)
 
     def remove(self, flow: Flow) -> None:
         """Stop tracking ``flow`` (finished or cancelled).
@@ -251,9 +226,8 @@ class ComponentAllocator:
         cid = self._comp_of.pop(flow, None)
         if cid is None:
             raise KeyError("flow is not tracked")
-        fid = self._comp_flows[cid].pop(flow)
-        if self._path_ids:
-            self._path_ids.pop(fid, None)
+        members = self._comp_flows[cid]
+        fid = members.pop(flow)
         comp_res = self._comp_res[cid]
         res_users = self._res_users
         res_comp = self._res_comp
@@ -265,19 +239,14 @@ class ComponentAllocator:
                 del res_users[r]
                 del res_comp[r]
                 del comp_res[r]
-        if self._adj:
-            adj = self._adj.get(cid)
-            if adj is not None:
-                probes = self._probes.setdefault(cid, {})
-                for r in flow.path:
-                    users = adj[r]
-                    del users[fid]
-                    if users:
-                        probes[r] = None
-                    else:
-                        del adj[r]
-                        probes.pop(r, None)
-        if self._comp_flows[cid]:
+        if self._forms:
+            form = self._forms.get(cid)
+            if form is not None:
+                if members:
+                    form.leave(flow, fid)
+                else:
+                    del self._forms[cid]
+        if members:
             self._dirty[cid] = None
             self._shrunk[cid] = None
         else:
@@ -285,9 +254,6 @@ class ComponentAllocator:
             del self._comp_res[cid]
             self._dirty.pop(cid, None)
             self._shrunk.pop(cid, None)
-            if self._adj:
-                self._adj.pop(cid, None)
-                self._probes.pop(cid, None)
 
     # -- introspection --------------------------------------------------------
 
@@ -320,22 +286,27 @@ class ComponentAllocator:
     def _repartition(self, cid: int) -> list[int]:
         """Split component ``cid`` into its true connected components.
 
-        A component with a kept resource index (:attr:`_adj`) that still
-        has ``VECTOR_MIN_FLOWS`` flows is first proved whole by
-        :func:`_still_whole`; otherwise, or if that search finds a split,
-        a BFS over the member flows via shared resources — O(Σ|path|) of
-        the component — partitions it.  The first (largest-seed-agnostic,
-        deterministic) group keeps ``cid``; splinters get fresh ids.
+        A component with a lowered form (:attr:`_forms`) that still has
+        ``VECTOR_MIN_FLOWS`` flows is first proved whole by
+        :func:`_still_whole` over the form's rows; otherwise, or if that
+        search finds a split, a BFS over the member flows via shared
+        resources — O(Σ|path|) of the component — partitions it.  The
+        first (largest-seed-agnostic, deterministic) group keeps ``cid``;
+        splinters get fresh ids.  A form survives only that proof.
         Returns the ids.
         """
         members = self._comp_flows[cid]
-        if self._adj:
-            adj = self._adj.get(cid)
-            if adj is not None:
-                probes = self._probes.pop(cid, {})
-                if len(members) >= VECTOR_MIN_FLOWS and _still_whole(adj, probes):
+        if self._forms:
+            form = self._forms.get(cid)
+            if form is not None:
+                probes = form.probes
+                form.probes = {}
+                if len(members) >= VECTOR_MIN_FLOWS and _still_whole(form, probes):
+                    if len(form.users) > 2 * len(self._comp_res[cid]):
+                        # Inert rows outnumber live ones: re-lower.
+                        self._forms[cid] = _lower(members, self._res_caps)
                     return [cid]
-                del self._adj[cid]
+                del self._forms[cid]
         if len(members) <= 1:
             return [cid]
         if len(members) == 2:
@@ -396,11 +367,6 @@ class ComponentAllocator:
                             seen[h] = True
                             stack.append(h)
             if len(group) == len(flows):
-                if len(flows) >= VECTOR_MIN_FLOWS:
-                    index: dict[str, dict[int, Flow]] = {}
-                    for f, fid in members.items():
-                        _index_flow(index, f, fid)
-                    self._adj[cid] = index
                 return [cid]
             groups.append(group)
         out: list[int] = []
@@ -472,8 +438,8 @@ class ComponentAllocator:
 
         Singletons take the closed form, components below
         ``VECTOR_MIN_FLOWS`` flows the scalar kernel (members in
-        ``flow_id`` order), and larger ones the numpy kernel (component
-        order, on the slot-cached integer resource ids).  Every tier
+        ``flow_id`` order), and larger ones the numpy kernel on their kept
+        lowered form (component order).  Every tier
         writes and reports only the slots whose rate differs from
         ``out``'s: an unreported slot keeps an identical rate, so the
         engine's completion-heap entry for it, which depends only on that
@@ -482,6 +448,7 @@ class ComponentAllocator:
         out_item = out.item
         res_caps = self._res_caps
         comp_flows = self._comp_flows
+        forms = self._forms
         solves = 0
         size_max = self.last_component_size_max
         resolved = 0
@@ -497,7 +464,7 @@ class ComponentAllocator:
             if k == 1:
                 (f,) = group
                 fids: Iterable[int] = group.values()
-                rates = [solve_single(f, res_caps)]
+                rates: Iterable[float] = [solve_single(f, res_caps)]
                 iterations += 1
             elif k < VECTOR_MIN_FLOWS:
                 members = sorted(group, key=_flow_id)
@@ -505,8 +472,12 @@ class ComponentAllocator:
                 rates, iters = solve_small(members, res_caps)
                 iterations += iters
             else:
-                fids = group.values()
-                rates, iters = self._solve_large(group)
+                form = forms.get(gid)
+                if form is None:
+                    form = forms[gid] = _lower(group, res_caps)
+                by_fid, iters = solve_large(form.paths, form.users, form.cols, form.capped)
+                fids = by_fid.keys()
+                rates = by_fid.values()
                 iterations += iters
                 vectorized += 1
             for fid, rate in zip(fids, rates):
@@ -523,28 +494,6 @@ class ComponentAllocator:
         self.last_flows_resolved += resolved
         self.last_vectorized_solves += vectorized
 
-    def _solve_large(self, group: dict[Flow, int]) -> tuple[list[float], int]:
-        """Numpy-tier solve of one component: rates in component order,
-        and iterations.
-
-        Lowers each member from its slot's cached id tuple (no name
-        lookups, no ``Flow`` hashing).
-        """
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = id_table(self._res_caps)
-        res_id, cap_tbl, pen_tbl = ids
-        cache = self._path_ids
-        paths: list[tuple[int, ...]] = []
-        caps: list[float | None] = []
-        for f, fid in group.items():
-            p = cache.get(fid)
-            if p is None:
-                p = cache[fid] = path_ids(f, res_id)
-            paths.append(p)
-            caps.append(f.rate_cap)
-        return solve_large(paths, caps, cap_tbl, pen_tbl)
-
 
 def _not_positive(group: dict[Flow, int], fid: int, rate: float) -> ValueError:
     """The error for a solved rate that is not positive (or is NaN)."""
@@ -555,44 +504,135 @@ def _not_positive(group: dict[Flow, int], fid: int, rate: float) -> ValueError:
     )
 
 
-def _index_flow(adj: dict[str, dict[int, Flow]], flow: Flow, fid: int) -> None:
-    """Enter ``flow`` (slot ``fid``) under each of its path resources."""
-    for r in flow.path:
-        users = adj.get(r)
-        if users is None:
-            adj[r] = {fid: flow}
-        else:
-            users[fid] = flow
+class _Lowered:
+    """One numpy-tier component lowered for
+    :func:`~repro.simulate.vectorized.solve_large`, kept current as
+    members enter and leave.
+
+    Rows are its resources in first-entry order.  A row whose members all
+    left stays, inert (count 0), until a member crosses its resource again
+    or the allocator re-lowers the form.
+    """
+
+    __slots__ = ("row", "cols", "users", "paths", "capped", "probes")
+
+    def __init__(self) -> None:
+        #: resource name -> local row
+        self.row: dict[str, int] = {}
+        #: capacity, concurrency penalty and member count per row, as
+        #: columns with room to grow (the first ``len(users)`` are rows)
+        self.cols = np.zeros((3, 8))
+        #: per row, the slots of the members crossing it (dicts: O(1) removal)
+        self.users: list[dict[int, None]] = []
+        #: member slot -> its path as rows, in component order
+        self.paths: dict[int, tuple[int, ...]] = {}
+        #: rate cap -> the slots of the members capped at it
+        self.capped: dict[float, dict[int, None]] = {}
+        #: rows that a member left since the last re-partition and that
+        #: still have users: every piece a split could leave holds one of
+        #: them (see :func:`_still_whole`).
+        self.probes: dict[int, None] = {}
+
+    def enter(
+        self, flow: Flow, fid: int, res_caps: dict[str, tuple[float, float]]
+    ) -> None:
+        """Add ``flow`` (slot ``fid``) as a member."""
+        rows: list[int] = []
+        for r in flow.path:
+            i = self.row.get(r)
+            if i is None:
+                i = self.new_row(r, res_caps)
+            self.users[i][fid] = None
+            self.cols[2, i] += 1.0
+            rows.append(i)
+        self.paths[fid] = tuple(rows)  # opass: alloc-ok -- one row per path resource
+        if flow.rate_cap is not None:
+            self.capped.setdefault(flow.rate_cap, {})[fid] = None
+
+    def new_row(self, name: str, res_caps: dict[str, tuple[float, float]]) -> int:
+        """Append an empty row for resource ``name``; its index."""
+        i = self.row[name] = len(self.users)
+        if i == self.cols.shape[1]:
+            self.cols = np.concatenate((self.cols, np.zeros_like(self.cols)), axis=1)  # opass: alloc-ok -- capacity doubling, amortized O(1)/row
+        self.cols[0, i], self.cols[1, i] = res_caps[name]
+        self.users.append({})
+        return i
+
+    def leave(self, flow: Flow, fid: int) -> None:
+        """Drop member ``flow`` (slot ``fid``), recording probes."""
+        users = self.users
+        cnt = self.cols[2]
+        probes = self.probes
+        for i in self.paths.pop(fid):
+            on = users[i]
+            del on[fid]
+            cnt[i] -= 1.0
+            if on:
+                probes[i] = None
+            else:
+                probes.pop(i, None)
+        c = flow.rate_cap
+        if c is not None:
+            same = self.capped[c]
+            del same[fid]
+            if not same:
+                del self.capped[c]
 
 
-def _still_whole(adj: dict[str, dict[int, Flow]], probes: dict[str, None]) -> bool:
-    """Whether a component that was connected at its last solve still is.
+def _lower(group: dict[Flow, int], res_caps: dict[str, tuple[float, float]]) -> _Lowered:
+    """A fresh lowered form of a component, members in component order."""
+    form = _Lowered()
+    for f, fid in group.items():
+        form.enter(f, fid, res_caps)
+    return form
 
-    ``probes`` are the path resources of flows removed since then that
-    still have users.  Every piece a split leaves behind holds one of
-    them (the piece was joined to the rest only through removed flows),
-    so one search from a probe that reaches all the others proves the
-    component whole; it stops as soon as it has, consuming ``probes``.
-    Returns ``False`` only when the search is exhausted: then the
-    component did split.
+
+def _still_whole(form: _Lowered, probes: dict[int, None]) -> bool:
+    """Whether a component connected at its last re-partition still is.
+
+    ``probes`` are the rows of its ``form`` that members left since then
+    and that still have users.  Every piece a split leaves holds one (it
+    was joined to the rest only through removed flows), so the component
+    is whole exactly when they are connected.  A breadth-first search over
+    the per-row member lists grows a region from every probe at once and
+    merges regions where they meet (union-find), until one is left or,
+    after a split, the search runs out.
     """
     if len(probes) <= 1:
         return True
-    start, _ = probes.popitem()
-    seen_res = {start}
-    seen_fid: set[int] = set()
-    stack = [start]
-    while stack:
-        for fid, f in adj[stack.pop()].items():
-            if fid in seen_fid:
-                continue
-            seen_fid.add(fid)
-            for r in f.path:
-                if r not in seen_res:
-                    seen_res.add(r)
-                    stack.append(r)
-                    if r in probes:
-                        del probes[r]
-                        if not probes:
+    users = form.users
+    paths = form.paths
+    region: dict[int, int] = {}  # row -> the region that reached it
+    parent: list[int] = []  # region -> the region it merged into
+    frontier: list[int] = []
+    for row in probes:
+        region[row] = len(parent)
+        parent.append(len(parent))
+        frontier.append(row)
+    regions = len(parent)
+    seen: set[int] = set()
+    while frontier:
+        grown: list[int] = []
+        for row in frontier:
+            for fid in users[row]:
+                if fid in seen:
+                    continue
+                seen.add(fid)
+                a = region[row]
+                while parent[a] != a:
+                    a = parent[a]
+                for r in paths[fid]:
+                    b = region.get(r)
+                    if b is None:
+                        region[r] = a
+                        grown.append(r)
+                        continue
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a != b:
+                        parent[b] = a
+                        regions -= 1
+                        if regions == 1:
                             return True
+        frontier = grown
     return False

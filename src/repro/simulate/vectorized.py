@@ -11,14 +11,12 @@ tiers by component size (the allocator's dispatch):
   :data:`VECTOR_MIN_FLOWS`, lowered inline against a name-keyed
   capacity table;
 * :func:`solve_large` — the numpy kernel at and above the cutoff.  It
-  works on integer resource ids: the caller's :func:`id_table` maps each
-  name to a row of two float arrays (capacity, penalty), each member
-  arrives as its :func:`path_ids` tuple (the allocator caches them per
-  slot), and a ``bincount`` over the flat id list gives the touched rows
-  in sorted order with their concurrency.  The water-level search, drain
-  and saturation test run as whole-array operations; freezing runs in
-  Python over a resource -> flows index, because an iteration usually
-  saturates only one to three resources.
+  only fills: the allocator keeps each large component lowered (resource
+  rows with capacity, penalty and member-count arrays, per-row member
+  slots, per-member rows, capped members by cap) as flows come and go.
+  The water-level search, drain and saturation test run as whole-array
+  operations; freezing runs in Python over the per-row member lists,
+  because an iteration usually saturates only one to three resources.
 
 Identity is the contract, not an aspiration.  Every float operation is
 the one the reference performs: effective capacity uses the same
@@ -30,15 +28,14 @@ inside the same ``level ≥ cap − 1e-12`` window, and the float-underflow
 fallback freezes the same survivors at the same level.  Freeze *order*
 within an iteration only permutes commutative updates (every frozen flow
 gets the same level; per-resource unfrozen counts are decremented once
-per frozen flow), and resource order never enters a decision, so the
-numpy kernel's sorted local ids give the rates and iteration counts of
-the reference's first-appearance numbering.  Member order, likewise,
-only permutes the freezes within an iteration and the stable order
-among equal caps, whose flows freeze together at the same value — so
-the numpy kernel takes members in any order.  All of it bit-for-bit,
-pinned by the differential fuzz suite in
-``tests/test_properties_vectorized.py`` (which also runs the numpy
-kernel on shuffled id tables and shuffled members at every size).
+per frozen flow), and resource order never enters a decision, so any
+row numbering gives the rates and iteration counts of the reference's
+first-appearance numbering.  Member order, likewise, only permutes the
+freezes within an iteration and the order among equal caps, whose flows
+freeze together at the same value.  All of it bit-for-bit, pinned by the
+differential fuzz suite in ``tests/test_properties_vectorized.py``
+(which also runs the numpy kernel with shuffled and inert rows and
+shuffled members at every size).
 
 Purity contract: kernels read ``Flow.path``/``rate_cap`` and the
 capacity tables and write only locals (registered in
@@ -48,8 +45,6 @@ capacity tables and write only locals (registered in
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
-from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -59,8 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "VECTOR_MIN_FLOWS",
-    "id_table",
-    "path_ids",
     "res_entry",
     "solve_large",
     "solve_single",
@@ -83,25 +76,6 @@ def res_entry(resource: "object") -> tuple[float, float]:
     if isinstance(resource, (int, float)):
         return (float(resource), 0.0)
     return (resource.capacity, resource.concurrency_penalty)
-
-
-def id_table(
-    res_caps: dict[str, tuple[float, float]],
-) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """Dense integer ids for a capacity table, for :func:`solve_large`.
-
-    Ids follow the table's order, so a table rebuilt after appending
-    entries keeps every existing name's id; returns the name -> id map
-    and the capacity and penalty columns indexed by id.
-    """
-    res_id = {name: rid for rid, name in enumerate(res_caps)}
-    table = np.array(list(res_caps.values()), dtype=np.float64).reshape(-1, 2)
-    return res_id, table[:, 0], table[:, 1]
-
-
-def path_ids(flow: "Flow", res_id: dict[str, int]) -> tuple[int, ...]:
-    """The flow's path as :func:`id_table` ids, for :func:`solve_large`."""
-    return tuple([res_id[r] for r in flow.path])
 
 
 def solve_single(
@@ -243,81 +217,66 @@ def _capped_order(caps: list[float]) -> list[int]:
 
 
 def solve_large(
-    paths: Sequence[tuple[int, ...]],
-    caps: Sequence[float | None],
-    cap_tbl: np.ndarray,
-    pen_tbl: np.ndarray,
-) -> tuple[list[float], int]:
-    """Numpy kernel over integer resource ids, with freezing in Python.
+    paths: dict[int, tuple[int, ...]],
+    users: Sequence[dict[int, None]],
+    cols: np.ndarray,
+    capped: dict[float, dict[int, None]],
+) -> tuple[dict[int, float], int]:
+    """Numpy filling of one lowered component, with freezing in Python.
 
-    ``paths`` holds each member's resource ids (rows of ``cap_tbl`` and
-    ``pen_tbl``, see :func:`id_table` and :func:`path_ids`) and ``caps``
-    its rate cap; the rates come back in member order, and member order
-    never changes them.  One ``np.fromiter`` flattens the ids, a
-    ``bincount`` yields the touched rows in sorted order with their
-    concurrency, and a resource -> flows CSR over local ids is built once.
-    Per iteration, numpy runs the water-level search (one divide and
-    ``np.minimum.reduce``), the drain and the saturation test, while
-    Python freezes the flows of the saturated resources (usually one to
-    three of them) and walks the cap-sorted prefix, collecting the frozen
-    flows' resources for one ``bincount`` that drops their concurrency.
-    Concurrency is held as float64 (the counts are exact), so the divide
-    and the drain need no int -> float cast.  A resource leaves the
-    search by dropping to zero flows: its room becomes ``free / 0 = inf``
-    (a saturated resource's ``free`` is set to ``inf`` first, since its
-    drained value may be ``<= 0``).  Scalar accumulators (``level``,
-    ``delta``) stay Python floats so their rounding matches the reference.
+    ``paths`` maps each member's slot to its resource rows, in component
+    order; row ``r`` has member slots ``users[r]`` and capacity, penalty
+    and member count ``cols[:, r]`` (float64: counts are exact, and the
+    divide and drain need no cast).  ``capped`` groups the capped members
+    by rate cap.  Rates come back keyed by slot, in component order.
+
+    Per iteration, numpy runs the water-level search (one divide and an
+    ``argmin``), the drain and the saturation test, while Python freezes
+    the members of the saturated rows and walks the cap order, collecting
+    the frozen members' rows for one ``bincount`` that drops their
+    concurrency.  A row with no members left has room
+    ``free / 0 = inf`` (a saturated row's ``free`` is set to ``inf``
+    first, since its drained value may be ``<= 0``, and an inert row
+    starts at ``inf``).  Scalar accumulators (``level``, ``delta``) stay
+    Python floats so their rounding matches the reference.
     """
-    nflows = len(paths)
-    lens = [len(p) for p in paths]
-    ids = np.fromiter(chain.from_iterable(paths), np.intp, sum(lens))
-    counts = np.bincount(ids)
-    rows = counts.nonzero()[0]
-    nres = len(rows)
-    local = np.empty(len(counts), np.intp)
-    local[rows] = np.arange(nres)
-    fr_flat = local[ids]
-    kint = counts[rows]
-    kcnt = kint.astype(np.float64)
-    cap = cap_tbl[rows]
-    eff = np.where(kint > 1, cap / (1.0 + pen_tbl[rows] * (kcnt - 1.0)), cap)
-    thresh = 1e-9 * eff
-    free = eff.copy()
-    # Flows of local resource r: by_res[res_at[r]:res_at[r + 1]]; local
-    # resources of flow fi: fres[flow_at[fi]:flow_at[fi + 1]].
-    by_res = np.repeat(np.arange(nflows), lens)[
-        np.argsort(fr_flat, kind="stable")
-    ].tolist()
-    res_at = [0, *np.cumsum(kint).tolist()]
-    fres = fr_flat.tolist()
-    flow_at = [0, *accumulate(lens)]
-    # Capped flows sorted by cap (stable): ``level >= cap - 1e-12`` holds
-    # for a prefix of this order, and ``ci`` walks to the first flow of
-    # it still unfrozen, whose cap bounds the next level step.
-    by_cap = sorted(
-        ((c, fi) for fi, c in enumerate(caps) if c is not None), key=itemgetter(0)
-    )
-    capped = [fi for _, fi in by_cap]
-    cap_l = [c for c, _ in by_cap]
-    thr_l = [c - 1e-12 for c in cap_l]
-    ncapped = len(capped)
+    nres = len(users)
+    cap, pen, kcnt = cols[:, :nres]
+    kcnt = kcnt.copy()
+    inf = math.inf
+    # Capped members by cap, ascending: ``level >= cap - 1e-12`` holds for
+    # a prefix of this order, and ``ci`` walks to the first member of it
+    # still unfrozen, whose cap bounds the next level step.  Equal caps
+    # freeze together at the same value, so their order is free.
+    by_cap: list[int] = []
+    cap_l: list[float] = []
+    thr_l: list[float] = []
+    for c in sorted(capped):
+        group = capped[c]
+        n = len(group)
+        by_cap += group
+        cap_l += [c] * n
+        thr_l += [c - 1e-12] * n
+    ncapped = len(by_cap)
     ci = 0
-    unfrozen = [True] * nflows
-    rates = [0.0] * nflows
+    unfrozen = dict.fromkeys(paths, True)
+    rates = dict.fromkeys(paths, 0.0)
     rooms = np.empty(nres)
     drain = np.empty(nres)
     sat = np.empty(nres, bool)
-    min_reduce = np.minimum.reduce
-    inf = math.inf
     level = 0.0
     iterations = 0
-    remaining = nflows
-    with np.errstate(divide="ignore"):
+    remaining = len(paths)
+    # An inert row's discarded branch of ``eff`` may divide by 1 - pen.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eff = np.where(kcnt > 1.0, cap / (1.0 + pen * (kcnt - 1.0)), cap)
+        thresh = 1e-9 * eff
+        free = np.where(kcnt > 0.0, eff, inf)
         while True:
             iterations += 1
             np.divide(free, kcnt, out=rooms)
-            delta = float(min_reduce(rooms))
-            while ci < ncapped and not unfrozen[capped[ci]]:
+            delta = rooms.item(rooms.argmin())
+            while ci < ncapped and not unfrozen[by_cap[ci]]:
                 ci += 1
             if ci < ncapped:
                 room = cap_l[ci] - level
@@ -329,41 +288,38 @@ def solve_large(
             np.multiply(kcnt, delta, out=drain)
             np.subtract(free, drain, out=free)
             np.less_equal(free, thresh, out=sat)
-            nsat = np.count_nonzero(sat)
+            sat_rows: list[int] = sat.nonzero()[0].tolist()
             froze: list[int] = []
             nnew = 0
-            if nsat:
-                if nsat == 1:
-                    r = int(sat.argmax())
-                    free[r] = inf
-                    sat_rows: list[int] = [r]
+            if sat_rows:
+                if len(sat_rows) == 1:
+                    free[sat_rows[0]] = inf
                 else:
-                    sat_rows = sat.nonzero()[0].tolist()
                     free[sat] = inf
                 for r in sat_rows:
-                    for fi in by_res[res_at[r]:res_at[r + 1]]:
-                        if unfrozen[fi]:
-                            unfrozen[fi] = False
-                            rates[fi] = level
-                            froze += fres[flow_at[fi]:flow_at[fi + 1]]
+                    for fid in users[r]:
+                        if unfrozen[fid]:
+                            unfrozen[fid] = False
+                            rates[fid] = level
+                            froze += paths[fid]
                             nnew += 1
             # Cap freezes after saturation: a flow that also saturated
             # keeps the level, as in the reference.
             while ci < ncapped:
-                fi = capped[ci]
-                if unfrozen[fi]:
+                fid = by_cap[ci]
+                if unfrozen[fid]:
                     if level < thr_l[ci]:
                         break
-                    unfrozen[fi] = False
-                    rates[fi] = cap_l[ci]
-                    froze += fres[flow_at[fi]:flow_at[fi + 1]]
+                    unfrozen[fid] = False
+                    rates[fid] = cap_l[ci]
+                    froze += paths[fid]
                     nnew += 1
                 ci += 1
             if not nnew:
                 # Float underflow stalled the level; freeze the survivors.
-                for fi in range(nflows):
-                    if unfrozen[fi]:
-                        rates[fi] = level
+                for fid, live in unfrozen.items():
+                    if live:
+                        rates[fid] = level
                 break
             remaining -= nnew
             if not remaining:

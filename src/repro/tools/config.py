@@ -155,13 +155,17 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
     # dirty-set re-solve: linear in the dirty components plus their sort
     "repro.simulate.components.ComponentAllocator.solve": "O(n log n)",
     "repro.simulate.components.ComponentAllocator._dirty_groups": "O(n)",
-    # one numpy-tier component: lowering from the slot-cached id tuples
-    # and the changed-only write-back are linear in its members
-    "repro.simulate.components.ComponentAllocator._solve_large": "O(n log n)",
-    # the kept-index split check walks one component, never the world
+    # a numpy-tier component's lowered form follows its members one
+    # flow (or one new row) at a time; lowering from scratch, at the
+    # first numpy-tier solve or to drop inert rows, is linear in it
+    "repro.simulate.components._Lowered.enter": "O(deg)",
+    "repro.simulate.components._Lowered.leave": "O(deg)",
+    "repro.simulate.components._Lowered.new_row": "O(deg)",
+    "repro.simulate.components._lower": "O(n)",
+    # the split check walks one component's form, never the world
     "repro.simulate.components._still_whole": "O(n)",
-    # one numpy-tier component end to end (flattening, the CSR and cap
-    # sorts, filling)
+    # one numpy-tier component's filling on its kept form (the
+    # distinct-cap sort, the iterations)
     "repro.simulate.vectorized.solve_large": "O(n log n)",
     # CSR row lookups are slice reads, never rebuilds
     "repro.core.csr.LocalityCSR.task_row": "O(deg)",
@@ -253,13 +257,13 @@ def contract_module(key: str) -> str:
     """The module a cost-contract key names.
 
     A key is ``<module>.<function>`` or ``<module>.<Class>.<method>``.  A
-    capitalised segment marks the class, which tells a method of a
-    package's own class from a function of its submodule
-    (``repro.simulate.vectorized.solve_small`` belongs to ``vectorized``,
-    not to the ``repro.simulate`` package).
+    capitalised segment, private or not (``_Lowered``), marks the class,
+    which tells a method of a package's own class from a function of its
+    submodule (``repro.simulate.vectorized.solve_small`` belongs to
+    ``vectorized``, not to the ``repro.simulate`` package).
     """
     parts = key.split(".")
-    if len(parts) >= 3 and parts[-2][:1].isupper():
+    if len(parts) >= 3 and parts[-2].lstrip("_")[:1].isupper():
         return ".".join(parts[:-2])
     return ".".join(parts[:-1])
 

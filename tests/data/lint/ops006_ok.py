@@ -16,3 +16,7 @@ def chunk_count(task: Task) -> int:
 
 def first_input(task: Task) -> ChunkId:
     return task.inputs[0]
+
+
+def result_label(result: "ParaViewResult") -> str:
+    return type(result).__name__

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis import (
     cdf_local_chunks,
-    cdf_served_chunks,
     empirical_cdf,
     empirical_local_chunks,
     empirical_nodes_serving,
@@ -50,7 +49,6 @@ class TestServeAgreement:
 
     def test_empirical_matches_thinned_binomial(self, rng):
         trials = 300
-        counts = np.zeros(0)
         at_most_1 = 0.0
         for _ in range(trials):
             s = simulate_serve_counts(512, 3, 128, rng)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.bipartite import (
-    LocalityGraph,
     ProcessPlacement,
     build_locality_graph,
     graph_from_filesystem,

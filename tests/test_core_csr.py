@@ -10,7 +10,6 @@ from repro.core import (
     LocalityGraph,
     ProcessPlacement,
     build_csr,
-    build_locality_graph,
     clear_graph_cache,
     csr_from_rows,
     graph_cache_stats,

@@ -1,6 +1,5 @@
 """Tests for the flow-based single-data optimizer (§IV-B)."""
 
-import numpy as np
 import pytest
 
 from repro.core.assignment import equal_quotas, locality_fraction
@@ -13,7 +12,6 @@ from repro.dfs.chunk import MB, ChunkId
 
 
 def _graph(locations, sizes, num_nodes):
-    n = len(locations)
     tasks = [Task(i, (cid,)) for i, cid in enumerate(sorted(locations, key=str))]
     return build_locality_graph(
         tasks, locations, sizes, ProcessPlacement.one_per_node(num_nodes)

@@ -1,6 +1,5 @@
 """Tests for the HDFS balancer model."""
 
-import numpy as np
 import pytest
 
 from repro.dfs import (

@@ -6,7 +6,6 @@ major subsystem in one scenario.  They are the slowest tests in the suite
 small fixtures cannot.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import (

@@ -12,7 +12,7 @@ from repro.analysis import (
     expected_local_fraction,
     prob_more_than,
 )
-from repro.apps import MpiBlastRun, MultiInputComparison, ParaViewMultiBlockReader
+from repro.apps import MultiInputComparison, ParaViewMultiBlockReader
 from repro.core import (
     DefaultDynamicPolicy,
     ProcessPlacement,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ProcessPlacement
-from repro.parallel.comm import ANY_SOURCE, ANY_TAG, SimComm
+from repro.parallel.comm import SimComm
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import ProcessPlacement
 from repro.dfs.chunk import ChunkId
 from repro.parallel.dlmpi import DataLocalityQuery
 

@@ -70,9 +70,7 @@ def test_flow_conservation_and_capacity(graph):
     net_out = [0] * n
     for (u, v), handle in handles:
         f = net.flow_on(handle)
-        assert 0 <= f  # no negative flow
-        # flow_on never exceeds the edge's original capacity
-        cap = dict(edges_sum(edges)).get((u, v))
+        assert 0 <= f  # no negative flow (capacity: test_per_edge_capacity_respected)
         net_out[u] += f
         net_out[v] -= f
     # Conservation: zero at internal vertices; +total at source, -total at sink.
@@ -80,13 +78,6 @@ def test_flow_conservation_and_capacity(graph):
     assert net_out[n - 1] == -total
     for v in range(1, n - 1):
         assert net_out[v] == 0
-
-
-def edges_sum(edges):
-    acc = {}
-    for (u, v), c in edges:
-        acc[(u, v)] = acc.get((u, v), 0) + c
-    return acc.items()
 
 
 @given(flow_graphs())

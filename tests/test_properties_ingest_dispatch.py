@@ -16,7 +16,7 @@ from repro.dfs import (
     uniform_dataset,
 )
 from repro.dfs.chunk import MB
-from repro.simulate import DatasetIngest, ParallelReadRun, Wait
+from repro.simulate import DatasetIngest, ParallelReadRun
 from repro.simulate.ingest import pipeline_path
 
 

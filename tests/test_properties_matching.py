@@ -14,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment import equal_quotas, locality_fraction
-from repro.core.baselines import random_assignment, rank_interval_assignment
+from repro.core.assignment import equal_quotas
+from repro.core.baselines import rank_interval_assignment
 from repro.core.bipartite import ProcessPlacement, build_locality_graph
 from repro.core.multi_data import optimize_multi_data
 from repro.core.single_data import optimize_single_data

@@ -13,7 +13,6 @@ Two layers keep the CSR/array rewrites honest:
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np

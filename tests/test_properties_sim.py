@@ -11,7 +11,6 @@ Invariants:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st

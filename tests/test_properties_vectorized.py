@@ -13,7 +13,8 @@ A second group pins the allocator-level contract: through add/remove
 churn, the ``ComponentAllocator``'s rates (read back through the
 FlowTable-backed ``tests/table_allocator.py``) equal ``allocate_rates``
 run once per brute-force component over its live flows in insertion
-order.
+order, and every lowered form the allocator keeps for a numpy-tier
+component equals, and solves exactly like, one lowered from scratch.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import random
 
 import pytest
 
+from repro.simulate.components import _Lowered, _lower
 from repro.simulate.flows import Flow, allocate_rates
 from repro.simulate.resources import Resource
 from repro.simulate.vectorized import (
     VECTOR_MIN_FLOWS,
-    id_table,
-    path_ids,
     res_entry,
     solve_large,
     solve_single,
@@ -47,16 +47,16 @@ def solve_component(members, resources):
 
     Mirrors :class:`~repro.simulate.components.ComponentAllocator`: the
     closed form for singletons, :func:`solve_small` below the cutoff
-    (pairs included), and at and above it :func:`solve_large` over an
-    :func:`id_table` of the capacities (the allocator keeps its table,
-    and each flow's :func:`path_ids`, across solves instead).
+    (pairs included), and at and above it :func:`solve_large` over a
+    fresh lowering (the allocator keeps its lowered form current across
+    solves instead).
     """
     res_caps = _res_caps(resources)
     if len(members) == 1:
         return [solve_single(members[0], res_caps)], 1
     if len(members) < VECTOR_MIN_FLOWS:
         return solve_small(members, res_caps)
-    return _solve_large_on(members, id_table(res_caps))
+    return _solve_large_on(members, resources)
 
 
 def _reference_rates(flows, resources):
@@ -65,23 +65,24 @@ def _reference_rates(flows, resources):
     return [rates[f] for f in flows], stats["iterations"]
 
 
-def _shuffled_id_table(resources, seed):
-    """Resource ids in a shuffled order, as an allocator numbers resources
-    registered in that order."""
-    names = list(resources)
-    random.Random(seed).shuffle(names)
-    return id_table({n: res_entry(resources[n]) for n in names})
+def _solve_form(form):
+    """The numpy kernel on a lowered form: rates by slot, iterations."""
+    return solve_large(form.paths, form.users, form.cols, form.capped)
 
 
-def _solve_large_on(flows, id_tbl):
-    """The numpy kernel as the allocator calls it: per-member id tuples."""
-    res_id, cap_tbl, pen_tbl = id_tbl
-    return solve_large(
-        [path_ids(f, res_id) for f in flows],
-        [f.rate_cap for f in flows],
-        cap_tbl,
-        pen_tbl,
-    )
+def _solve_large_on(flows, resources, row_order=()):
+    """The numpy kernel on a fresh lowering of ``flows`` (slot = list
+    index); rates in list order.  ``row_order`` numbers rows before any
+    member enters, so the rows of resources no member crosses stay
+    inert."""
+    res_caps = _res_caps(resources)
+    form = _Lowered()
+    for name in row_order:
+        form.new_row(name, res_caps)
+    for fid, f in enumerate(flows):
+        form.enter(f, fid, res_caps)
+    rates, iters = _solve_form(form)
+    return [rates[fid] for fid in range(len(flows))], iters
 
 
 def _assert_identical(flows, resources):
@@ -91,14 +92,16 @@ def _assert_identical(flows, resources):
     assert got_iters == want_iters
     if len(flows) > 1:
         # The numpy kernel must agree at every size, not only where the
-        # dispatch sends it, whatever order the resource ids take, and
-        # whatever order the members come in (the allocator passes them
+        # dispatch sends it, whatever order the rows take (every resource
+        # gets a row in shuffled order, so unused ones sit inert), and
+        # whatever order the members come in (the allocator keeps them
         # in component order, not in the reference's active-list order).
-        id_tbl = _shuffled_id_table(resources, len(flows))
-        assert _solve_large_on(flows, id_tbl) == (want, want_iters)
+        rows = list(resources)
+        random.Random(len(flows)).shuffle(rows)
+        assert _solve_large_on(flows, resources, rows) == (want, want_iters)
         perm = list(range(len(flows)))
         random.Random(len(flows)).shuffle(perm)
-        rates, iters = _solve_large_on([flows[i] for i in perm], id_tbl)
+        rates, iters = _solve_large_on([flows[i] for i in perm], resources, rows)
         assert [rates[perm.index(i)] for i in range(len(flows))] == want
         assert iters == want_iters
 
@@ -438,29 +441,101 @@ def test_allocator_large_components_churn(seed):
     _assert_fresh_solve_matches(live, resources)
 
 
-def _rebuilt_index(alloc, cid):
-    """The resource -> slot -> flow index of one component, from scratch."""
-    index = {}
-    for f, fid in alloc._comp_flows[cid].items():
-        for r in f.path:
-            index.setdefault(r, {})[fid] = f
-    return index
+def _form_by_name(form):
+    """A lowered form as plain data keyed by resource name, over its
+    live rows: (capacity, penalty, count, member slots) per row, each
+    member's path as names in member order, and the cap groups as
+    sets.  Two forms of one component compare equal whatever their row
+    numbering and inert rows."""
+    nrows = len(form.users)
+    names = {i: name for name, i in form.row.items()}
+    assert sorted(names) == list(range(nrows))
+    for i, on in enumerate(form.users):
+        assert form.cols[2, i] == len(on)
+    # Room past the last row holds zero counts, ready for a new row.
+    assert not form.cols[2, nrows:].any()
+    rows = {
+        names[i]: (*form.cols[:, i], set(on))
+        for i, on in enumerate(form.users)
+        if on
+    }
+    paths = [(fid, tuple(names[i] for i in p)) for fid, p in form.paths.items()]
+    capped = {c: set(on) for c, on in form.capped.items()}
+    assert all(capped.values())
+    return rows, paths, capped
 
 
-def _assert_kept_indexes_exact(alloc):
-    for cid, index in alloc._adj.items():
-        assert index == _rebuilt_index(alloc, cid)
-    assert set(alloc._probes) <= set(alloc._adj)
+def _assert_forms_exact(alloc):
+    """Every kept form equals a fresh lowering of its component, holds
+    its members in component order, and keeps no probes for a component
+    below the cutoff."""
+    for cid, form in alloc._forms.items():
+        group = alloc._comp_flows[cid]
+        fresh = _lower(group, alloc._res_caps)
+        assert _form_by_name(form) == _form_by_name(fresh)
+        assert [(fid, f.path) for f, fid in group.items()] == _form_by_name(form)[1]
+        if form.probes:
+            assert set(form.probes) <= {i for i, on in enumerate(form.users) if on}
+
+
+def _assert_forms_solve_exactly(alloc, resources):
+    """After a solve: each kept form solves to the rates and iteration
+    count of a fresh lowering and of ``allocate_rates`` on its members
+    in active-list order, and the allocator holds those rates."""
+    for cid, form in alloc._forms.items():
+        group = alloc._comp_flows[cid]
+        assert len(group) >= VECTOR_MIN_FLOWS
+        assert form.probes == {}
+        kept = _solve_form(form)
+        fresh = _solve_form(_lower(group, alloc._res_caps))
+        assert list(kept[0].items()) == list(fresh[0].items())
+        assert kept[1] == fresh[1]
+        members = sorted(group, key=lambda f: f.flow_id)
+        stats: dict[str, int] = {}
+        want = allocate_rates(members, resources, stats=stats)
+        assert kept[0] == {group[f]: rate for f, rate in want.items()}
+        assert kept[1] == stats["iterations"]
+        rate = alloc.table.rate
+        assert all(rate[fid] == r for fid, r in kept[0].items())
+
+
+def _checked_solve(alloc, live, resources):
+    """Solve and hold every claim against the per-component reference:
+    the rates; ``last_iterations``, ``last_component_solves`` and
+    ``last_vectorized_solves`` over exactly the components that held a
+    dirty flow; the partition; and every kept form (see
+    :func:`_assert_forms_solve_exactly`)."""
+    dirty = {f for cid in alloc._dirty for f in alloc._comp_flows[cid]}
+    got = alloc.solve()
+    want: dict[Flow, float] = {}
+    iterations = solves = vectorized = 0
+    parts = bruteforce_partition(live)
+    for comp in parts:
+        members = [f for f in live if f in comp]
+        one: dict[str, int] = {}
+        want.update(allocate_rates(members, resources, stats=one))
+        if dirty & comp:
+            iterations += one["iterations"]
+            solves += 1
+            vectorized += len(members) >= VECTOR_MIN_FLOWS
+    assert got == want
+    assert alloc.last_iterations == iterations
+    assert alloc.last_component_solves == solves
+    assert alloc.last_vectorized_solves == vectorized
+    assert {frozenset(c) for c in alloc.components()} == parts
+    _assert_forms_exact(alloc)
+    _assert_forms_solve_exactly(alloc, resources)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_allocator_large_component_index_fuzz(seed):
-    """The resource index kept for large components, through absorbs of
-    shrunk large components, splits into three or more parts, shrinking
-    below the cutoff and regrowing past it, and random churn.  After
-    every operation each kept index equals one rebuilt from its
-    component's members; at every solve the partition is the brute-force
-    one and the rates equal the per-component reference's."""
+    """The lowered form kept for large components (their one index),
+    through absorbs of shrunk large components, splits into three or more
+    parts, shrinking below the cutoff and regrowing past it, and random
+    churn.  After every operation each kept form equals one lowered from
+    scratch from its component's members; at every solve the partition
+    is the brute-force one, and the rates and iteration counts equal the
+    per-component reference's."""
     rng = random.Random(8000 + seed)
     islands = [[f"i{k}r{j}" for j in range(6)] for k in range(4)]
     bridges = ["b01", "b12", "b23"]
@@ -482,25 +557,20 @@ def test_allocator_large_component_index_fuzz(seed):
         if k is not None:
             of_island[f] = k
         auto.add(f)
-        _assert_kept_indexes_exact(auto)
+        _assert_forms_exact(auto)
 
     def remove(f):
         live.remove(f)
         of_island.pop(f, None)
         auto.remove(f)
-        _assert_kept_indexes_exact(auto)
+        _assert_forms_exact(auto)
 
     def grow(k, n):
         for _ in range(n):
             add(_island_flow(rng, islands[k]), k)
 
     def check():
-        assert auto.solve() == _oracle_rates(live, resources)
-        assert {frozenset(c) for c in auto.components()} == bruteforce_partition(live)
-        _assert_kept_indexes_exact(auto)
-        assert not auto._probes
-        for cid in auto._adj:
-            assert len(auto._comp_flows[cid]) >= VECTOR_MIN_FLOWS
+        _checked_solve(auto, live, resources)
 
     def bridge(a, b, name):
         f = _island_flow(rng, islands[a], name)
@@ -513,28 +583,32 @@ def test_allocator_large_component_index_fuzz(seed):
             add(Flow(size=1.0, path=(a, b), rate_cap=4.0))
         grow(k, VECTOR_MIN_FLOWS)
     check()
-    # A remove makes each island's next re-partition a full one, which
-    # finds it whole and starts keeping its index.
+    # Each island's first numpy-tier solve lowers it.
+    assert len(auto._forms) == 4
+    # A remove leaves probes; the next re-partition proves each island
+    # whole from them and keeps its form.
     for k in range(4):
         remove(rng.choice([f for f in live if of_island.get(f) == k]))
+    assert all(form.probes for form in auto._forms.values())
     check()
-    assert len(auto._adj) == 4
+    assert len(auto._forms) == 4
 
-    # Absorbing a shrunk large component drops the survivor's index.
+    # Absorbing a shrunk large component drops both forms: the
+    # survivor's probes would not cover the absorbed one's pieces.
     remove(rng.choice([f for f in live if of_island.get(f) == 0]))
     links = [bridge(0, 1, "b01")]
-    assert len(auto._adj) == 2
+    assert len(auto._forms) == 2
     check()
-    # Absorbing clean components merges their index into the survivor's.
+    # Absorbing clean components enters their members into the form.
     remove(rng.choice([f for f in live if of_island.get(f) == 1]))
     check()
-    assert len(auto._adj) == 3
+    assert len(auto._forms) == 3
     links.append(bridge(1, 2, "b12"))
     links.append(bridge(2, 3, "b23"))
-    assert len(auto._adj) == 1
+    assert len(auto._forms) == 1
     check()
     # Churn inside the merged component: re-partitions prove it whole
-    # through the kept index.
+    # through the form's rows.
     for _ in range(30):
         if rng.random() < 0.5:
             remove(rng.choice([f for f in live if f in of_island]))
@@ -573,6 +647,127 @@ def test_allocator_large_component_index_fuzz(seed):
         if rng.random() < 0.3:
             check()
     check()
+    _assert_fresh_solve_matches(live, resources)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_allocator_form_churn_differential(seed):
+    """Kept forms against from-scratch lowerings through scripted and
+    seeded churn: rows that empty and are re-entered through another
+    component, a form re-lowered once its inert rows outnumber its live
+    ones, absorbs in both directions, and components crossing the
+    cutoff both ways, with capped and uncapped members.  Every solve is
+    checked by :func:`_checked_solve`: rates and ``last_iterations``
+    equal both a fresh lowering's and ``allocate_rates``'."""
+    rng = random.Random(9100 + seed)
+    spine = [f"s{j}" for j in range(6)]
+    leaves = [f"l{j}" for j in range(40)]
+    other = [f"o{j}" for j in range(6)]
+    resources = {
+        name: Resource(
+            name=name,
+            capacity=rng.choice([20.0, 40.0, 125.0]),
+            concurrency_penalty=rng.choice([0.0, 0.02, 0.1, 1.0]),
+        )
+        for name in spine + leaves + other
+    }
+    auto = TableAllocator()
+    for name, r in resources.items():
+        auto.register(name, r)
+    live: list[Flow] = []
+
+    def add(*path, cap=None):
+        f = Flow(size=1.0, path=path, rate_cap=cap)
+        live.append(f)
+        auto.add(f)
+        _assert_forms_exact(auto)
+        return f
+
+    def remove(f):
+        live.remove(f)
+        auto.remove(f)
+        _assert_forms_exact(auto)
+
+    def check():
+        _checked_solve(auto, live, resources)
+
+    def cap():
+        return rng.choice([None, None, 4.0, 4.0, 1.5])
+
+    def form_of(name):
+        return auto._forms[auto._res_comp[name]]
+
+    # A large component: a spine plus one flow per leaf resource.
+    for j in range(VECTOR_MIN_FLOWS):
+        add(spine[j % 5], spine[j % 5 + 1], cap=cap())
+    leaf_flows = [add(rng.choice(spine), leaf, cap=cap()) for leaf in leaves]
+    check()
+    form = form_of("s0")
+    row_of_l0 = form.row["l0"]
+
+    # Empty the rows of l0 and l1: they stay in the form, inert.
+    remove(leaf_flows[0])
+    remove(leaf_flows[1])
+    check()
+    assert form_of("s0") is form
+    assert form.users[row_of_l0] == {}
+    assert form.cols[2, row_of_l0] == 0.0
+
+    # l0 is re-entered through another component, which the large one
+    # absorbs: its old row comes back to life.
+    side = [add("l0", "o0", cap=cap()), add("o0", "o1", cap=cap())]
+    check()
+    assert auto._res_comp["l0"] != auto._res_comp["s0"]
+    side.append(add("o1", "s2", cap=cap()))
+    assert form_of("l0") is form
+    assert form.row["l0"] == row_of_l0
+    assert form.cols[2, row_of_l0] == 1.0
+    check()
+
+    # Drop most leaves: once inert rows outnumber live ones, the next
+    # re-partition re-lowers the form without them.
+    for f in leaf_flows[2:36]:
+        remove(f)
+    check()
+    assert form_of("s0") is not form
+    assert all(form_of("s0").users)
+
+    # The other side outgrows the spine's component and absorbs it:
+    # the spine's members enter the side component's form.
+    for f in side:
+        remove(f)
+    for j in range(3 * VECTOR_MIN_FLOWS // 2):
+        add(other[j % 5], other[j % 5 + 1], cap=cap())
+    check()
+    big = form_of("o0")
+    assert len(auto._comp_flows[auto._res_comp["o0"]]) > len(
+        auto._comp_flows[auto._res_comp["s0"]]
+    )
+    add("o3", "s4", cap=cap())
+    assert form_of("s0") is big
+    check()
+
+    # Seeded churn: shrink-and-grow phases push the largest component
+    # below the cutoff and back past it, with random paths bridging the
+    # two sides.
+    names = spine + leaves[:8] + other
+
+    def large():
+        return max(map(len, bruteforce_partition(live)), default=0) >= VECTOR_MIN_FLOWS
+
+    for phase in range(6):
+        shrinking = phase % 2 == 0
+        p_add = 0.15 if shrinking else 0.85
+        steps = 0
+        while steps < 40 or large() == shrinking:
+            if live and rng.random() > p_add:
+                remove(rng.choice(live))
+            else:
+                add(*rng.sample(names, rng.randint(1, 3)), cap=cap())
+            steps += 1
+            if rng.random() < 0.3:
+                check()
+        check()
     _assert_fresh_solve_matches(live, resources)
 
 

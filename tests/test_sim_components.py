@@ -4,16 +4,26 @@ Covers what the golden and property suites don't: the perf-counter
 semantics of the lazy-invalidation completion heap, the
 ``current_rate``-after-cancel regression (stale slot recycled by a
 younger flow), ``run(until=...)`` resumability, the tie-snap firing
-order, and end-to-end agreement with the naive oracle in
-``tests/reference_sim.py``.
+order, end-to-end agreement with the naive oracle in
+``tests/reference_sim.py``, and that read workloads, whose components
+stay below the numpy tier, never lower a component.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulate import REMAINING_EPS, Simulation
+from repro.core import ProcessPlacement, rank_interval_assignment, tasks_from_dataset
+from repro.dfs import ClusterSpec, DistributedFileSystem, uniform_dataset
+from repro.experiments import (
+    run_dynamic_comparison,
+    run_multi_data_comparison,
+    run_single_data_comparison,
+)
+from repro.simulate import REMAINING_EPS, ParallelReadRun, Simulation, StaticSource
+from repro.simulate import components
 from repro.simulate.resources import Resource
+from repro.simulate.vectorized import VECTOR_MIN_FLOWS
 from tests.reference_sim import ReferenceSimulation
 
 
@@ -167,3 +177,82 @@ class TestCrossEngineAgreement:
         assert [o - min(ref_order) for o in ref_order] == [
             o - min(comp_order) for o in comp_order
         ]
+
+
+class TestSmallPathUntouched:
+    """Components below ``VECTOR_MIN_FLOWS`` flows never pay for the
+    numpy tier's lowered form."""
+
+    def test_small_components_never_lower(self, monkeypatch):
+        lowered = []
+        real = components._lower
+
+        def record(group, res_caps):
+            lowered.append(len(group))
+            return real(group, res_caps)
+
+        monkeypatch.setattr(components, "_lower", record)
+        # The remote-heavy rank-interval baseline: contended components
+        # of several flows, all below the cutoff.
+        nodes = 32
+        fs = DistributedFileSystem(ClusterSpec.homogeneous(nodes), seed=3)
+        data = uniform_dataset("d", nodes * 8)
+        fs.put_dataset(data)
+        run = ParallelReadRun(
+            fs,
+            ProcessPlacement.one_per_node(nodes),
+            tasks_from_dataset(data),
+            StaticSource(rank_interval_assignment(data.num_chunks, nodes)),
+            seed=3,
+        )
+        result = run.run()
+        perf = result.sim_perf
+        assert 1 < perf["component_size_max"] < VECTOR_MIN_FLOWS
+        assert perf["vectorized_solves"] == 0
+        assert lowered == []
+        assert run.sim._alloc._forms == {}
+
+    # Engine counters of the three read workloads of the repository
+    # benchmark at seed 0 (per run: baseline, then Opass), measured before
+    # numpy-tier components were lowered once; none of these runs reaches
+    # that tier, so its rework must leave them exactly as they were.
+    READ_COUNTERS = {
+        "fig7-single": {
+            "heap_pushes": [20467, 5120],
+            "stale_pops": [11689, 0],
+            "component_solves": [6885, 5120],
+        },
+        "fig9-multi": {
+            "heap_pushes": [33408, 31554],
+            "stale_pops": [18814, 17169],
+            "component_solves": [10691, 10741],
+        },
+        "fig11-dynamic": {
+            "heap_pushes": [26775, 19651],
+            "stale_pops": [12336, 4812],
+            "component_solves": [7217, 5207],
+        },
+    }
+
+    @pytest.mark.parametrize("workload", sorted(READ_COUNTERS))
+    def test_read_workload_counters_unchanged(self, workload):
+        if workload == "fig7-single":
+            cmp = run_single_data_comparison(512, chunks_per_process=10, seed=0)
+            perfs = [cmp.base.sim_perf, cmp.opass.sim_perf]
+        elif workload == "fig9-multi":
+            cmp = run_multi_data_comparison(
+                num_nodes=256, num_tasks=2560, input_sizes_mb=(30, 20, 10), seed=0
+            )
+            perfs = [cmp.base.result.sim_perf, cmp.opass.result.sim_perf]
+        else:
+            cmp = run_dynamic_comparison(
+                num_nodes=512,
+                num_fragments=5120,
+                compute_mean=0.3,
+                compute_cv=0.8,
+                seed=0,
+            )
+            perfs = [cmp.base.result.sim_perf, cmp.opass.result.sim_perf]
+        assert all(p["vectorized_solves"] == 0 for p in perfs)
+        got = {k: [p[k] for p in perfs] for k in self.READ_COUNTERS[workload]}
+        assert got == self.READ_COUNTERS[workload]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dfs.chunk import MB, Chunk, ChunkId
+from repro.dfs.chunk import Chunk, ChunkId
 from repro.dfs.cluster import ClusterSpec
 from repro.dfs.filesystem import ReadPlan
 from repro.simulate.iomodel import read_cost, uncontended_read_time

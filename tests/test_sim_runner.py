@@ -1,6 +1,5 @@
 """Tests for the parallel workload runner."""
 
-import numpy as np
 import pytest
 
 from repro.core import (

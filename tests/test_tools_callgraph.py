@@ -8,8 +8,6 @@ must be erased from the runtime dependency graph.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.tools.callgraph import build_project, parse_module
 from repro.tools.summaries import resolve_summaries, summarize_module
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.tools.api import ALL_RULES, lint_file, lint_paths
 from repro.tools.callgraph import Project, parse_module
-from repro.tools.config import LintConfig
+from repro.tools.config import LintConfig, contract_module
 from repro.tools.costmodel import COST_RULES, axis_level, resolve_costs
 from repro.tools.model import marker_lines, parse_pragmas
 from repro.tools.summaries import resolve_summaries, summarize_module
@@ -118,6 +118,17 @@ class TestStaleContracts:
         assert v.rule == "OPS301" and v.line == 1
         assert "stale cost contract" in v.message
         assert "'repro.simulate.components._still_whole'" in v.message
+
+    def test_private_class_method_belongs_to_its_module(self):
+        # a private class's capitalised name still marks the class, so
+        # its method's contract is checked against the defining module
+        assert (
+            contract_module("repro.simulate.components._Lowered.enter")
+            == "repro.simulate.components"
+        )
+        assert contract_module("repro.simulate.vectorized.solve_small") == (
+            "repro.simulate.vectorized"
+        )
 
     def test_package_does_not_own_its_submodules_contracts(self):
         # repro.simulate.vectorized.solve_small belongs to vectorized, not

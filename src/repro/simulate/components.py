@@ -309,29 +309,6 @@ class ComponentAllocator:
                 del self._forms[cid]
         if len(members) <= 1:
             return [cid]
-        if len(members) == 2:
-            # The dominant shrink case after a remove: either the two
-            # survivors still share a resource (no split) or they are two
-            # singletons — decidable by one path intersection, no BFS.
-            (f0, _), (f1, fid1) = members.items()
-            path1 = f1.path
-            for r in f0.path:
-                if r in path1:
-                    return [cid]
-            gid = self._next_comp
-            self._next_comp += 1
-            del self._comp_flows[cid][f1]
-            self._comp_flows[gid] = {f1: fid1}
-            self._comp_of[f1] = gid
-            g_res: dict[str, None] = {}
-            comp_res = self._comp_res[cid]
-            res_comp = self._res_comp
-            for r in path1:
-                del comp_res[r]
-                g_res[r] = None
-                res_comp[r] = gid
-            self._comp_res[gid] = g_res
-            return [cid, gid]
         # BFS over member indices; each resource's flow list is consumed
         # on first visit, so the walk is O(Σ|path|) and never hashes a
         # Flow.  Groups come out in first-member order, each in pop order.

@@ -28,27 +28,30 @@ The hot path is O(affected component) end to end, and one fused loop
   flow–resource graph and re-runs water-filling only for the components
   a flow event touched — the measured workloads split into many
   components of median size one flow;
-* the next completion comes from a **lazy-invalidation heap**: a flow's
-  predicted absolute finish time ``t = settled_at + remaining/rate`` is
-  invariant while its rate holds (``remaining`` drains linearly at
-  exactly that rate), so an entry pushed once stays valid until the
-  flow's rate changes.  ``solve()`` reports exactly the re-solved flows
-  that are new or whose rate is not bit-identical to the last solve's,
-  in every component tier.  Only reported flows are re-pushed, each
-  stamped with a sequence number, and superseded/finished entries are
-  skipped lazily on pop.  Entries order by ``(time, flow_id)``, and
-  candidates within a ≤1e-9-relative tie window of the top are
-  re-predicted fresh and snapped to the minimal ``flow_id``, and the
-  retire sweep fires in ``flow_id`` order too.  The
+* the next completion and the retire sweep share one
+  **lazy-invalidation heap** of entries ``(bound, time, flow_id, fid,
+  seq)``.  ``time = settled_at + remaining/rate`` is the flow's predicted
+  absolute finish, invariant while its rate holds (``remaining`` drains
+  linearly at exactly that rate), and ``bound = settled_at + (remaining −
+  1 byte)/rate`` is a pessimistic retire time.  The heap is keyed by
+  ``bound``; IEEE rounding is monotone, so ``bound ≤ time`` and every
+  entry left behind a bound beyond some horizon also has its ``time``
+  beyond it.  ``solve()`` reports exactly the re-solved flows that are
+  new or whose rate is not bit-identical to the last solve's, in every
+  component tier.  Only reported flows are re-pushed, each stamped with
+  a sequence number, and superseded/finished entries are skipped lazily
+  on pop.  Candidates within a ≤1e-9-relative tie window of the earliest
+  ``time`` are re-predicted fresh and snapped to the minimal
+  ``flow_id``, and the retire sweep fires in ``flow_id`` order too.  The
   tie contract: flows that finish at the same ``sim.now`` fire in
   ``flow_id`` order.  That holds whatever their sizes, and flows whose
   finishes lie within the window share an instant, so a flow one ulp
-  larger than another may fire first.  Tie candidates pulled out of
-  the heap park in a **tie group** side table (fid → fresh prediction)
-  instead of being re-pushed, so a wave of w simultaneous completions
-  costs O(w) dict scans per event rather than O(w log n) heap churn —
-  the whole-wave pop/re-push cycle per event is what collapsed
-  throughput at 2048+ nodes;
+  larger than another may fire first.  Entries pulled out of the heap
+  park in a **tie group** side table (fid → parked time) instead of
+  being re-pushed, so a wave of w simultaneous completions costs O(w)
+  dict scans per event rather than O(w log n) heap churn — the
+  whole-wave pop/re-push cycle per event is what collapsed throughput at
+  2048+ nodes;
 * **timer waves coalesce**: all timers sharing the *exact* timestamp of
   the one being processed drain in a single settle/solve cycle when a
   conservative bound proves the replay is unchanged — every active
@@ -61,11 +64,10 @@ The hot path is O(affected component) end to end, and one fused loop
 * flow progress uses **credit accounting**: each flow's ``remaining`` is
   settled only at rate-epoch boundaries (one fused ``remaining -=
   rate·dt`` per epoch instead of one per event), and the sweep never
-  scans the slot range at all — a **pessimistic retire-time heap**
-  (entries ``(settled_at + (remaining − 1 byte)/rate, fid, seq)``,
-  refreshed by every re-rate) names the only slots whose drain could
-  have reached the completion threshold, so each sweep is one heap peek
-  plus the exact drain arithmetic on the due candidates.
+  scans the slot range at all: the heap entries whose ``bound`` has come
+  due, plus the tie group, are the only slots whose drain could have
+  reached the completion threshold, so each sweep is one heap peek plus
+  the exact drain arithmetic on those candidates.
 
 The dense slot arrays are authoritative for ``remaining``; the ``Flow``
 objects are synchronised at observation points (completion, cancellation,
@@ -100,8 +102,9 @@ from .resources import Resource
 #: Completion slack: a flow is done when remaining ≤ REMAINING_EPS bytes.
 REMAINING_EPS = 1e-6
 
-#: Relative width of the lazy heap's tie window: entries this close to the
-#: top are re-predicted fresh before the winner is chosen, so the pick is
+#: Relative width of the lazy heap's tie window: entries parked this close
+#: to the earliest parked time are re-predicted fresh before the winner is
+#: chosen, so the pick is
 #: made from the same floats a full rescan of every flow would produce.
 #: Parked entries drift from their fresh value only by the float rounding
 #: of the settles that ran meanwhile (≲1e-10 s absolute over the largest
@@ -133,39 +136,26 @@ class Simulation:
         self._table = FlowTable()
         #: simulated time all slots' ``remaining`` values refer to
         self._settled_at = 0.0
-        # Lazy-invalidation completion heap: entries are ``(time,
-        # flow_id, fid, seq)``; ``_entry_seq[fid]`` names the only live
-        # sequence number per slot (-1 = none), so superseded and
-        # finished entries are recognised and discarded on pop.  Changed
-        # fids reported by solve() park in ``_pending_push`` (an
-        # insertion-ordered dict used as a set) until the next peek.
-        self._heap: list[tuple[float, int, int, int]] = []
+        # The lazy-invalidation heap, keyed by the first field of its
+        # ``(bound, time, flow_id, fid, seq)`` entries (see the module
+        # docstring).  ``_entry_seq[fid]`` names the slot's only live
+        # sequence number (-1 = none), so superseded and finished entries
+        # are recognised and discarded on pop.  Changed fids reported by
+        # solve() park in ``_pending_push`` (an insertion-ordered dict
+        # used as a set) until the loop's next push.
+        self._heap: list[tuple[float, float, int, int, int]] = []
         self._entry_seq: list[int] = []
         self._push_seq = 0
         self._pending_push: dict[int, None] = {}
-        #: tie-group side table: fid -> last fresh prediction, for flows
-        #: whose heap entry was pulled into the current completion wave.
-        #: A slot lives in exactly one of heap (live seq) / tie group /
-        #: nowhere; re-rated members go back through the heap, finished
-        #: members are dropped by ``_release_fid``.
+        #: tie group: fid -> parked time, for flows whose heap entry the
+        #: peek pulled out.  A slot lives in exactly one of heap (live
+        #: seq) / tie group / nowhere, and heap ∪ tie group holds one
+        #: parked time per active flow; re-rated members go back through
+        #: the heap, finished members are dropped by ``_release_fid``.
         self._tie: dict[int, float] = {}
         #: fastest single-flow capacity over all resources — the hard
         #: upper bound on any flow's rate, for the coalescing bound below.
         self._cap_max = 0.0
-        #: pessimistic retire-time heap: entries ``(bound, fid, seq)``
-        #: where ``bound = settled_at + (remaining − 1 byte)/rate`` is
-        #: strictly earlier than the slot could reach the sweep threshold
-        #: *at its current rate* — and a rate only changes at a re-solve,
-        #: which pushes a fresh entry for every re-rated slot and
-        #: supersedes the old one via ``_pess_seq``.  The 1-byte margin
-        #: dwarfs the settles' float rounding, so the sweep only ever
-        #: runs the exact drain arithmetic on the handful of slots whose
-        #: bound has come due, never an O(n) scan.
-        self._pess: list[tuple[float, int, int]] = []
-        #: the slot's only live pessimistic entry (-1 = none); parallel
-        #: to ``_entry_seq`` but invalidated only by re-rates and
-        #: releases, never by the peek's tie-group transitions.
-        self._pess_seq: list[int] = []
         #: coalescing floor: at ``_scan_at`` every active flow's settled
         #: remaining was ≥ ``_scan_floor`` (lowered by every flow start,
         #: refreshed — at most once per failing coalesce check — by one
@@ -224,7 +214,6 @@ class Simulation:
         entry_seq = self._entry_seq
         if fid == len(entry_seq):
             entry_seq.append(-1)
-            self._pess_seq.append(-1)
         if flow.remaining < self._scan_floor:
             self._scan_floor = flow.remaining
         self._alloc.add(flow, fid)
@@ -273,7 +262,6 @@ class Simulation:
         """Return the flow's slot to the free list, restoring sentinels."""
         fid = self._table.release(flow)
         self._entry_seq[fid] = -1
-        self._pess_seq[fid] = -1
         if self._tie:
             self._tie.pop(fid, None)
 
@@ -294,10 +282,13 @@ class Simulation:
         self.perf.settle_wall += wall_clock() - t0
 
     def _refresh_rates(self) -> None:
-        """Settle and re-solve outside the loop (for :meth:`current_rate`).
+        """Settle and re-solve when the flow set changed.
 
-        :meth:`run` inlines the same steps; the re-rated slots wait in
-        ``_pending_push`` for the loop's next drain.
+        An empty allocator dirty set means the last flow event removed a
+        singleton component: the refresh still settles and opens a new
+        epoch, but the solve would be a no-op and is skipped.  The
+        re-rated slots wait in ``_pending_push`` for the loop's next
+        :meth:`_push_changed`.
         """
         if not self._dirty:
             return
@@ -306,23 +297,68 @@ class Simulation:
         self._settle_all()
         t0 = wall_clock()
         alloc = self._alloc
-        alloc.solve(self._table.rate)
         perf = self.perf
-        perf.solve_iterations += alloc.last_iterations
-        perf.component_solves += alloc.last_component_solves
-        perf.component_flows_resolved += alloc.last_flows_resolved
-        perf.vectorized_solves += alloc.last_vectorized_solves
-        if alloc.last_component_size_max > perf.component_size_max:
-            perf.component_size_max = alloc.last_component_size_max
-        n_comp = alloc.component_count
-        if n_comp > perf.components:
-            perf.components = n_comp
-        pending = self._pending_push
-        for fid in alloc.last_changed:
-            pending[fid] = None
+        if alloc._dirty:
+            alloc.solve(self._table.rate)
+            perf.solve_iterations += alloc.last_iterations
+            perf.component_solves += alloc.last_component_solves
+            perf.component_flows_resolved += alloc.last_flows_resolved
+            perf.vectorized_solves += alloc.last_vectorized_solves
+            if alloc.last_component_size_max > perf.component_size_max:
+                perf.component_size_max = alloc.last_component_size_max
+            n_comp = alloc.component_count
+            if n_comp > perf.components:
+                perf.components = n_comp
+            pending = self._pending_push
+            for fid in alloc.last_changed:
+                pending[fid] = None
         self._dirty = False
         perf.solves += 1
         perf.solve_wall += wall_clock() - t0
+
+    def _push_changed(self) -> None:
+        """Push a fresh ``(bound, time, flow_id, fid, seq)`` entry for
+        every re-rated slot in ``_pending_push``.
+
+        The entry stays valid for as long as the rate holds; a re-rated
+        tie-group member goes back through the heap (its parked time is
+        superseded).  When superseded entries dominate, the heap is
+        rebuilt from its live entries — every pop and push would pay
+        log(len) on garbage otherwise — and pops them in the same order,
+        so the replay is unchanged.
+        """
+        t0 = wall_clock()
+        heap = self._heap
+        entry_seq = self._entry_seq
+        tie = self._tie
+        table = self._table
+        flow_at = table.flow_at
+        rem_item = table.rem.item
+        rate_item = table.rate.item
+        base = self._settled_at
+        seq = self._push_seq
+        push = heapq.heappush
+        for fid in self._pending_push:
+            f = flow_at[fid]
+            if f is None:
+                continue
+            if tie:
+                tie.pop(fid, None)
+            rem = rem_item(fid)
+            rate = rate_item(fid)
+            entry_seq[fid] = seq
+            push(heap, (base + (rem - 1.0) / rate, base + rem / rate, f.flow_id, fid, seq))
+            seq += 1
+        self._pending_push.clear()
+        perf = self.perf
+        perf.heap_pushes += seq - self._push_seq
+        self._push_seq = seq
+        if len(heap) > (len(self._flows) << 1) + 64:
+            live = [e for e in heap if entry_seq[e[3]] == e[4]]
+            perf.stale_pops += len(heap) - len(live)
+            heap[:] = live
+            heapq.heapify(heap)
+        perf.scan_wall += wall_clock() - t0
 
     # -- event selection -----------------------------------------------------
 
@@ -330,50 +366,44 @@ class Simulation:
         """Pick the next completion out of a tie window (the loop's slow path).
 
         :meth:`run` calls this when the tie group is non-empty or the
-        heap's top two entries lie within one tie window, after it has
-        drained the pending pushes and discarded stale heap tops.  The
-        anchor is the earliest parked prediction across the heap and the
-        tie group (their union is exactly a single heap's state: tie-group
-        park times are the fresh values a re-push would have parked).
-        Every candidate parked within the tie window of the anchor is
-        re-predicted fresh and the winner snapped to the minimal
-        ``flow_id`` — identical selection to draining the window out of
-        the heap, without the per-event pop/re-push of the whole wave.
-        Returns ``(time, flow)``.
+        heap's top cannot be shown to be the only candidate.  The anchor
+        is the earliest parked time across the heap and the tie group.
+        Starting from the tie group's earliest, every heap entry whose
+        ``bound`` lies within the tie window of the running anchor is
+        popped and parked in the tie group with its parked ``time``
+        (lowering the anchor when that time is earlier).  The pops stop
+        at the first bound beyond the window: every entry left behind
+        has ``time ≥ bound`` beyond it too, so the anchor is the global
+        earliest and every candidate has left the heap.  Heap ∪ tie group
+        still holds the same parked times, so popping an entry whose own
+        time lies beyond the window changes no later pick.  Every tie-group
+        member parked within the window is re-predicted fresh and the
+        winner snapped to the minimal ``flow_id`` — identical selection
+        to draining the window out of a time-keyed heap, without the
+        per-event pop/re-push of the whole wave.  Returns ``(time,
+        flow)``, or None when no flow is active.
         """
         heap = self._heap
         entry_seq = self._entry_seq
         tie = self._tie
-        t_anchor = heap[0][0] if heap else math.inf
-        if tie:
-            t_tie = min(tie.values())
-            if t_tie < t_anchor:
-                t_anchor = t_tie
-        if t_anchor == math.inf:
-            return None
-        horizon = t_anchor + _PEEK_TIE_WINDOW * max(1.0, abs(t_anchor))
-        table = self._table
-        base = self._settled_at
-        flow_at = table.flow_at
-        # Gather every candidate parked within the horizon — tie-group
-        # members for free, heap entries by popping them into the tie
-        # group (their live-entry marker moves with them).
-        cands: list[int] = []
-        if tie:
-            for fid, park in tie.items():
-                if park <= horizon:
-                    cands.append(fid)
+        tw = _PEEK_TIE_WINDOW
+        t_anchor = min(tie.values()) if tie else math.inf
+        horizon = t_anchor + tw * max(1.0, abs(t_anchor))
         stale = 0
         while heap and heap[0][0] <= horizon:
-            _, flow_id, fid, seq = heapq.heappop(heap)
+            _, park, _, fid, seq = heapq.heappop(heap)
             if entry_seq[fid] != seq:
                 stale += 1
                 continue
             entry_seq[fid] = -1
-            tie[fid] = 0.0  # parked fresh value assigned just below
-            cands.append(fid)
+            tie[fid] = park
+            if park < t_anchor:
+                t_anchor = park
+                horizon = t_anchor + tw * max(1.0, abs(t_anchor))
         if stale:
             self.perf.stale_pops += stale
+        if t_anchor == math.inf:
+            return None
         # Re-predict every candidate from the current settled state (a
         # parked prediction drifts from its fresh value only by the
         # settles' float rounding, far inside the window), then snap:
@@ -384,32 +414,28 @@ class Simulation:
         # makes the firing order (and with it every downstream RNG draw)
         # depend only on flow identity, matching the sweep's retire
         # order.
-        t_min = math.inf
+        table = self._table
+        base = self._settled_at
         rem_item = table.rem.item
         rate_item = table.rate.item
+        cands = [fid for fid, park in tie.items() if park <= horizon]
+        t_min = math.inf
         for fid in cands:
             t_new = base + rem_item(fid) / rate_item(fid)
             tie[fid] = t_new
             if t_new < t_min:
                 t_min = t_new
-        best_t = math.inf
-        best_id = -1
-        best_fid = -1
-        if cands:
-            snap = t_min + _PEEK_TIE_WINDOW * max(1.0, abs(t_min))
-            for fid in cands:
-                t_new = tie[fid]
-                if t_new <= snap:
-                    flow_id = flow_at[fid].flow_id
-                    if best_id < 0 or flow_id < best_id:
-                        best_t = t_new
-                        best_id = flow_id
-                        best_fid = fid
-        if best_id < 0:
-            return None
-        flow = flow_at[best_fid]
-        assert flow is not None
-        return (best_t, flow)
+        snap = t_min + tw * max(1.0, abs(t_min))
+        flow_at = table.flow_at
+        best: Flow | None = None
+        for fid in cands:
+            if tie[fid] <= snap:
+                flow = flow_at[fid]
+                assert flow is not None
+                if best is None or flow.flow_id < best.flow_id:
+                    best = flow
+        assert best is not None
+        return (tie[best.fid], best)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -457,49 +483,52 @@ class Simulation:
     def _sweep(self) -> None:
         """Retire every flow the elapsed interval drained to (near) zero.
 
-        Candidates come from the pessimistic retire-time heap: a slot is
-        examined only once its bound has come due, so the common case is
-        one heap peek and no arithmetic at all.  Due candidates get the
-        exact drain check (``remaining − rate·dt``, the same IEEE
-        operations the settle performs elementwise); survivors are
-        re-queued with a bound refreshed from their just-computed
-        remaining (their rate is unchanged — a re-rate would have
-        superseded the entry).  Retirements fire in ``flow_id`` order.
+        The candidates are the heap entries whose ``bound`` has come due
+        and every tie-group member (those have left the heap, so no bound
+        guards them); together they include every flow within
+        ``REMAINING_EPS``.  Each gets the exact drain check (``remaining −
+        rate·dt``, the same IEEE operations the settle performs
+        elementwise).  A surviving heap entry is re-pushed with its bound
+        refreshed from the just-computed remaining and its parked time
+        unchanged (its rate is unchanged — a re-rate would have superseded
+        the entry); surviving tie-group members stay parked.  Retirements
+        fire in ``flow_id`` order.
         """
-        if not self._flows:
-            return
         table = self._table
         now = self.now
-        pess = self._pess
-        flow_at = table.flow_at
-        pess_seq = self._pess_seq
+        heap = self._heap
+        entry_seq = self._entry_seq
         pop = heapq.heappop
-        cands: list[int] = []
-        while pess:
-            bound, fid, seq = pess[0]
-            if pess_seq[fid] != seq:
-                pop(pess)
-                continue
-            if bound > now:
-                break
-            pop(pess)
-            cands.append(fid)
-        if not cands:
+        due: list[tuple[float, float, int, int, int]] = []
+        stale = 0
+        while heap and heap[0][0] <= now:
+            entry = pop(heap)
+            if entry_seq[entry[3]] == entry[4]:
+                due.append(entry)
+            else:
+                stale += 1
+        perf = self.perf
+        perf.stale_pops += stale
+        tie = self._tie
+        if not due and not tie:
             return
         dt = now - self._settled_at
         rem_item = table.rem.item
         rate_item = table.rate.item
-        push = heapq.heappush
+        flow_at = table.flow_at
+        n_tie = len(tie)
         hits: list[tuple[Flow, float]] = []
-        for fid in cands:
-            if dt > 0.0:
-                current = rem_item(fid) - rate_item(fid) * dt
-            else:
-                current = rem_item(fid)
+        for i, fid in enumerate([*tie, *(entry[3] for entry in due)]):
+            current = rem_item(fid) - rate_item(fid) * dt if dt > 0.0 else rem_item(fid)
             if current <= REMAINING_EPS:
                 hits.append((flow_at[fid], current))
-            else:
-                push(pess, (now + (current - 1.0) / rate_item(fid), fid, pess_seq[fid]))
+            elif i >= n_tie:
+                _, park, flow_id, _, seq = due[i - n_tie]
+                # Computed from another settle point than ``park``, the
+                # fresh bound is not ≤ it by rounding alone: clamp it.
+                bound = now + (current - 1.0) / rate_item(fid)
+                heapq.heappush(heap, (min(bound, park), park, flow_id, fid, seq))
+                perf.heap_pushes += 1
         if not hits:
             return
         hits.sort(key=lambda item: item[0].flow_id)
@@ -529,36 +558,36 @@ class Simulation:
         so resuming replays the unsplit run's floats exactly.  ``until``
         must not lie before ``now`` (or be NaN).
 
-        One frame drives the whole run: the per-event phases — settle,
-        component solve, prediction drain, event selection,
-        completion/timer processing, retire sweep — are inlined here
-        with every hot structure cached in locals, and completion
-        *cascades* (runs of consecutive completion events between
-        timers) run back to back.  Each iteration:
+        One frame drives the whole run, and completion *cascades* (runs
+        of consecutive completion events between timers) run back to
+        back.  Each iteration:
 
-        * settles and re-solves when the flow set changed.  The
-          per-epoch whole-table settles run unmerged: each settle rounds
-          ``rem − rate·dt`` once per epoch, so two epochs fused into one
-          ``dt`` would produce different floats for *every* active flow,
-          not just the cascading component's;
-        * pushes a fresh prediction and pessimistic bound for every
-          re-rated flow (the bound refresh is load-bearing: a rate
-          *increase* can pull a flow's true retire time earlier than its
-          stale bound);
-        * selects the event: the no-tie single-candidate case inline,
-          tie groups and candidate waves through
-          :meth:`_peek_completion_heap`; a completion wins a tie against
-          a timer;
-        * processes it (a same-timestamp timer wave coalesces while
+        * settles and re-solves when the flow set changed
+          (:meth:`_refresh_rates`).  The per-epoch whole-table settles
+          run unmerged: each settle rounds ``rem − rate·dt`` once per
+          epoch, so two epochs fused into one ``dt`` would produce
+          different floats for *every* active flow, not just the
+          cascading component's;
+        * pushes a fresh entry for every re-rated flow
+          (:meth:`_push_changed`; the bound refresh is load-bearing: a
+          rate *increase* can pull a flow's true retire time earlier than
+          its stale bound);
+        * selects the event: inline when the tie group is empty and the
+          heap top's children have bounds beyond the top's tie window
+          (then every other entry's time is too, and the top is the only
+          candidate), otherwise through :meth:`_peek_completion_heap`; a
+          completion wins a tie against a timer;
+        * processes it (:meth:`_finish` for a completion; a
+          same-timestamp timer wave coalesces while
           :meth:`_can_coalesce` holds), then runs :meth:`_sweep` when a
-          pessimistic bound has come due.
+          bound has come due or the tie group is non-empty.
 
         Only structures whose identity is stable across callbacks are
-        cached (the table's lists, the registry, the heaps, the timer
+        cached (the table's slot list, the registry, the heap, the timer
         list); the slot *arrays* are re-fetched wherever they are read
         because ``FlowTable.acquire`` replaces them on growth.  The loop also
         maintains the cascade telemetry (``fastforward_cascades``,
-        ``cascade_events``) and flushes all counters, even when a
+        ``cascade_events``) and flushes its counters, even when a
         callback raises.
         """
         if until is not None:
@@ -568,195 +597,85 @@ class Simulation:
                 raise ValueError(f"until={until!r} lies before now={self.now!r}")
         t0 = wall_clock()
         perf = self.perf
-        alloc = self._alloc
         table = self._table
         timers = self._timers
         heap = self._heap
-        pess = self._pess
         entry_seq = self._entry_seq
-        pess_seq = self._pess_seq
         tie = self._tie
-        pending = self._pending_push
         flow_at = table.flow_at
         flows = self._flows
-        # The allocator's dirty-component set (identity-stable: cleared
-        # in place by solve()).  Empty means the last flow event removed
-        # a singleton component — the refresh still settles and opens a
-        # new epoch, but the solve call would be a no-op and is skipped.
-        alloc_dirty = alloc._dirty
         heappop = heapq.heappop
-        heappush = heapq.heappush
-        heapreplace = heapq.heapreplace
-        heapify = heapq.heapify
-        clock = wall_clock
         inf = math.inf
-        bound = inf if until is None else until
+        stop = inf if until is None else until
         tw = _PEEK_TIE_WINDOW
         events = 0
         run_len = 0
-        solve_wall = 0.0
-        settle_wall = 0.0
-        scan_wall = 0.0
-        solves = 0
-        settles = 0
-        flows_settled = 0
-        iters_acc = 0
-        comp_solves = 0
-        flows_resolved = 0
-        vec_solves = 0
         heap_pushes = 0
         stale_pops = 0
         flow_events = 0
         timer_events = 0
         coalesced = 0
-        finished = 0
         casc_runs = 0
         casc_events = 0
-        size_max = perf.component_size_max
-        comp_peak = perf.components
         try:
             while True:
-                # -- refresh rates ------------------------------------------
                 if self._dirty:
-                    now = self.now
-                    dt = now - self._settled_at
-                    self._settled_at = now
-                    if dt > 0.0 and flow_at:
-                        ts = clock()
-                        flows_settled += table.settle(dt)
-                        settles += 1
-                        settle_wall += clock() - ts
-                    ts = clock()
-                    if alloc_dirty:
-                        alloc.solve(table.rate)
-                        iters_acc += alloc.last_iterations
-                        comp_solves += alloc.last_component_solves
-                        flows_resolved += alloc.last_flows_resolved
-                        vec_solves += alloc.last_vectorized_solves
-                        if alloc.last_component_size_max > size_max:
-                            size_max = alloc.last_component_size_max
-                        n_comp = alloc.component_count
-                        if n_comp > comp_peak:
-                            comp_peak = n_comp
-                        for fid in alloc.last_changed:
-                            pending[fid] = None
-                    self._dirty = False
-                    solves += 1
-                    solve_wall += clock() - ts
-                if pending:
-                    # Push a fresh entry ``(settled_at + rem/rate,
-                    # flow_id, fid, seq)`` for every re-rated flow — its
-                    # predicted *absolute* finish, valid for as long as
-                    # the rate holds — plus its pessimistic retire bound.
-                    # A re-rated tie-group member goes back through the
-                    # heap (its parked prediction is superseded).
-                    ts = clock()
-                    base = self._settled_at
-                    seq = self._push_seq
-                    rem_arr = table.rem
-                    rate_arr = table.rate
-                    npush = 0
-                    for fid in pending:
-                        f = flow_at[fid]
-                        if f is None:
-                            continue
-                        if tie:
-                            tie.pop(fid, None)
-                        rem = rem_arr.item(fid)
-                        rate = rate_arr.item(fid)
-                        entry_seq[fid] = seq
-                        pess_seq[fid] = seq
-                        heappush(heap, (base + rem / rate, f.flow_id, fid, seq))
-                        heappush(pess, (base + (rem - 1.0) / rate, fid, seq))
-                        seq += 1
-                        npush += 1
-                    pending.clear()
-                    self._push_seq = seq
-                    heap_pushes += npush
-                    # Compact when superseded entries dominate: every pop
-                    # and push pays log(len) on garbage otherwise.  A heap
-                    # rebuilt from only the live entries pops them in the
-                    # same order, so the replay is unchanged.
-                    cap = (len(flows) << 1) + 64
-                    if len(heap) > cap:
-                        live = [e for e in heap if entry_seq[e[2]] == e[3]]
-                        stale_pops += len(heap) - len(live)
-                        heap[:] = live
-                        heapify(heap)
-                    if len(pess) > cap:
-                        pess[:] = [e for e in pess if pess_seq[e[1]] == e[2]]
-                        heapify(pess)
-                    scan_wall += clock() - ts
+                    self._refresh_rates()
+                if self._pending_push:
+                    self._push_changed()
                 # -- event selection -----------------------------------------
                 timer_t = timers[0][0] if timers else inf
-                n_stale = 0
                 while heap:
                     top = heap[0]
-                    if entry_seq[top[2]] == top[3]:
+                    if entry_seq[top[3]] == top[4]:
                         break
                     heappop(heap)
-                    n_stale += 1
-                if n_stale:
-                    stale_pops += n_stale
-                completion_flow = None
-                if tie:
-                    picked = self._peek_completion_heap()
-                    if picked is not None:
-                        flow_t, completion_flow = picked
-                    else:
-                        flow_t = inf
-                elif heap:
-                    t_top, flowid_top, fid_top, seq_top = heap[0]
+                    stale_pops += 1
+                flow = None
+                flow_t = inf
+                if heap and not tie:
+                    _, t_top, flowid_top, fid_top, seq_top = heap[0]
                     horizon = t_top + tw * max(1.0, abs(t_top))
                     n = len(heap)
                     second = heap[1][0] if n > 1 else inf
                     if n > 2 and heap[2][0] < second:
                         second = heap[2][0]
                     if second > horizon:
-                        # Single candidate: the heap's second-smallest
-                        # parked time sits at the root's children, and
-                        # both lie beyond the tie window.  Re-predict the
-                        # top fresh and replace it in one sift (every
-                        # read of the heap is arrangement-independent).
-                        flow_t = self._settled_at + table.rem.item(
-                            fid_top
-                        ) / table.rate.item(fid_top)
-                        seq = self._push_seq
-                        self._push_seq = seq + 1
-                        entry_seq[fid_top] = seq
-                        heapreplace(heap, (flow_t, flowid_top, fid_top, seq))
-                        heap_pushes += 1
-                        completion_flow = flow_at[fid_top]
-                    else:
-                        picked = self._peek_completion_heap()
-                        assert picked is not None
-                        flow_t, completion_flow = picked
-                else:
-                    flow_t = inf
-                if flow_t > bound and timer_t > bound:
-                    self.now = bound
+                        # Single candidate: re-predict the top fresh.  A
+                        # winner's entry is consumed; one that waits
+                        # behind a timer is replaced by the fresh one in
+                        # one sift (every read of the heap is
+                        # arrangement-independent).
+                        base = self._settled_at
+                        rem = table.rem.item(fid_top)
+                        rate = table.rate.item(fid_top)
+                        flow_t = base + rem / rate
+                        flow = flow_at[fid_top]
+                        if flow_t <= timer_t and flow_t <= stop:
+                            heappop(heap)
+                        else:
+                            heapq.heapreplace(
+                                heap,
+                                (base + (rem - 1.0) / rate, flow_t, flowid_top, fid_top, seq_top),
+                            )
+                            heap_pushes += 1
+                if flow is None and (heap or tie):
+                    picked = self._peek_completion_heap()
+                    if picked is not None:
+                        flow_t, flow = picked
+                if flow_t > stop and timer_t > stop:
+                    self.now = stop
                     break
                 if flow_t == inf and timer_t == inf:
                     break
                 # -- process -------------------------------------------------
                 processed = 1
                 if flow_t <= timer_t:
-                    self.now = flow_t
-                    flow = completion_flow
                     assert flow is not None
+                    self.now = flow_t
                     flow.remaining = 0.0
                     table.rem[flow.fid] = 0.0
-                    callback = flows.pop(flow)
-                    fidr = table.release(flow)
-                    entry_seq[fidr] = -1
-                    pess_seq[fidr] = -1
-                    if tie:
-                        tie.pop(fidr, None)
-                    self._alloc.remove(flow)
-                    self._dirty = True
-                    self.completed_flows += 1
-                    finished += 1
-                    callback(flow)
+                    self._finish(flow)
                     flow_events += 1
                     run_len += 1
                 else:
@@ -786,18 +705,8 @@ class Simulation:
                         casc_runs += 1
                         casc_events += run_len - 1
                     run_len = 0
-                # -- sweep (the nothing-due peek inline) ---------------------
-                if flows:
-                    now = self.now
-                    while pess:
-                        e = pess[0]
-                        if pess_seq[e[1]] != e[2]:
-                            heappop(pess)
-                            continue
-                        if e[0] > now:
-                            break
-                        self._sweep()
-                        break
+                if flows and (tie or (heap and heap[0][0] <= self.now)):
+                    self._sweep()
                 self.events_processed += processed
                 events += processed
                 if events > max_events:
@@ -808,28 +717,13 @@ class Simulation:
             if run_len > 1:
                 casc_runs += 1
                 casc_events += run_len - 1
-            perf.solve_wall += solve_wall
-            perf.settle_wall += settle_wall
-            perf.scan_wall += scan_wall
-            perf.solves += solves
-            perf.settles += settles
-            perf.flows_settled += flows_settled
-            perf.solve_iterations += iters_acc
-            perf.component_solves += comp_solves
-            perf.component_flows_resolved += flows_resolved
-            perf.vectorized_solves += vec_solves
             perf.heap_pushes += heap_pushes
             perf.stale_pops += stale_pops
             perf.flow_events += flow_events
             perf.timer_events += timer_events
             perf.coalesced_events += coalesced
-            perf.flows_finished += finished
             perf.fastforward_cascades += casc_runs
             perf.cascade_events += casc_events
-            if size_max > perf.component_size_max:
-                perf.component_size_max = size_max
-            if comp_peak > perf.components:
-                perf.components = comp_peak
-            perf.run_wall += clock() - t0
+            perf.run_wall += wall_clock() - t0
         table.sync_remaining(flows, self.now - self._settled_at)
         return self.now

@@ -37,9 +37,10 @@ class SimPerf:
     solves: int = 0
     #: total water-filling iterations across all solves
     solve_iterations: int = 0
-    #: per-flow completion predictions pushed onto the lazy heap
+    #: entries pushed onto the lazy completion heap: re-rated flows,
+    #: re-predicted tops that wait behind a timer, sweep re-queues
     heap_pushes: int = 0
-    #: invalidated heap entries lazily discarded on pop
+    #: superseded heap entries discarded on pop or by compaction
     stale_pops: int = 0
     #: peak connected-component count of the flow–resource graph
     components: int = 0

@@ -213,23 +213,27 @@ class TestSmallPathUntouched:
         assert run.sim._alloc._forms == {}
 
     # Engine counters of the three read workloads of the repository
-    # benchmark at seed 0 (per run: baseline, then Opass), measured before
-    # numpy-tier components were lowered once; none of these runs reaches
-    # that tier, so its rework must leave them exactly as they were.
+    # benchmark at seed 0 (per run: baseline, then Opass).  None of these
+    # runs reaches the numpy tier, so its rework must leave
+    # ``component_solves`` exactly as it was before numpy-tier components
+    # were lowered once.  ``heap_pushes`` counts every entry pushed onto
+    # the engine's one heap (re-rates, re-predicted tops that wait behind
+    # a timer, sweep re-queues) and ``stale_pops`` every superseded entry
+    # it discards.
     READ_COUNTERS = {
         "fig7-single": {
-            "heap_pushes": [20467, 5120],
-            "stale_pops": [11689, 0],
+            "heap_pushes": [16298, 5120],
+            "stale_pops": [7519, 0],
             "component_solves": [6885, 5120],
         },
         "fig9-multi": {
-            "heap_pushes": [33408, 31554],
-            "stale_pops": [18814, 17169],
+            "heap_pushes": [26225, 24627],
+            "stale_pops": [11631, 10241],
             "component_solves": [10691, 10741],
         },
         "fig11-dynamic": {
-            "heap_pushes": [26775, 19651],
-            "stale_pops": [12336, 4812],
+            "heap_pushes": [22166, 15043],
+            "stale_pops": [7727, 204],
             "component_solves": [7217, 5207],
         },
     }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulate import Resource, Simulation
+from tests.reference_sim import ReferenceSimulation
 
 
 @pytest.fixture
@@ -61,6 +62,23 @@ class TestTinyFlows:
         sim.run()
         assert ends["tiny"] < 1.0
         assert ends["huge"] == pytest.approx((1e9 + 1) / 10.0, rel=1e-6)
+
+
+class TestDueBoundRetire:
+    @pytest.mark.parametrize("factory", [Simulation, ReferenceSimulation])
+    def test_timer_retires_flow_drained_within_eps(self, factory):
+        """A flow left within ``REMAINING_EPS`` of done by a timer retires
+        at the timer's instant.  Its predicted finish (10.0000005) lies
+        outside the tie window of the timer at 10.0, so the flow never
+        joins the tie group: only its due pessimistic bound (9.0000005)
+        names it to the sweep."""
+        sim = factory()
+        sim.add_resource(Resource("r", 1.0))
+        ends = []
+        sim.start_flow(10.0 + 5e-7, ["r"], lambda f: ends.append(sim.now))
+        sim.schedule(10.0, lambda: None)
+        sim.run()
+        assert ends == [10.0]
 
 
 class TestCallbackEffects:

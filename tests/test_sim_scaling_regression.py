@@ -1,12 +1,16 @@
 """PR 9 regression contract: throughput must not collapse with scale.
 
-Before event coalescing and the pessimistic retire-time sweep, the
-engine's per-event cost grew with the active flow count — a hidden
-O(n)-per-event scan — so 2048/4096-node runs collapsed to ~0.55x of the
-512-node events/s.  This test pins the fix with the bench's own min-of-3
-protocol: the simulation is deterministic, so the fastest of three
-repeats strips scheduler/frequency noise, and measuring both scales in
-one session puts that noise on both sides of the ratio.
+Before event coalescing and the pessimistic retire-time sweep (the
+sweep now pops only the completion-heap entries whose retire bound has
+come due, plus the tie group), the engine's per-event cost grew with the
+active flow count — a hidden O(n)-per-event scan — so 2048/4096-node
+runs collapsed to ~0.55x of the 512-node events/s.  Such a scan changes
+no work counter, so ``tests/test_work_counter_growth.py`` cannot see
+it; this test is the only one that does.  It pins the fix with the
+bench's own min-of-3 protocol: the simulation is deterministic, so the
+fastest of three repeats strips scheduler/frequency noise, and
+measuring both scales in one session puts that noise on both sides of
+the ratio.
 
 The ratio gate (not an absolute events/s gate) is what makes this
 runnable on shared CI hardware: a slow machine slows both scales alike.

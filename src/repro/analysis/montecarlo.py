@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..draws import choice_rows
+
 
 def sample_placement(
     num_chunks: int,
@@ -20,13 +22,16 @@ def sample_placement(
     num_nodes: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample an (n, r) array of replica node ids, distinct per row."""
+    """Sample an (n, r) array of replica node ids, distinct per row.
+
+    Row ``i`` is what the ``i``-th of ``num_chunks`` successive
+    ``rng.choice(num_nodes, replication, replace=False)`` calls returns;
+    :func:`repro.draws.choice_rows` draws them in one pass.
+    """
     if num_nodes < replication:
         raise ValueError("need at least `replication` nodes")
-    out = np.empty((num_chunks, replication), dtype=np.int64)
-    for i in range(num_chunks):
-        out[i] = rng.choice(num_nodes, size=replication, replace=False)
-    return out
+    rows = choice_rows(rng, num_nodes, replication, num_chunks)
+    return np.array(rows, dtype=np.int64).reshape(num_chunks, replication)
 
 
 def empirical_local_chunks(

@@ -29,28 +29,24 @@ O(E log deg + m).  ``owner_w[task]`` keeps the matching value of the
 holder's winning proposal, which is the holder's edge weight, so the
 steal test and ``local_bytes`` need no weight lookup.  The seeded draw
 of the next proposer is replayed from buffered raw words of the
-function's private generator (:func:`_bounded_draws`): the same values
-``Generator.integers`` returns, without a numpy call per proposal.
+function's private generator (:func:`repro.draws.bounded_draws`): the
+same values ``Generator.integers`` returns, without a numpy call per
+proposal.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..draws import bounded_draws, uint32_words
 from .assignment import Assignment, equal_quotas
 from .bipartite import LocalityGraph
 from .perf import SchedPerf, wall_clock
 
 logger = logging.getLogger(__name__)
-
-_MASK32 = 0xFFFFFFFF
-#: Raw 64-bit words pulled from the generator per refill (two draws each,
-#: short of a rejection).
-_RAW_BLOCK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,42 +57,6 @@ class MultiDataResult:
     local_bytes: int
     reassignments: int
     proposals: int
-
-
-def _uint32_words(bit_generator: np.random.BitGenerator, block: int) -> Iterator[int]:
-    """A 64-bit bit generator's 32-bit outputs: each word's low, then high half."""
-    while True:
-        for word in bit_generator.random_raw(block).tolist():
-            yield word & _MASK32
-            yield word >> 32
-
-
-def _bounded_draws(
-    rng: np.random.Generator, block: int = _RAW_BLOCK
-) -> Callable[[int], int]:
-    """Return ``draw(k)``, equal to ``int(rng.integers(k))`` for ``1 <= k <= 2**32``.
-
-    numpy draws an integer below ``k <= 2**32`` by Lemire's multiply-shift
-    rejection over 32-bit outputs: ``k == 1`` consumes nothing; otherwise
-    ``m = u32 * k`` is redrawn while its low 32 bits fall below
-    ``(2**32 - k) % k``, and the draw is ``m >> 32``.  Replaying that from
-    ``block`` raw words at a time avoids a numpy call per draw.  The
-    prefetch advances ``rng``'s stream past the words drawn so far, so
-    only a generator that nothing else draws from may be passed.
-    """
-    next_word = _uint32_words(rng.bit_generator, block).__next__
-
-    def draw(k: int) -> int:
-        if k == 1:
-            return 0
-        m = next_word() * k
-        if m & _MASK32 < k:
-            threshold = (_MASK32 - (k - 1)) % k
-            while m & _MASK32 < threshold:
-                m = next_word() * k
-        return m >> 32
-
-    return draw
 
 
 def optimize_multi_data(
@@ -128,7 +88,7 @@ def optimize_multi_data(
         raise ValueError(f"total quota {sum(quotas)} < {n} tasks")
 
     t0 = wall_clock() if perf is not None else 0.0
-    draw = _bounded_draws(np.random.default_rng(seed))
+    draw = bounded_draws(uint32_words(np.random.default_rng(seed).bit_generator))
 
     # Per-process proposal order: tasks by descending matching value.  Tasks
     # with no co-located data (no edge) have value 0 and come last, ordered

@@ -88,7 +88,12 @@ class DistributedFileSystem:
     # -- write path -----------------------------------------------------------
 
     def put_dataset(self, dataset: Dataset, *, writer_node: int | None = None) -> None:
-        """Store a dataset: place replicas and register metadata."""
+        """Store a dataset: place replicas and register metadata.
+
+        A rejected dataset (its name or a file name already taken) leaves
+        the file system, and its ``rng``, as they were.
+        """
+        self.namenode.check_new_dataset(dataset)
         layout = self.placement.place_dataset(
             dataset,
             self.spec,
@@ -97,11 +102,16 @@ class DistributedFileSystem:
             self.rng,
             writer_node,
         )
+        self.store(dataset, layout)
+
+    def store(self, dataset: Dataset, layout: dict[ChunkId, tuple[int, ...]]) -> None:
+        """Register ``dataset`` under a given chunk → nodes layout and hand
+        each node its replicas."""
         self.namenode.register_dataset(dataset, layout)
-        size_of = {c.id: c.size for c in dataset.iter_chunks()}
-        for cid, nodes in layout.items():
-            for node in nodes:
-                self.datanodes[node].add_replica(cid, size_of[cid])
+        datanodes = self.datanodes
+        for chunk in dataset.iter_chunks():
+            for node in layout[chunk.id]:
+                datanodes[node].add_replica(chunk.id, chunk.size)
 
     # -- metadata (the Opass-facing surface) ----------------------------------
 

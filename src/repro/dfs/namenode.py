@@ -37,29 +37,52 @@ class NameNode:
 
     def register_file(self, meta: FileMeta, locations: dict[ChunkId, tuple[int, ...]]) -> None:
         """Add a file and the replica locations of each of its chunks."""
-        if meta.name in self._files:
-            raise ValueError(f"file {meta.name!r} already exists")
-        for chunk in meta.chunks:
-            if chunk.id not in locations:
-                raise ValueError(f"missing locations for {chunk.id}")
-            nodes = locations[chunk.id]
-            if not nodes:
-                raise ValueError(f"chunk {chunk.id} has no replicas")
-            if len(set(nodes)) != len(nodes):
-                raise ValueError(f"chunk {chunk.id} has duplicate replica nodes")
-        self._files[meta.name] = meta
-        for chunk in meta.chunks:
-            nodes = tuple(locations[chunk.id])
-            self._chunk_index[chunk.id] = chunk
-            self._locations[chunk.id] = nodes
-            self._token_sum = (self._token_sum + hash((chunk.id, nodes))) & _TOKEN_MASK
+        self._check_new_names([meta])
+        self._add_files([meta], locations)
 
     def register_dataset(self, dataset: Dataset, layout: dict[ChunkId, tuple[int, ...]]) -> None:
+        """Add every file of ``dataset`` and its chunks' replica locations.
+
+        Every check runs before anything is added, so a rejected dataset
+        leaves the namespace as it was.
+        """
+        self.check_new_dataset(dataset)
+        self._add_files(dataset.files, layout)
+        self._datasets[dataset.name] = dataset
+
+    def check_new_dataset(self, dataset: Dataset) -> None:
+        """Raise unless ``dataset``'s name and its file names are all new."""
         if dataset.name in self._datasets:
             raise ValueError(f"dataset {dataset.name!r} already exists")
-        for meta in dataset.files:
-            self.register_file(meta, layout)
-        self._datasets[dataset.name] = dataset
+        self._check_new_names(dataset.files)
+
+    def _check_new_names(self, files: list[FileMeta]) -> None:
+        seen: set[str] = set()
+        for meta in files:
+            if meta.name in self._files:
+                raise ValueError(f"file {meta.name!r} already exists")
+            if meta.name in seen:
+                raise ValueError(f"duplicate file name {meta.name!r}")
+            seen.add(meta.name)
+
+    def _add_files(self, files: list[FileMeta], locations: dict[ChunkId, tuple[int, ...]]) -> None:
+        """Check every chunk's locations, then add ``files``."""
+        for meta in files:
+            for chunk in meta.chunks:
+                nodes = locations.get(chunk.id)
+                if nodes is None:
+                    raise ValueError(f"missing locations for {chunk.id}")
+                if not nodes:
+                    raise ValueError(f"chunk {chunk.id} has no replicas")
+                if len(set(nodes)) != len(nodes):
+                    raise ValueError(f"chunk {chunk.id} has duplicate replica nodes")
+        for meta in files:
+            self._files[meta.name] = meta
+            for chunk in meta.chunks:
+                nodes = tuple(locations[chunk.id])
+                self._chunk_index[chunk.id] = chunk
+                self._locations[chunk.id] = nodes
+                self._token_sum = (self._token_sum + hash((chunk.id, nodes))) & _TOKEN_MASK
 
     def exists(self, name: str) -> bool:
         return name in self._files

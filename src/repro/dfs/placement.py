@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..draws import choice_rows
 from .chunk import Chunk, ChunkId, Dataset
 from .cluster import ClusterSpec
 
@@ -57,10 +58,7 @@ class PlacementPolicy(ABC):
         writer_node: int | None = None,
     ) -> dict[ChunkId, tuple[int, ...]]:
         """Place every chunk of ``dataset``; returns chunk → replica nodes."""
-        if replication <= 0:
-            raise ValueError("replication must be positive")
-        if not candidates:
-            raise ValueError("no candidate nodes to place on")
+        _check_request(candidates, replication)
         layout: dict[ChunkId, tuple[int, ...]] = {}
         for chunk in dataset.iter_chunks():
             nodes = self.place_chunk(chunk, cluster, candidates, replication, rng, writer_node)
@@ -70,12 +68,41 @@ class PlacementPolicy(ABC):
         return layout
 
 
+def _check_request(candidates: list[int], replication: int) -> None:
+    if replication <= 0:
+        raise ValueError("replication must be positive")
+    if not candidates:
+        raise ValueError("no candidate nodes to place on")
+
+
 class RandomPlacement(PlacementPolicy):
     """Uniform random placement: r distinct nodes per chunk.
 
     This is the model behind the paper's locality/balance analysis — the
     probability that a given node holds a given chunk is exactly ``r/m``.
+    :meth:`place_chunk` is one ``rng.choice`` per chunk;
+    :meth:`place_dataset` draws the whole layout in one pass
+    (:func:`repro.draws.choice_rows`), with the same result and the same
+    ``rng`` state after it as :meth:`place_chunk` chunk by chunk.
     """
+
+    def place_dataset(
+        self,
+        dataset: Dataset,
+        cluster: ClusterSpec,
+        candidates: list[int],
+        replication: int,
+        rng: np.random.Generator,
+        writer_node: int | None = None,
+    ) -> dict[ChunkId, tuple[int, ...]]:
+        _check_request(candidates, replication)
+        chunks = list(dataset.iter_chunks())
+        r = min(replication, len(candidates))
+        rows = choice_rows(rng, len(candidates), r, len(chunks))
+        return {
+            chunk.id: tuple(sorted([candidates[i] for i in row]))
+            for chunk, row in zip(chunks, rows)
+        }
 
     def place_chunk(
         self,

@@ -114,11 +114,7 @@ def restore_snapshot(fs: DistributedFileSystem, data: dict) -> list[str]:
                 for i, size in enumerate(file_doc["chunks"])
             )
             ds.add_file(FileMeta(file_doc["name"], chunks))
-        fs.namenode.register_dataset(ds, locations)
-        for meta in ds.files:
-            for chunk in meta.chunks:
-                for node in locations[chunk.id]:
-                    fs.datanodes[node].add_replica(chunk.id, chunk.size)
+        fs.store(ds, locations)
         names.append(ds.name)
     return names
 

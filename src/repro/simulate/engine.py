@@ -517,6 +517,7 @@ class Simulation:
         rate_item = table.rate.item
         flow_at = table.flow_at
         n_tie = len(tie)
+        perf.sweep_checks += n_tie + len(due)
         hits: list[tuple[Flow, float]] = []
         for i, fid in enumerate([*tie, *(entry[3] for entry in due)]):
             current = rem_item(fid) - rate_item(fid) * dt if dt > 0.0 else rem_item(fid)

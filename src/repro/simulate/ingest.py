@@ -165,12 +165,9 @@ class DatasetIngest:
 
     def run(self) -> IngestResult:
         """Place, register and stream every chunk; returns timing."""
+        self.fs.namenode.check_new_dataset(self.dataset)
         layout = self._place_all()
-        self.fs.namenode.register_dataset(self.dataset, layout)
-        size_of = {c.id: c.size for c in self.dataset.iter_chunks()}
-        for cid, nodes in layout.items():
-            for node in nodes:
-                self.fs.datanodes[node].add_replica(cid, size_of[cid])
+        self.fs.store(self.dataset, layout)
 
         # Per-writer sequential chunk streams.
         queues: dict[int, deque[Chunk]] = {}

@@ -42,6 +42,9 @@ class SimPerf:
     heap_pushes: int = 0
     #: superseded heap entries discarded on pop or by compaction
     stale_pops: int = 0
+    #: slots the retire sweep gave the exact drain check: its tie-group
+    #: members plus the heap entries whose bound had come due
+    sweep_checks: int = 0
     #: peak connected-component count of the flow–resource graph
     components: int = 0
     #: per-component water-filling runs (component allocator only)
@@ -95,6 +98,7 @@ class SimPerf:
             "solve_iterations": self.solve_iterations,
             "heap_pushes": self.heap_pushes,
             "stale_pops": self.stale_pops,
+            "sweep_checks": self.sweep_checks,
             "components": self.components,
             "component_solves": self.component_solves,
             "component_size_max": self.component_size_max,

@@ -186,9 +186,10 @@ DEFAULT_COST_CONTRACTS: dict[str, str] = {
 }
 
 #: Directories linted with the relaxed profile (OPS000/OPS001/OPS003,
-#: literal seeds allowed): benches and tests pin seeds on purpose, but
-#: must still stay free of *unseeded* RNG and unordered-set iteration.
-DEFAULT_EXTRA_PATHS: tuple[str, ...] = ("benchmarks", "tests")
+#: literal seeds allowed): benches, tests and examples pin seeds on
+#: purpose, but must still stay free of *unseeded* RNG and unordered-set
+#: iteration.
+DEFAULT_EXTRA_PATHS: tuple[str, ...] = ("benchmarks", "tests", "examples")
 
 #: Rules active under the relaxed profile.
 DEFAULT_EXTRA_RULES: tuple[str, ...] = ("OPS000", "OPS001", "OPS003")

@@ -22,6 +22,13 @@ class TestSamplePlacement:
             assert len(set(row.tolist())) == 3
         assert p.min() >= 0 and p.max() < 16
 
+    def test_rows_are_successive_choice_calls(self):
+        for seed in range(20):
+            want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+            want = [want_rng.choice(16, 3, replace=False) for _ in range(50)]
+            assert np.array_equal(sample_placement(50, 3, 16, got_rng), want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_insufficient_nodes(self, rng):
         with pytest.raises(ValueError):
             sample_placement(10, 5, 3, rng)

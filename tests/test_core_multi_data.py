@@ -6,10 +6,11 @@ import pytest
 from repro.core.assignment import equal_quotas, locality_fraction
 from repro.core.bipartite import ProcessPlacement, build_locality_graph, graph_from_filesystem
 from repro.core.baselines import rank_interval_assignment
-from repro.core.multi_data import _bounded_draws, optimize_multi_data
+from repro.core.multi_data import optimize_multi_data
 from repro.core.tasks import Task, tasks_from_datasets
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.dfs.chunk import MB, ChunkId
+from repro.draws import bounded_draws, uint32_words
 from repro.workloads import multi_input_datasets
 
 
@@ -171,7 +172,7 @@ class TestSelectionOrder:
 
 
 class TestDrawReplay:
-    """``_bounded_draws`` replays ``Generator.integers(k)`` from raw words."""
+    """``bounded_draws`` replays ``Generator.integers(k)`` from raw words."""
 
     @staticmethod
     def _bounds(seed, count):
@@ -195,7 +196,7 @@ class TestDrawReplay:
         bounds = self._bounds(seed, 3000)
         rng = np.random.default_rng(seed)
         want = [int(rng.integers(k)) for k in bounds]
-        draw = _bounded_draws(np.random.default_rng(seed), block=block)
+        draw = bounded_draws(uint32_words(np.random.default_rng(seed).bit_generator, block))
         assert [draw(k) for k in bounds] == want
 
     def test_rejection_fires_above_two_to_the_31(self):
@@ -205,12 +206,12 @@ class TestDrawReplay:
         unrejected = [(u * k) >> 32 for u in halves[:100]]
         rng = np.random.default_rng(5)
         want = [int(rng.integers(k)) for _ in range(100)]
-        draw = _bounded_draws(np.random.default_rng(5), block=2)
+        draw = bounded_draws(uint32_words(np.random.default_rng(5).bit_generator, 2))
         assert [draw(k) for _ in range(100)] == want
         assert want != unrejected
 
     def test_bound_one_consumes_nothing(self):
-        draw = _bounded_draws(np.random.default_rng(8), block=1)
+        draw = bounded_draws(uint32_words(np.random.default_rng(8).bit_generator, 1))
         rng = np.random.default_rng(8)
         assert [draw(1) for _ in range(5)] == [0] * 5
         assert draw(1000) == int(rng.integers(1000))

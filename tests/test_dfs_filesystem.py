@@ -10,7 +10,7 @@ from repro.dfs import (
     FirstListed,
     uniform_dataset,
 )
-from repro.dfs.chunk import MB, ChunkId
+from repro.dfs.chunk import MB, ChunkId, Dataset, make_file
 
 
 @pytest.fixture
@@ -41,6 +41,40 @@ class TestPutDataset:
     def test_duplicate_dataset_rejected(self, fs):
         with pytest.raises(ValueError):
             fs.put_dataset(uniform_dataset("d", 1))
+
+    def test_rejected_put_changes_nothing(self):
+        """A put whose dataset holds a taken file name raises before it
+        places or registers any file of it."""
+        f = DistributedFileSystem(ClusterSpec.homogeneous(6), replication=2, seed=3)
+        taken = Dataset("a")
+        taken.add_file(make_file("shared", MB, chunk_size=MB))
+        f.put_dataset(taken)
+        before = (
+            f.namenode.list_files(),
+            f.namenode.list_datasets(),
+            f.layout_token,
+            f.replica_count_per_node(),
+            f.rng.bit_generator.state,
+        )
+        clash = Dataset("b")
+        clash.add_file(make_file("fresh", MB, chunk_size=MB))
+        clash.add_file(make_file("shared", MB, chunk_size=MB))
+        with pytest.raises(ValueError, match="'shared' already exists"):
+            f.put_dataset(clash)
+        assert (
+            f.namenode.list_files(),
+            f.namenode.list_datasets(),
+            f.layout_token,
+            f.replica_count_per_node(),
+            f.rng.bit_generator.state,
+        ) == before
+        assert not f.namenode.exists("fresh")
+
+        fixed = Dataset("b")
+        fixed.add_file(make_file("fresh", MB, chunk_size=MB))
+        f.put_dataset(fixed)
+        plan = f.resolve_read(ChunkId("fresh", 0), 0)
+        assert f.datanodes[plan.server_node].holds(ChunkId("fresh", 0))
 
     def test_invalid_replication(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,23 @@ class TestDatasets:
         with pytest.raises(ValueError):
             nn.register_dataset(ds2, {})
 
+    def test_rejected_dataset_registers_no_file(self):
+        nn = NameNode()
+        _register_simple(nn)
+        token = nn.layout_token
+        clash = Dataset("d", [make_file("g", 100, chunk_size=100), make_file("f", 100)])
+        with pytest.raises(ValueError, match="'f' already exists"):
+            nn.register_dataset(clash, {ChunkId("g", 0): (0,), ChunkId("f", 0): (1,)})
+        twice = Dataset("d", [make_file("g", 100), make_file("g", 100)])
+        with pytest.raises(ValueError, match="duplicate file name 'g'"):
+            nn.register_dataset(twice, {ChunkId("g", 0): (0,)})
+        unplaced = Dataset("d", [make_file("g", 100), make_file("h", 100)])
+        with pytest.raises(ValueError, match="missing locations"):
+            nn.register_dataset(unplaced, {ChunkId("g", 0): (0,)})
+        assert nn.list_files() == ["f"]
+        assert nn.list_datasets() == []
+        assert nn.layout_token == token
+
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
             NameNode().dataset("nope")

@@ -12,6 +12,18 @@ from repro.dfs.placement import (
 )
 
 
+#: ``RandomPlacement`` of 40 chunks on 12 nodes, r = 3, seed 2015.
+PINNED_LAYOUT = [
+    (5, 7, 11), (7, 10, 11), (0, 1, 11), (3, 8, 11), (4, 8, 9), (0, 4, 7),
+    (2, 6, 7), (4, 5, 8), (6, 10, 11), (1, 3, 5), (0, 4, 8), (0, 4, 7),
+    (1, 6, 9), (5, 6, 10), (3, 4, 8), (4, 5, 8), (3, 8, 9), (1, 5, 6),
+    (4, 5, 7), (3, 8, 9), (1, 4, 8), (0, 2, 4), (0, 2, 10), (0, 5, 11),
+    (4, 8, 10), (1, 4, 7), (3, 8, 11), (3, 4, 11), (0, 1, 3), (1, 8, 9),
+    (0, 2, 9), (0, 1, 7), (4, 5, 8), (3, 6, 11), (4, 6, 8), (0, 5, 8),
+    (0, 5, 8), (1, 2, 10), (5, 10, 11), (7, 8, 11),
+]
+
+
 @pytest.fixture
 def spec():
     return ClusterSpec.homogeneous(12, nodes_per_rack=4)
@@ -65,6 +77,50 @@ class TestRandomPlacement:
     def test_empty_candidates_rejected(self, spec, dataset, rng):
         with pytest.raises(ValueError):
             RandomPlacement().place_dataset(dataset, spec, [], 3, rng)
+
+    def test_pinned_layout(self, spec, dataset):
+        """Seed 2015's layout and the draws after it, as recorded from the
+        per-chunk ``rng.choice`` placement."""
+        rng = np.random.default_rng(2015)
+        layout = RandomPlacement().place_dataset(dataset, spec, list(range(12)), 3, rng)
+        assert [layout[c.id] for c in dataset.iter_chunks()] == PINNED_LAYOUT
+        pair = uniform_dataset("s", 6, chunk_size=MB)
+        sub = RandomPlacement().place_dataset(pair, spec, [3, 8], 3, rng)
+        assert list(sub.values()) == [(3, 8)] * 6
+        assert rng.integers(1000, size=5).tolist() == [420, 644, 353, 63, 508]
+
+    @pytest.mark.parametrize(
+        "candidates, replication",
+        [(list(range(12)), 3), (list(range(12)), 1), ([2, 5, 7, 9], 3),
+         ([2, 5, 7], 3), ([2, 5], 3), ([6], 3)],
+    )
+    @pytest.mark.parametrize("warmup", [0, 1])
+    def test_dataset_equals_chunk_by_chunk(self, spec, dataset, candidates,
+                                           replication, warmup):
+        """One pass gives :meth:`place_chunk`'s layout and leaves ``rng``
+        where the per-chunk calls leave it (replication above the
+        candidate count is clamped)."""
+        policy = RandomPlacement()
+        for seed in range(20):
+            want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+            want_rng.integers(10, size=warmup)
+            got_rng.integers(10, size=warmup)
+            want = {
+                c.id: policy.place_chunk(c, spec, candidates, replication, want_rng)
+                for c in dataset.iter_chunks()
+            }
+            got = policy.place_dataset(dataset, spec, candidates, replication, got_rng)
+            assert list(got.items()) == list(want.items())
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_mt19937_layout_unchanged(self, spec, dataset):
+        policy = RandomPlacement()
+        want_rng, got_rng = (np.random.Generator(np.random.MT19937(9)) for _ in range(2))
+        want = [policy.place_chunk(c, spec, list(range(12)), 3, want_rng)
+                for c in dataset.iter_chunks()]
+        got = policy.place_dataset(dataset, spec, list(range(12)), 3, got_rng)
+        assert list(got.values()) == want
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
 
 
 class TestHdfsWriterLocalPlacement:

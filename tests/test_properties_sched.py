@@ -30,10 +30,10 @@ from repro.core import (
     plan_remote_reads,
     tasks_from_dataset,
 )
-from repro.core.multi_data import _RAW_BLOCK
 from repro.core.tasks import Task
 from repro.dfs import ClusterSpec, DistributedFileSystem
 from repro.dfs.chunk import MB, ChunkId
+from repro.draws import RAW_BLOCK
 from repro.metrics import sched_perf_summary
 from repro.simulate import ParallelReadRun, StaticSource
 from repro.workloads import single_data_workload
@@ -182,7 +182,7 @@ class TestMultiDataDifferential:
         # One draw per proposal and about two per raw word, so thousands of
         # proposals run through several refills of the buffered words.
         r = _check_multi_data(64, 640, seed + 70, seed)
-        assert r.proposals > 2 * 2 * _RAW_BLOCK
+        assert r.proposals > 2 * 2 * RAW_BLOCK
         assert r.reassignments > 0
 
     @pytest.mark.parametrize("seed", [1, 5])
@@ -197,7 +197,7 @@ class TestMultiDataDifferential:
     def test_quota_sum_above_task_count(self, quotas):
         r = _check_multi_data(48, 480, 31, 7, quotas=quotas)
         assert sum(quotas) > 480
-        assert r.proposals > 2 * 2 * _RAW_BLOCK
+        assert r.proposals > 2 * 2 * RAW_BLOCK
 
 
 class TestFlowNetworkDifferential:

@@ -74,6 +74,13 @@ SIM_BOUNDS: tuple[tuple[str, str | None, float, str], ...] = (
         2.0,
         "same-timestamp timer waves keep coalescing as scale grows",
     ),
+    (
+        "sweep_checks",
+        "events",
+        2.0,
+        "the retire sweep checks only due heap entries and the tie group, "
+        "never every live flow",
+    ),
 )
 SCHED_BOUNDS: tuple[tuple[str, str | None, float, str], ...] = (
     (

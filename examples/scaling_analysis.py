@@ -62,9 +62,9 @@ def figure3_cdf() -> None:
           "its own formula says Binomial(n, r/m).)\n")
 
 
-def balance_model_vs_montecarlo() -> None:
+def balance_model_vs_montecarlo(*, seed: int) -> None:
     print("=== §III-B imbalance: model vs Monte-Carlo (n=512, r=3, m=128) ===")
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     mc = empirical_nodes_serving(512, 3, 128, trials=400, rng=rng)
     rows = [
         ("nodes serving <=1 chunk",
@@ -80,10 +80,10 @@ def balance_model_vs_montecarlo() -> None:
           "idle nodes sit at <=1 — the paper's imbalance story.)")
 
 
-def main() -> None:
+def main(seed: int = 0) -> None:
     locality_vs_cluster_size()
     figure3_cdf()
-    balance_model_vs_montecarlo()
+    balance_model_vs_montecarlo(seed=seed)
 
 
 if __name__ == "__main__":

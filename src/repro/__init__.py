@@ -22,65 +22,41 @@ Quick start::
     print(result.full_matching)  # usually True: every read is local
 """
 
-from .analysis import figure3_series, prob_more_than, section3b_summary
-from .core import (
-    Assignment,
-    DefaultDynamicPolicy,
-    DynamicPlan,
-    LocalityGraph,
-    ProcessPlacement,
-    Task,
-    locality_fraction,
-    opass_dynamic_plan,
-    opass_multi_data,
-    opass_single_data,
-    optimize_multi_data,
-    optimize_single_data,
-    plan_dynamic,
-    random_assignment,
-    rank_interval_assignment,
-    tasks_from_dataset,
-    tasks_from_datasets,
-)
-from .dfs import (
-    Cluster,
-    ClusterSpec,
-    Dataset,
-    DistributedFileSystem,
-    uniform_dataset,
-)
-from .simulate import ParallelReadRun, RunResult, StaticSource
+from ._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Assignment",
-    "Cluster",
-    "ClusterSpec",
-    "Dataset",
-    "DefaultDynamicPolicy",
-    "DistributedFileSystem",
-    "DynamicPlan",
-    "LocalityGraph",
-    "ParallelReadRun",
-    "ProcessPlacement",
-    "RunResult",
-    "StaticSource",
-    "Task",
-    "__version__",
-    "figure3_series",
-    "locality_fraction",
-    "opass_dynamic_plan",
-    "opass_multi_data",
-    "opass_single_data",
-    "optimize_multi_data",
-    "optimize_single_data",
-    "plan_dynamic",
-    "prob_more_than",
-    "random_assignment",
-    "rank_interval_assignment",
-    "section3b_summary",
-    "tasks_from_dataset",
-    "tasks_from_datasets",
-    "uniform_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "analysis": ("figure3_series", "prob_more_than", "section3b_summary"),
+        "core": (
+            "Assignment",
+            "DefaultDynamicPolicy",
+            "DynamicPlan",
+            "LocalityGraph",
+            "ProcessPlacement",
+            "Task",
+            "locality_fraction",
+            "opass_dynamic_plan",
+            "opass_multi_data",
+            "opass_single_data",
+            "optimize_multi_data",
+            "optimize_single_data",
+            "plan_dynamic",
+            "random_assignment",
+            "rank_interval_assignment",
+            "tasks_from_dataset",
+            "tasks_from_datasets",
+        ),
+        "dfs": (
+            "Cluster",
+            "ClusterSpec",
+            "Dataset",
+            "DistributedFileSystem",
+            "uniform_dataset",
+        ),
+        "simulate": ("ParallelReadRun", "RunResult", "StaticSource"),
+    },
+)
+__all__ += ["__version__"]

@@ -1,93 +1,57 @@
 """Analytical models of remote and imbalanced parallel access (paper §III)."""
 
-from .balance import (
-    BalanceSummary,
-    cdf_served_chunks,
-    cdf_served_chunks_total_probability,
-    expected_nodes_serving_at_most,
-    expected_nodes_serving_more_than,
-    section3b_summary,
-    served_chunks_distribution,
-    stored_chunks_distribution,
-)
-from .locality import (
-    FIGURE3_CLUSTER_SIZES,
-    FIGURE3_NUM_CHUNKS,
-    FIGURE3_REPLICATION,
-    Figure3Row,
-    cdf_local_chunks,
-    expected_local_chunks,
-    expected_local_fraction,
-    figure3_series,
-    local_chunks_distribution,
-    paper_figure3_series,
-    local_read_probability,
-    prob_more_than,
-)
-from .bounds import (
-    MakespanBounds,
-    expected_server_bound,
-    makespan_bounds,
-    reader_bound,
-    server_bound_from_served,
-)
-from .extremes import (
-    HotspotSummary,
-    empirical_max_served,
-    expected_max_served,
-    hotspot_summary,
-    max_served_cdf,
-    max_served_pmf,
-)
-from .validation import ValidationRow, validate_configuration, validation_grid
-from .montecarlo import (
-    ServeSample,
-    empirical_cdf,
-    empirical_local_chunks,
-    empirical_nodes_serving,
-    sample_placement,
-    simulate_serve_counts,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "FIGURE3_CLUSTER_SIZES",
-    "FIGURE3_NUM_CHUNKS",
-    "FIGURE3_REPLICATION",
-    "BalanceSummary",
-    "Figure3Row",
-    "HotspotSummary",
-    "MakespanBounds",
-    "ServeSample",
-    "ValidationRow",
-    "cdf_local_chunks",
-    "cdf_served_chunks",
-    "cdf_served_chunks_total_probability",
-    "empirical_cdf",
-    "empirical_local_chunks",
-    "empirical_max_served",
-    "empirical_nodes_serving",
-    "expected_local_chunks",
-    "expected_local_fraction",
-    "expected_nodes_serving_at_most",
-    "expected_nodes_serving_more_than",
-    "expected_max_served",
-    "expected_server_bound",
-    "figure3_series",
-    "hotspot_summary",
-    "max_served_cdf",
-    "max_served_pmf",
-    "local_chunks_distribution",
-    "paper_figure3_series",
-    "local_read_probability",
-    "makespan_bounds",
-    "prob_more_than",
-    "reader_bound",
-    "sample_placement",
-    "section3b_summary",
-    "server_bound_from_served",
-    "served_chunks_distribution",
-    "simulate_serve_counts",
-    "stored_chunks_distribution",
-    "validate_configuration",
-    "validation_grid",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "balance": (
+            "BalanceSummary",
+            "cdf_served_chunks",
+            "cdf_served_chunks_total_probability",
+            "expected_nodes_serving_at_most",
+            "expected_nodes_serving_more_than",
+            "section3b_summary",
+            "served_chunks_distribution",
+            "stored_chunks_distribution",
+        ),
+        "locality": (
+            "FIGURE3_CLUSTER_SIZES",
+            "FIGURE3_NUM_CHUNKS",
+            "FIGURE3_REPLICATION",
+            "Figure3Row",
+            "cdf_local_chunks",
+            "expected_local_chunks",
+            "expected_local_fraction",
+            "figure3_series",
+            "local_chunks_distribution",
+            "paper_figure3_series",
+            "local_read_probability",
+            "prob_more_than",
+        ),
+        "bounds": (
+            "MakespanBounds",
+            "expected_server_bound",
+            "makespan_bounds",
+            "reader_bound",
+            "server_bound_from_served",
+        ),
+        "extremes": (
+            "HotspotSummary",
+            "empirical_max_served",
+            "expected_max_served",
+            "hotspot_summary",
+            "max_served_cdf",
+            "max_served_pmf",
+        ),
+        "validation": ("ValidationRow", "validate_configuration", "validation_grid"),
+        "montecarlo": (
+            "ServeSample",
+            "empirical_cdf",
+            "empirical_local_chunks",
+            "empirical_nodes_serving",
+            "sample_placement",
+            "simulate_serve_counts",
+        ),
+    },
+)

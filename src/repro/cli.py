@@ -25,18 +25,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from .analysis import figure3_series, section3b_summary
-from .apps import MpiBlastRun, MultiInputComparison, ParaViewMultiBlockReader
 from .core import ProcessPlacement
 from .dfs import ClusterSpec, DistributedFileSystem
-from .parallel import run_opass_single, run_rank_interval
-from .viz import format_series, format_table
-from .workloads import (
-    gene_database,
-    multi_input_datasets,
-    paraview_multiblock_series,
-    single_data_workload,
-)
 
 
 def _fresh_cluster(nodes: int, seed: int) -> tuple[DistributedFileSystem, ProcessPlacement]:
@@ -46,6 +36,9 @@ def _fresh_cluster(nodes: int, seed: int) -> tuple[DistributedFileSystem, Proces
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import figure3_series, section3b_summary
+    from .viz import format_table
+
     rows = []
     for row in figure3_series():
         rows.append((row.num_nodes, f"{row.prob_more_than_5 * 100:.2f}%"))
@@ -68,11 +61,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_single(args: argparse.Namespace) -> int:
+    from .core import tasks_from_dataset
+    from .parallel import run_opass_single, run_rank_interval
+    from .viz import format_table
+    from .workloads import single_data_workload
+
     fs, placement = _fresh_cluster(args.nodes, args.seed)
     data = single_data_workload(args.nodes, args.chunks_per_process)
     fs.put_dataset(data)
-    from .core import tasks_from_dataset
-
     tasks = tasks_from_dataset(data)
     base = run_rank_interval(fs, placement, tasks, seed=args.seed)
     fs.reset_counters()
@@ -94,6 +90,10 @@ def cmd_single(args: argparse.Namespace) -> int:
 
 
 def cmd_multi(args: argparse.Namespace) -> int:
+    from .apps import MultiInputComparison
+    from .viz import format_table
+    from .workloads import multi_input_datasets
+
     fs, placement = _fresh_cluster(args.nodes, args.seed)
     datasets = multi_input_datasets(args.tasks)
     for ds in datasets:
@@ -116,6 +116,10 @@ def cmd_multi(args: argparse.Namespace) -> int:
 
 
 def cmd_dynamic(args: argparse.Namespace) -> int:
+    from .apps import MpiBlastRun
+    from .viz import format_table
+    from .workloads import gene_database
+
     fs, placement = _fresh_cluster(args.nodes, args.seed)
     db = gene_database(args.tasks)
     fs.put_dataset(db)
@@ -135,6 +139,10 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 
 
 def cmd_paraview(args: argparse.Namespace) -> int:
+    from .apps import ParaViewMultiBlockReader
+    from .viz import format_series, format_table
+    from .workloads import paraview_multiblock_series
+
     fs, placement = _fresh_cluster(args.nodes, args.seed)
     series = paraview_multiblock_series(args.datasets)
     fs.put_dataset(series)
@@ -162,14 +170,17 @@ def cmd_paraview(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .core import tasks_from_dataset
+    from .parallel import run_opass_single, run_rank_interval
+    from .viz import format_table
+    from .workloads import single_data_workload
+
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
     for m in sizes:
         fs, placement = _fresh_cluster(m, args.seed)
         data = single_data_workload(m, args.chunks_per_process)
         fs.put_dataset(data)
-        from .core import tasks_from_dataset
-
         tasks = tasks_from_dataset(data)
         base = run_rank_interval(fs, placement, tasks, seed=args.seed)
         fs.reset_counters()
@@ -191,6 +202,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     from .core import tasks_from_dataset
     from .metrics import write_records_csv, write_run_json
+    from .parallel import run_opass_single, run_rank_interval
+    from .workloads import single_data_workload
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -215,6 +228,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     """Run one paper figure through the typed experiments API."""
     from . import experiments as exp
+    from .viz import format_table
 
     fig = args.id
     if fig == "fig1":
@@ -297,6 +311,7 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .analysis import empirical_max_served, hotspot_summary
+    from .viz import format_table
 
     s = hotspot_summary(args.chunks, args.replication, args.nodes)
     rng = np.random.default_rng(args.seed)
@@ -320,6 +335,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from .dfs import HdfsWriterLocalPlacement
     from .dfs.chunk import uniform_dataset
     from .simulate import DatasetIngest
+    from .viz import format_table
 
     spec = ClusterSpec.homogeneous(args.nodes)
     fs = DistributedFileSystem(
@@ -366,6 +382,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     from .analysis import validation_grid
+    from .viz import format_table
 
     sizes = tuple(int(s) for s in args.sizes.split(","))
     rows = validation_grid(cluster_sizes=sizes, trials=args.trials, seed=args.seed)

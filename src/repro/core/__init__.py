@@ -1,120 +1,71 @@
 """Opass core: locality graph, matching algorithms, assignment scoring."""
 
-from .assignment import (
-    Assignment,
-    equal_quotas,
-    fully_local_tasks,
-    is_full_matching,
-    load_in_bytes,
-    load_in_tasks,
-    local_bytes,
-    locality_fraction,
-)
-from .baselines import DefaultDynamicPolicy, random_assignment, rank_interval_assignment
-from .bipartite import (
-    LocalityGraph,
-    ProcessPlacement,
-    build_locality_graph,
-    clear_graph_cache,
-    graph_cache_stats,
-    graph_from_filesystem,
-)
-from .csr import LocalityCSR, build_csr, csr_from_rows
-from .delay_scheduling import DelaySchedulingPolicy, LocalityGreedyPolicy
-from .dynamic import DynamicPlan, plan_dynamic
-from .flownetwork import FlowNetwork
-from .heterogeneous import (
-    HeterogeneousPlan,
-    node_speed_weights,
-    plan_heterogeneous,
-    proportional_quotas,
-)
-from .incremental import IncrementalResult, rematch_incremental
-from .mincostflow import MinCostFlowNetwork
-from .multi_data import MultiDataResult, optimize_multi_data
-from .opass import opass_dynamic_plan, opass_multi_data, opass_single_data
-from .perf import SchedPerf
-from .quincy import optimize_quincy
-from .remote_balance import (
-    PlannedReplicaChoice,
-    RemoteBalancePlanner,
-    RemoteBalanceResult,
-    plan_remote_reads,
-)
-from .serialization import (
-    assignment_from_dict,
-    assignment_to_dict,
-    layout_fingerprint,
-    load_assignment,
-    plan_from_dict,
-    plan_to_dict,
-    save_assignment,
-)
-from .single_data import SingleDataResult, optimize_single_data
-from .tasks import (
-    Task,
-    multi_pass_scan_tasks,
-    tasks_from_dataset,
-    tasks_from_datasets,
-    total_task_bytes,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Assignment",
-    "DefaultDynamicPolicy",
-    "DelaySchedulingPolicy",
-    "DynamicPlan",
-    "FlowNetwork",
-    "HeterogeneousPlan",
-    "IncrementalResult",
-    "LocalityCSR",
-    "LocalityGraph",
-    "LocalityGreedyPolicy",
-    "MinCostFlowNetwork",
-    "MultiDataResult",
-    "PlannedReplicaChoice",
-    "ProcessPlacement",
-    "RemoteBalancePlanner",
-    "RemoteBalanceResult",
-    "SchedPerf",
-    "SingleDataResult",
-    "Task",
-    "build_csr",
-    "build_locality_graph",
-    "clear_graph_cache",
-    "csr_from_rows",
-    "equal_quotas",
-    "graph_cache_stats",
-    "fully_local_tasks",
-    "graph_from_filesystem",
-    "is_full_matching",
-    "load_in_bytes",
-    "load_in_tasks",
-    "local_bytes",
-    "locality_fraction",
-    "multi_pass_scan_tasks",
-    "node_speed_weights",
-    "opass_dynamic_plan",
-    "opass_multi_data",
-    "opass_single_data",
-    "optimize_multi_data",
-    "optimize_quincy",
-    "optimize_single_data",
-    "plan_dynamic",
-    "plan_heterogeneous",
-    "plan_remote_reads",
-    "proportional_quotas",
-    "random_assignment",
-    "rank_interval_assignment",
-    "assignment_from_dict",
-    "assignment_to_dict",
-    "layout_fingerprint",
-    "load_assignment",
-    "plan_from_dict",
-    "plan_to_dict",
-    "rematch_incremental",
-    "save_assignment",
-    "tasks_from_dataset",
-    "tasks_from_datasets",
-    "total_task_bytes",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "assignment": (
+            "Assignment",
+            "equal_quotas",
+            "fully_local_tasks",
+            "is_full_matching",
+            "load_in_bytes",
+            "load_in_tasks",
+            "local_bytes",
+            "locality_fraction",
+        ),
+        "baselines": (
+            "DefaultDynamicPolicy",
+            "random_assignment",
+            "rank_interval_assignment",
+        ),
+        "bipartite": (
+            "LocalityGraph",
+            "ProcessPlacement",
+            "build_locality_graph",
+            "clear_graph_cache",
+            "graph_cache_stats",
+            "graph_from_filesystem",
+        ),
+        "csr": ("LocalityCSR", "build_csr", "csr_from_rows"),
+        "delay_scheduling": ("DelaySchedulingPolicy", "LocalityGreedyPolicy"),
+        "dynamic": ("DynamicPlan", "plan_dynamic"),
+        "flownetwork": ("FlowNetwork",),
+        "heterogeneous": (
+            "HeterogeneousPlan",
+            "node_speed_weights",
+            "plan_heterogeneous",
+            "proportional_quotas",
+        ),
+        "incremental": ("IncrementalResult", "rematch_incremental"),
+        "mincostflow": ("MinCostFlowNetwork",),
+        "multi_data": ("MultiDataResult", "optimize_multi_data"),
+        "opass": ("opass_dynamic_plan", "opass_multi_data", "opass_single_data"),
+        "perf": ("SchedPerf",),
+        "quincy": ("optimize_quincy",),
+        "remote_balance": (
+            "PlannedReplicaChoice",
+            "RemoteBalancePlanner",
+            "RemoteBalanceResult",
+            "plan_remote_reads",
+        ),
+        "serialization": (
+            "assignment_from_dict",
+            "assignment_to_dict",
+            "layout_fingerprint",
+            "load_assignment",
+            "plan_from_dict",
+            "plan_to_dict",
+            "save_assignment",
+        ),
+        "single_data": ("SingleDataResult", "optimize_single_data"),
+        "tasks": (
+            "Task",
+            "multi_pass_scan_tasks",
+            "tasks_from_dataset",
+            "tasks_from_datasets",
+            "total_task_bytes",
+        ),
+    },
+)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ..dfs.chunk import ChunkId
 from ..dfs.filesystem import DistributedFileSystem
+from .csr import LocalityCSR, build_csr, csr_from_rows
 from .perf import SchedPerf, wall_clock
 from .tasks import Task
 
@@ -101,7 +102,7 @@ class LocalityGraph:
         sizes: dict[ChunkId, int],
         colocated: dict[int, dict[int, int]] | None = None,
         task_ranks: dict[int, list[int]] | None = None,
-        csr: "LocalityCSR | None" = None,
+        csr: LocalityCSR | None = None,
     ) -> None:
         self.placement = placement
         self.tasks = tasks
@@ -118,11 +119,9 @@ class LocalityGraph:
     # -- representations ------------------------------------------------------
 
     @property
-    def csr(self) -> "LocalityCSR":
+    def csr(self) -> LocalityCSR:
         """The flat CSR form (built lazily for dict-constructed graphs)."""
         if self._csr is None:
-            from .csr import csr_from_rows
-
             self._csr = csr_from_rows(
                 self.num_processes,
                 self.num_tasks,
@@ -257,8 +256,6 @@ def build_locality_graph(
     associated with f_j that can be accessed locally by p_i".  One pass over
     the task list fills the CSR directly (see :mod:`repro.core.csr`).
     """
-    from .csr import build_csr
-
     t0 = wall_clock() if perf is not None else 0.0
     csr = build_csr(tasks, locations, sizes, placement)
     graph = LocalityGraph(

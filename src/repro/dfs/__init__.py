@@ -5,65 +5,46 @@ r-way replica placement, the NameNode block-location metadata service,
 DataNode serve accounting, and the local-first/random-remote read policy.
 """
 
-from .chunk import (
-    DEFAULT_CHUNK_SIZE,
-    MB,
-    Chunk,
-    ChunkId,
-    Dataset,
-    FileMeta,
-    dataset_from_sizes,
-    make_file,
-    uniform_dataset,
-)
-from .cluster import Cluster, ClusterSpec, NodeSpec
-from .datanode import DataNode
-from .filesystem import DistributedFileSystem, ReadPlan
-from .namenode import NameNode
-from .placement import (
-    DEFAULT_REPLICATION,
-    HdfsWriterLocalPlacement,
-    PlacementPolicy,
-    RandomPlacement,
-    SkewedPlacement,
-)
-from .policies import FirstListed, LeastLoaded, RandomRemote, ReplicaChoicePolicy
-from .rebalancer import RebalanceReport, Rebalancer
-from .reconstruction import ReconstructionReport, reconstruct_for_tasks
-from .snapshot import load_snapshot, restore_snapshot, save_snapshot, snapshot_to_dict
+from .._lazy import lazy_surface
 
-__all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_REPLICATION",
-    "MB",
-    "Chunk",
-    "ChunkId",
-    "Cluster",
-    "ClusterSpec",
-    "DataNode",
-    "Dataset",
-    "DistributedFileSystem",
-    "FileMeta",
-    "FirstListed",
-    "HdfsWriterLocalPlacement",
-    "LeastLoaded",
-    "NameNode",
-    "NodeSpec",
-    "PlacementPolicy",
-    "RandomPlacement",
-    "RandomRemote",
-    "RebalanceReport",
-    "Rebalancer",
-    "ReconstructionReport",
-    "ReadPlan",
-    "ReplicaChoicePolicy",
-    "SkewedPlacement",
-    "dataset_from_sizes",
-    "load_snapshot",
-    "make_file",
-    "reconstruct_for_tasks",
-    "restore_snapshot",
-    "save_snapshot",
-    "snapshot_to_dict",
-    "uniform_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "chunk": (
+            "DEFAULT_CHUNK_SIZE",
+            "MB",
+            "Chunk",
+            "ChunkId",
+            "Dataset",
+            "FileMeta",
+            "dataset_from_sizes",
+            "make_file",
+            "uniform_dataset",
+        ),
+        "cluster": ("Cluster", "ClusterSpec", "NodeSpec"),
+        "datanode": ("DataNode",),
+        "filesystem": ("DistributedFileSystem", "ReadPlan"),
+        "namenode": ("NameNode",),
+        "placement": (
+            "DEFAULT_REPLICATION",
+            "HdfsWriterLocalPlacement",
+            "PlacementPolicy",
+            "RandomPlacement",
+            "SkewedPlacement",
+        ),
+        "policies": (
+            "FirstListed",
+            "LeastLoaded",
+            "RandomRemote",
+            "ReplicaChoicePolicy",
+        ),
+        "rebalancer": ("RebalanceReport", "Rebalancer"),
+        "reconstruction": ("ReconstructionReport", "reconstruct_for_tasks"),
+        "snapshot": (
+            "load_snapshot",
+            "restore_snapshot",
+            "save_snapshot",
+            "snapshot_to_dict",
+        ),
+    },
+)

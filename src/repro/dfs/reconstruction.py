@@ -56,7 +56,8 @@ def reconstruct_for_tasks(
     stays balanced.  Copies are *added* replicas (registered with the
     NameNode and the anchor DataNode); nothing is deleted, mirroring an
     MRAP-style reorganisation that materialises an access-pattern-friendly
-    copy.
+    copy.  A cap too tight for the task count raises before any copy is
+    made.
     """
     if not tasks:
         return ReconstructionReport()
@@ -65,6 +66,11 @@ def reconstruct_for_tasks(
         max_tasks_per_node = -(-len(tasks) // len(nodes))
     if max_tasks_per_node <= 0:
         raise ValueError("max_tasks_per_node must be positive")
+    if max_tasks_per_node * len(nodes) < len(tasks):
+        raise RuntimeError(
+            f"anchor cap too tight for the task count: {max_tasks_per_node} "
+            f"per node x {len(nodes)} active nodes < {len(tasks)} tasks"
+        )
 
     report = ReconstructionReport()
     anchor_load: dict[int, int] = {n: 0 for n in nodes}
@@ -82,8 +88,6 @@ def reconstruct_for_tasks(
                 if node in anchor_load:
                     present[node] = present.get(node, 0) + fs.chunk(cid).size
         candidates = [n for n in nodes if anchor_load[n] < max_tasks_per_node]
-        if not candidates:
-            raise RuntimeError("anchor cap too tight for the task count")
         anchor = max(candidates, key=lambda n: (present.get(n, 0), -n))
         anchor_load[anchor] += 1
         report.anchor_of[task.task_id] = anchor

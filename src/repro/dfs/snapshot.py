@@ -92,6 +92,8 @@ def restore_snapshot(fs: DistributedFileSystem, data: dict) -> list[str]:
     The target must have at least as many nodes as the snapshot used and
     must not already contain any of the snapshot's datasets.  Placement
     policy and RNG are bypassed: replicas land exactly where recorded.
+    Node ids and dataset names are checked before anything is stored, so
+    a snapshot rejected for either leaves the target as it was.
     """
     if data.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot format {data.get('format')!r}")
@@ -105,7 +107,15 @@ def restore_snapshot(fs: DistributedFileSystem, data: dict) -> list[str]:
         _parse_chunk_key(key): tuple(int(n) for n in nodes)
         for key, nodes in data["locations"].items()
     }
-    names = []
+    unknown = sorted(
+        {n for nodes in locations.values() for n in nodes} - fs.datanodes.keys()
+    )
+    if unknown:
+        raise ValueError(
+            f"snapshot places replicas on node ids {unknown}, which the "
+            f"{fs.num_nodes}-node target does not have"
+        )
+    datasets = []
     for ds_doc in data["datasets"]:
         ds = Dataset(ds_doc["name"])
         for file_doc in ds_doc["files"]:
@@ -114,9 +124,11 @@ def restore_snapshot(fs: DistributedFileSystem, data: dict) -> list[str]:
                 for i, size in enumerate(file_doc["chunks"])
             )
             ds.add_file(FileMeta(file_doc["name"], chunks))
+        fs.namenode.check_new_dataset(ds)
+        datasets.append(ds)
+    for ds in datasets:
         fs.store(ds, locations)
-        names.append(ds.name)
-    return names
+    return [ds.name for ds in datasets]
 
 
 def load_snapshot(fs: DistributedFileSystem, path: str | Path) -> list[str]:

@@ -9,46 +9,34 @@ CLI and downstream users call them directly:
 1.0
 """
 
-from .dynamic import DynamicComparison, run_dynamic_comparison
-from .multi_data import MultiDataComparison, run_multi_data_comparison
-from .overhead import (
-    OverheadResult,
-    ScalabilityRow,
-    build_single_data_graph,
-    matching_scalability_sweep,
-    measure_matching_overhead,
-)
-from .paraview import ParaViewComparison, run_paraview_comparison
-from .repetition import MetricStats, RepeatedResult, repeat, run_paraview_repeated
-from .single_data import (
-    SWEEP_SIZES,
-    MotivationResult,
-    SingleDataComparison,
-    run_motivating_experiment,
-    run_single_data_comparison,
-    run_sweep,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "SWEEP_SIZES",
-    "DynamicComparison",
-    "MetricStats",
-    "MotivationResult",
-    "MultiDataComparison",
-    "OverheadResult",
-    "ParaViewComparison",
-    "RepeatedResult",
-    "ScalabilityRow",
-    "SingleDataComparison",
-    "build_single_data_graph",
-    "matching_scalability_sweep",
-    "measure_matching_overhead",
-    "repeat",
-    "run_dynamic_comparison",
-    "run_motivating_experiment",
-    "run_multi_data_comparison",
-    "run_paraview_comparison",
-    "run_paraview_repeated",
-    "run_single_data_comparison",
-    "run_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "dynamic": ("DynamicComparison", "run_dynamic_comparison"),
+        "multi_data": ("MultiDataComparison", "run_multi_data_comparison"),
+        "overhead": (
+            "OverheadResult",
+            "ScalabilityRow",
+            "build_single_data_graph",
+            "matching_scalability_sweep",
+            "measure_matching_overhead",
+        ),
+        "paraview": ("ParaViewComparison", "run_paraview_comparison"),
+        "repetition": (
+            "MetricStats",
+            "RepeatedResult",
+            "repeat",
+            "run_paraview_repeated",
+        ),
+        "single_data": (
+            "SWEEP_SIZES",
+            "MotivationResult",
+            "SingleDataComparison",
+            "run_motivating_experiment",
+            "run_single_data_comparison",
+            "run_sweep",
+        ),
+    },
+)

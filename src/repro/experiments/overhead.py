@@ -22,13 +22,18 @@ def build_single_data_graph(
     seed: int = 0,
     perf: SchedPerf | None = None,
 ) -> tuple[DistributedFileSystem, ProcessPlacement, list[Task], LocalityGraph]:
-    """A stored single-data workload plus its locality graph."""
+    """A stored single-data workload plus its locality graph.
+
+    The graph is built uncached: a cached graph from an earlier call with
+    the same layout would carry that call's solve memo, and the experiments
+    below time the solve.
+    """
     fs = DistributedFileSystem(ClusterSpec.homogeneous(num_nodes), seed=seed)
     data = single_data_workload(num_nodes, chunks_per_process)
     fs.put_dataset(data)
     placement = ProcessPlacement.one_per_node(num_nodes)
     tasks = tasks_from_dataset(data)
-    graph = graph_from_filesystem(fs, tasks, placement, perf=perf)
+    graph = graph_from_filesystem(fs, tasks, placement, perf=perf, cache=False)
     return fs, placement, tasks, graph
 
 

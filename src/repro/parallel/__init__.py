@@ -1,25 +1,17 @@
 """MPI-like parallel execution substrate: communicator + SPMD/master-worker drivers."""
 
-from .comm import ANY_SOURCE, ANY_TAG, SimComm
-from .dlmpi import DataLocalityQuery, LocalitySplit
-from .master_worker import (
-    MasterWorkerOutcome,
-    irregular_compute_model,
-    run_master_worker,
-)
-from .spmd import SpmdOutcome, run_opass_single, run_rank_interval, run_static
+from .._lazy import lazy_surface
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "DataLocalityQuery",
-    "LocalitySplit",
-    "MasterWorkerOutcome",
-    "SimComm",
-    "SpmdOutcome",
-    "irregular_compute_model",
-    "run_master_worker",
-    "run_opass_single",
-    "run_rank_interval",
-    "run_static",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "comm": ("ANY_SOURCE", "ANY_TAG", "SimComm"),
+        "dlmpi": ("DataLocalityQuery", "LocalitySplit"),
+        "master_worker": (
+            "MasterWorkerOutcome",
+            "irregular_compute_model",
+            "run_master_worker",
+        ),
+        "spmd": ("SpmdOutcome", "run_opass_single", "run_rank_interval", "run_static"),
+    },
+)

@@ -27,34 +27,18 @@ enforces them statically, on every commit:
 be imported by any other ``repro`` package.
 """
 
-from .api import ALL_RULES, LintReport, lint_file, lint_paths, lint_source
-from .checks import RULES
-from .config import DEFAULT_LAYERS, LintConfig, load_config
-from .interproc import INTERPROC_RULES
-from .model import Violation
+from .._lazy import lazy_surface
 
-
-def __getattr__(name: str):
-    # verify is imported lazily so `python -m repro.tools.verify` does not
-    # trip runpy's found-in-sys.modules warning.
-    if name in ("verify_paths", "verify_source"):
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "ALL_RULES",
-    "DEFAULT_LAYERS",
-    "INTERPROC_RULES",
-    "LintConfig",
-    "LintReport",
-    "RULES",
-    "Violation",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "verify_paths",
-    "verify_source",
-]
+__all__, __getattr__, __dir__ = lazy_surface(
+    __name__,
+    {
+        "api": ("ALL_RULES", "LintReport", "lint_file", "lint_paths", "lint_source"),
+        "checks": ("RULES",),
+        "config": ("DEFAULT_LAYERS", "LintConfig", "load_config"),
+        "interproc": ("INTERPROC_RULES",),
+        "model": ("Violation",),
+        # Loaded only on access, so `python -m repro.tools.verify` does
+        # not trip runpy's found-in-sys.modules warning.
+        "verify": ("verify_paths", "verify_source"),
+    },
+)

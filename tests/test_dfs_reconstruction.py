@@ -7,9 +7,15 @@ from repro.core import (
     graph_from_filesystem,
     locality_fraction,
     optimize_multi_data,
+    tasks_from_dataset,
     tasks_from_datasets,
 )
-from repro.dfs import ClusterSpec, DistributedFileSystem, reconstruct_for_tasks
+from repro.dfs import (
+    ClusterSpec,
+    DistributedFileSystem,
+    reconstruct_for_tasks,
+    uniform_dataset,
+)
 from repro.workloads import multi_input_datasets
 
 
@@ -65,6 +71,17 @@ class TestReconstruction:
         # 40 tasks, 8 nodes, cap 1 -> only 8 anchors available.
         with pytest.raises(RuntimeError, match="anchor cap"):
             reconstruct_for_tasks(fs, tasks, max_tasks_per_node=1)
+
+    def test_cap_too_tight_copies_nothing(self):
+        """The cap is checked before the first copy: a rejected call
+        leaves every replica where it was."""
+        fs = DistributedFileSystem(ClusterSpec.homogeneous(4), seed=1)
+        data = uniform_dataset("d", 12)
+        fs.put_dataset(data)
+        before = (fs.layout_token, fs.replica_count_per_node())
+        with pytest.raises(RuntimeError, match="anchor cap"):
+            reconstruct_for_tasks(fs, tasks_from_dataset(data), max_tasks_per_node=1)
+        assert (fs.layout_token, fs.replica_count_per_node()) == before
 
     def test_reconstruction_enables_full_matching(self, env):
         """After co-location, Algorithm 1 recovers (near-)full locality —

@@ -85,6 +85,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="nodes"):
             load_snapshot(small, path)
 
+    def test_unknown_node_id_rejected_before_storing(self, fs):
+        """A snapshot naming a node the target lacks raises a ValueError
+        naming that node, and stores nothing."""
+        doc = snapshot_to_dict(fs)
+        doc["num_nodes"] = 4
+        key = next(iter(doc["locations"]))
+        doc["locations"][key] = [9]
+        small = DistributedFileSystem(ClusterSpec.homogeneous(4), seed=0)
+        before = (
+            small.namenode.list_datasets(),
+            small.layout_token,
+            small.replica_count_per_node(),
+        )
+        with pytest.raises(ValueError, match=r"node ids \[.*9\]"):
+            restore_snapshot(small, doc)
+        assert (
+            small.namenode.list_datasets(),
+            small.layout_token,
+            small.replica_count_per_node(),
+        ) == before
+
     def test_duplicate_restore_rejected(self, fs, tmp_path):
         path = save_snapshot(fs, tmp_path / "layout.json")
         fresh = DistributedFileSystem(ClusterSpec.homogeneous(8), seed=0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import SchedPerf
 from repro.experiments import (
     matching_scalability_sweep,
     measure_matching_overhead,
@@ -86,6 +87,15 @@ class TestOverhead:
         assert [r.num_nodes for r in rows] == [4, 8]
         assert all(r.matching_ms >= 0 for r in rows)
         assert rows[1].num_edges > rows[0].num_edges
+
+    def test_repeated_sweep_solves_cold(self):
+        """Every row times a real solve: a second sweep in the same process
+        hits neither the graph cache nor the per-graph solve memo."""
+        matching_scalability_sweep(sizes=(4, 8), chunks_per_process=2)
+        perf = SchedPerf()
+        matching_scalability_sweep(sizes=(4, 8), chunks_per_process=2, perf=perf)
+        assert perf.solves == 2
+        assert (perf.cache_hits, perf.solve_replays) == (0, 0)
 
 
 class TestRepetition:
